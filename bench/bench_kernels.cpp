@@ -17,6 +17,7 @@
 #include "geom/rect.hpp"
 #include "exec/exec.hpp"
 #include "extract/extract.hpp"
+#include "flow/flow.hpp"
 #include "gen/gen.hpp"
 #include "liberty/characterize.hpp"
 #include "numeric/csr.hpp"
@@ -317,6 +318,61 @@ void BM_RouteMazeCongested(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RouteMazeCongested)->Unit(benchmark::kMillisecond);
+
+// --- The ldpc_iso hot path: routing and placement extraction. -------------
+//
+// LDPC at its default bench scale (scale_shift 2, ~26k cells) and the
+// paper's 0.33 utilisation, taken through the flow at a fixed 8.5 ns clock.
+// The fixture is the flow's final netlist: post-route optimization only
+// resizes cells, so its nets and positions are the ones pre-route
+// optimization handed to the router, and routing it reproduces the flow's
+// route stage exactly.
+
+struct LdpcFixture {
+  liberty::Library lib = test::make_test_library();
+  tech::Tech tch{tech::Node::k45nm, tech::Style::k2D};
+  flow::FlowResult flow;
+
+  LdpcFixture() {
+    flow::FlowOptions o;
+    o.bench = gen::Bench::kLdpc;
+    o.scale_shift = 2;
+    o.target_util = 0.33;
+    o.clock_ns = 8.5;
+    o.lib = &lib;
+    o.check_level = check::Level::kNone;
+    flow = flow::run_flow(o);
+  }
+};
+
+LdpcFixture& ldpc_fixture() {
+  static LdpcFixture f;
+  return f;
+}
+
+// route.rrr: one global_route — topology, pattern pass, then the
+// congestion-bound rip-up-and-reroute, whose maze searches dominate it.
+void BM_RouteRrrLdpc(benchmark::State& state) {
+  auto& f = ldpc_fixture();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        route::global_route(f.flow.netlist, f.flow.die, f.tch, {}));
+  }
+}
+BENCHMARK(BM_RouteRrrLdpc)->Name("route.rrr")->Unit(benchmark::kMillisecond);
+
+// extract.placement: the pre-route estimate the optimizer re-runs every
+// round (1,602 chip ports, ~27k nets).
+void BM_ExtractPlacementLdpc(benchmark::State& state) {
+  auto& f = ldpc_fixture();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        extract::extract_from_placement(f.flow.netlist, f.tch));
+  }
+}
+BENCHMARK(BM_ExtractPlacementLdpc)
+    ->Name("extract.placement")
+    ->Unit(benchmark::kMillisecond);
 
 // --- Numeric kernel layer (src/numeric) vs retained dense baselines. -----
 //

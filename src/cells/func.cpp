@@ -48,7 +48,9 @@ bool func_from_string(const std::string& name, Func* out) {
   return false;
 }
 
-std::vector<std::string> input_pins(Func func) {
+namespace {
+
+std::vector<std::string> make_input_pins(Func func) {
   switch (func) {
     case Func::kInv:
     case Func::kBuf: return {"A"};
@@ -78,13 +80,44 @@ std::vector<std::string> input_pins(Func func) {
   return {};
 }
 
-std::vector<std::string> output_pins(Func func) {
+std::vector<std::string> make_output_pins(Func func) {
   switch (func) {
     case Func::kHa:
     case Func::kFa: return {"S", "CO"};
     case Func::kDff: return {"Q"};
     default: return {"Z"};
   }
+}
+
+constexpr int kNumFuncs = static_cast<int>(Func::kDff) + 1;
+
+/// One immutable pin list per Func, built on first use (thread-safe static
+/// init), so the STA and power inner loops look pins up without allocating.
+struct PinTables {
+  std::vector<std::string> inputs[kNumFuncs];
+  std::vector<std::string> outputs[kNumFuncs];
+
+  PinTables() {
+    for (int f = 0; f < kNumFuncs; ++f) {
+      inputs[f] = make_input_pins(static_cast<Func>(f));
+      outputs[f] = make_output_pins(static_cast<Func>(f));
+    }
+  }
+};
+
+const PinTables& pin_tables() {
+  static const PinTables tables;
+  return tables;
+}
+
+}  // namespace
+
+const std::vector<std::string>& input_pins(Func func) {
+  return pin_tables().inputs[static_cast<int>(func)];
+}
+
+const std::vector<std::string>& output_pins(Func func) {
+  return pin_tables().outputs[static_cast<int>(func)];
 }
 
 int num_inputs(Func func) { return static_cast<int>(input_pins(func).size()); }

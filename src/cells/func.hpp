@@ -34,17 +34,20 @@ enum class Func {
   kOai22,  // !((A1+A2)*(B1+B2))
   kHa,     // half adder: S, CO
   kFa,     // full adder: S, CO
-  kDff,    // D flip-flop: D, CK -> Q
+  kDff,    // D flip-flop: D, CK -> Q. Keep last: func.cpp sizes its
+           // per-Func pin tables by it.
 };
 
 const char* to_string(Func func);
 /// Parses the name produced by to_string. Returns false on unknown names.
 bool func_from_string(const std::string& name, Func* out);
 
-/// Input pin names in canonical order (LSB first for truth tables).
-std::vector<std::string> input_pins(Func func);
-/// Output pin names.
-std::vector<std::string> output_pins(Func func);
+/// Input pin names in canonical order (LSB first for truth tables). The
+/// reference is into a static per-Func table: valid for the program's
+/// lifetime, and the same object on every call.
+const std::vector<std::string>& input_pins(Func func);
+/// Output pin names, from the same kind of static table.
+const std::vector<std::string>& output_pins(Func func);
 int num_inputs(Func func);
 bool is_sequential(Func func);
 

@@ -455,8 +455,10 @@ LibCell characterize_cell(const cells::CellSpec& spec,
 
   if (cell.sequential) {
     TimingArc arc;
-    arc.from = "CK";
-    arc.to = "Q";
+    // Move-assigned temporaries: assigning the literals directly trips a
+    // false-positive -Wrestrict in GCC 12 at -O3.
+    arc.from = std::string("CK");
+    arc.to = std::string("Q");
     for (int e = 0; e < 2; ++e) {
       arc.delay[e] = blank_table();
       arc.out_slew[e] = blank_table();

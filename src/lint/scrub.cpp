@@ -171,8 +171,11 @@ Scrubbed scrub(std::string_view text, std::string_view file) {
         (i == 0 || !is_ident(text[i - 1]))) {
       size_t d = i + 2;
       while (d < n && text[d] != '(') ++d;
-      const std::string terminator =
-          ")" + std::string(text.substr(i + 2, d - (i + 2))) + "\"";
+      // Appended piecewise: operator+ on a literal trips a false-positive
+      // -Wrestrict in GCC 12 at -O3.
+      std::string terminator = ")";
+      terminator += text.substr(i + 2, d - (i + 2));
+      terminator += '"';
       size_t end = text.find(terminator, d);
       end = end == std::string_view::npos ? n : end + terminator.size();
       for (size_t k = i; k < end; ++k) {

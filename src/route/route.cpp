@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <queue>
 
 #include "circuit/index.hpp"
 #include "exec/exec.hpp"
@@ -34,6 +33,12 @@ struct TwoPin {
   std::vector<Cell> path;  // committed gcell path (including endpoints)
 };
 
+/// Routing-edge congestion state. Every edge's maze cost is cached in flat
+/// per-level arrays (`cost_h`/`cost_v`) and refreshed, with the one
+/// `cost_of` expression, whenever an input to it changes: once when the
+/// capacities are set, per touched edge in add_path, per incremented edge in
+/// add_history. Usage and history are private, so no write can bypass the
+/// cache, and a cached cost is bitwise the value a fresh evaluation returns.
 class Grid {
  public:
   Grid(int nx, int ny) : nx_(nx), ny_(ny) {
@@ -42,6 +47,8 @@ class Grid {
       usage_v_[l].assign(static_cast<size_t>(nx * (ny - 1)), 0.0);
       hist_h_[l].assign(usage_h_[l].size(), 0.0);
       hist_v_[l].assign(usage_v_[l].size(), 0.0);
+      cost_h_[l].assign(usage_h_[l].size(), 0.0);
+      cost_v_[l].assign(usage_v_[l].size(), 0.0);
     }
   }
 
@@ -50,25 +57,30 @@ class Grid {
   size_t h_idx(int i, int j) const { return static_cast<size_t>(j * (nx_ - 1) + i); }
   size_t v_idx(int i, int j) const { return static_cast<size_t>(j * nx_ + i); }
 
-  double& usage_h(int l, int i, int j) { return usage_h_[l][h_idx(i, j)]; }
-  double& usage_v(int l, int i, int j) { return usage_v_[l][v_idx(i, j)]; }
-  double& hist_h(int l, int i, int j) { return hist_h_[l][h_idx(i, j)]; }
-  double& hist_v(int l, int i, int j) { return hist_v_[l][v_idx(i, j)]; }
+  const std::array<std::vector<double>, kNumLevels>& usage_h_all() const { return usage_h_; }
+  const std::array<std::vector<double>, kNumLevels>& usage_v_all() const { return usage_v_; }
 
-  std::array<std::vector<double>, kNumLevels>& usage_h_all() { return usage_h_; }
-  std::array<std::vector<double>, kNumLevels>& usage_v_all() { return usage_v_; }
+  double cap_h(int l) const { return cap_h_[l]; }
+  double cap_v(int l) const { return cap_v_[l]; }
 
-  double cap_h[kNumLevels] = {0, 0, 0};
-  double cap_v[kNumLevels] = {0, 0, 0};
+  /// Sets the per-level edge capacities and fills the cost cache. Called
+  /// once, before any path is added.
+  void set_capacities(const double (&cap_h)[kNumLevels],
+                      const double (&cap_v)[kNumLevels]) {
+    for (int l = 0; l < kNumLevels; ++l) {
+      cap_h_[l] = cap_h[l];
+      cap_v_[l] = cap_v[l];
+      for (size_t e = 0; e < cost_h_[l].size(); ++e) refresh_h(l, e);
+      for (size_t e = 0; e < cost_v_[l].size(); ++e) refresh_v(l, e);
+    }
+  }
+
+  /// Cached maze costs of level `l`, indexed like h_idx / v_idx.
+  const double* cost_h(int l) const { return cost_h_[l].data(); }
+  const double* cost_v(int l) const { return cost_v_[l].data(); }
 
   double edge_cost(int l, bool horizontal, int i, int j) const {
-    const double cap = horizontal ? cap_h[l] : cap_v[l];
-    const double use = horizontal ? usage_h_[l][h_idx(i, j)] : usage_v_[l][v_idx(i, j)];
-    const double hist = horizontal ? hist_h_[l][h_idx(i, j)] : hist_v_[l][v_idx(i, j)];
-    double cost = 1.0 + hist;
-    const double ratio = (use + 1.0) / std::max(cap, 1e-9);
-    if (ratio > 0.8) cost += 8.0 * (ratio - 0.8) * (ratio - 0.8) * 25.0;
-    return cost;
+    return horizontal ? cost_h_[l][h_idx(i, j)] : cost_v_[l][v_idx(i, j)];
   }
 
   void add_path(int l, const std::vector<Cell>& path, double delta) {
@@ -76,9 +88,13 @@ class Grid {
       const Cell& p = path[k];
       const Cell& q = path[k + 1];
       if (p.y == q.y) {
-        usage_h_[l][h_idx(std::min(p.x, q.x), p.y)] += delta;
+        const size_t e = h_idx(std::min(p.x, q.x), p.y);
+        usage_h_[l][e] += delta;
+        refresh_h(l, e);
       } else {
-        usage_v_[l][v_idx(p.x, std::min(p.y, q.y))] += delta;
+        const size_t e = v_idx(p.x, std::min(p.y, q.y));
+        usage_v_[l][e] += delta;
+        refresh_v(l, e);
       }
     }
   }
@@ -86,10 +102,16 @@ class Grid {
   void add_history() {
     for (int l = 0; l < kNumLevels; ++l) {
       for (size_t e = 0; e < usage_h_[l].size(); ++e) {
-        if (usage_h_[l][e] > cap_h[l]) hist_h_[l][e] += 1.0;
+        if (usage_h_[l][e] > cap_h_[l]) {
+          hist_h_[l][e] += 1.0;
+          refresh_h(l, e);
+        }
       }
       for (size_t e = 0; e < usage_v_[l].size(); ++e) {
-        if (usage_v_[l][e] > cap_v[l]) hist_v_[l][e] += 1.0;
+        if (usage_v_[l][e] > cap_v_[l]) {
+          hist_v_[l][e] += 1.0;
+          refresh_v(l, e);
+        }
       }
     }
   }
@@ -99,12 +121,12 @@ class Grid {
     double mc = 0.0;
     for (int l = 0; l < kNumLevels; ++l) {
       for (size_t e = 0; e < usage_h_[l].size(); ++e) {
-        mc = std::max(mc, usage_h_[l][e] / std::max(cap_h[l], 1e-9));
-        if (usage_h_[l][e] > cap_h[l] + 1e-9) ++over;
+        mc = std::max(mc, usage_h_[l][e] / std::max(cap_h_[l], 1e-9));
+        if (usage_h_[l][e] > cap_h_[l] + 1e-9) ++over;
       }
       for (size_t e = 0; e < usage_v_[l].size(); ++e) {
-        mc = std::max(mc, usage_v_[l][e] / std::max(cap_v[l], 1e-9));
-        if (usage_v_[l][e] > cap_v[l] + 1e-9) ++over;
+        mc = std::max(mc, usage_v_[l][e] / std::max(cap_v_[l], 1e-9));
+        if (usage_v_[l][e] > cap_v_[l] + 1e-9) ++over;
       }
     }
     if (max_cong != nullptr) *max_cong = mc;
@@ -116,18 +138,34 @@ class Grid {
       const Cell& p = path[k];
       const Cell& q = path[k + 1];
       if (p.y == q.y) {
-        if (usage_h_[l][h_idx(std::min(p.x, q.x), p.y)] > cap_h[l] + 1e-9) return true;
+        if (usage_h_[l][h_idx(std::min(p.x, q.x), p.y)] > cap_h_[l] + 1e-9) return true;
       } else {
-        if (usage_v_[l][v_idx(p.x, std::min(p.y, q.y))] > cap_v[l] + 1e-9) return true;
+        if (usage_v_[l][v_idx(p.x, std::min(p.y, q.y))] > cap_v_[l] + 1e-9) return true;
       }
     }
     return false;
   }
 
  private:
+  static double cost_of(double cap, double use, double hist) {
+    double cost = 1.0 + hist;
+    const double ratio = (use + 1.0) / std::max(cap, 1e-9);
+    if (ratio > 0.8) cost += 8.0 * (ratio - 0.8) * (ratio - 0.8) * 25.0;
+    return cost;
+  }
+  void refresh_h(int l, size_t e) {
+    cost_h_[l][e] = cost_of(cap_h_[l], usage_h_[l][e], hist_h_[l][e]);
+  }
+  void refresh_v(int l, size_t e) {
+    cost_v_[l][e] = cost_of(cap_v_[l], usage_v_[l][e], hist_v_[l][e]);
+  }
+
   int nx_, ny_;
+  double cap_h_[kNumLevels] = {0, 0, 0};
+  double cap_v_[kNumLevels] = {0, 0, 0};
   std::array<std::vector<double>, kNumLevels> usage_h_, usage_v_;
   std::array<std::vector<double>, kNumLevels> hist_h_, hist_v_;
+  std::array<std::vector<double>, kNumLevels> cost_h_, cost_v_;
 };
 
 std::vector<Cell> l_path(const Cell& a, const Cell& b, bool x_first) {
@@ -170,41 +208,104 @@ double path_cost(const Grid& grid, int level, const std::vector<Cell>& path) {
   return cost;
 }
 
-/// Per-thread maze scratch with epoch-stamped lazy reset: the dist/parent
-/// arrays are allocated once per thread and a cell is (re)initialized the
-/// first time an epoch touches it, so repeated maze calls do no allocation
-/// and no O(window) clearing. Each maze call is entirely thread-private —
-/// the scratch never leaks state across calls (every read goes through
-/// touch()), so results are bit-identical to the fresh-vector version.
+/// Per-thread maze scratch with epoch-stamped lazy reset: one packed
+/// {dist, parent, stamp} record per cell, allocated once per thread, and a
+/// cell is (re)initialized the first time an epoch touches it, so repeated
+/// maze calls do no allocation and no O(window) clearing. Each maze call is
+/// entirely thread-private — the scratch never leaks state across calls
+/// (every read goes through touch()), so results are bit-identical to the
+/// fresh-vector version.
 struct MazeScratch {
+  struct Node {
+    double dist;
+    int parent;
+    uint32_t stamp;
+  };
   // obs::vector: the maze arrays are the router's dominant allocations, so
   // they opt into the counting allocator for the per-stage memory profile.
-  obs::vector<double> dist;
-  obs::vector<int> parent;
-  obs::vector<uint64_t> stamp;
-  uint64_t epoch = 0;
+  obs::vector<Node> nodes;
+  uint32_t epoch = 0;
 
-  /// Starts a maze over `cells` slots; grows the arrays if needed and
+  /// Starts a maze over `cells` slots; grows the array if needed and
   /// invalidates every previous entry by bumping the epoch.
   void begin(size_t cells) {
-    if (stamp.size() < cells) {
-      dist.resize(cells);
-      parent.resize(cells);
-      stamp.resize(cells, 0);
-    } else {
-      util::MetricsRegistry::global().add_counter("route.maze_scratch_reuse");
+    if (nodes.size() < cells) nodes.resize(cells, Node{0.0, -1, 0});
+    if (++epoch == 0) {  // wrapped: stale stamps could alias the new epoch
+      for (Node& n : nodes) n.stamp = 0;
+      epoch = 1;
     }
-    ++epoch;
   }
 
-  /// Lazily initializes slot `i` for the current epoch.
-  void touch(size_t i) {
-    if (stamp[i] != epoch) {
-      stamp[i] = epoch;
-      dist[i] = 1e18;
-      parent[i] = -1;
+  /// Slot `i`, lazily initialized for the current epoch.
+  Node& touch(size_t i) {
+    Node& n = nodes[i];
+    if (n.stamp != epoch) {
+      n.stamp = epoch;
+      n.dist = 1e18;
+      n.parent = -1;
     }
+    return n;
   }
+};
+
+/// Min-heap of maze frontier entries, 4-ary for shallower sift-downs. It
+/// orders entries by (f, idx) — exactly the total order in which
+/// std::priority_queue<std::pair<double, int>, ..., std::greater<>> pops —
+/// so any two entries that compare equal are equal in every field (x, y are
+/// functions of idx) and the pop sequence is the same as that queue's.
+/// Carrying the cell's coordinates saves the pop a divide and a modulo.
+class MazeHeap {
+ public:
+  struct Entry {
+    double f;
+    int idx;
+    int x, y;
+  };
+
+  bool empty() const { return heap_.empty(); }
+  void clear() { heap_.clear(); }
+
+  void push(const Entry& e) {
+    size_t i = heap_.size();
+    heap_.push_back(e);
+    while (i > 0) {
+      const size_t up = (i - 1) / 4;
+      if (!less(e, heap_[up])) break;
+      heap_[i] = heap_[up];
+      i = up;
+    }
+    heap_[i] = e;
+  }
+
+  Entry pop() {
+    const Entry top = heap_.front();
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    const size_t n = heap_.size();
+    if (n == 0) return top;
+    size_t i = 0;
+    for (;;) {
+      const size_t first = 4 * i + 1;
+      if (first >= n) break;
+      size_t best = first;
+      const size_t end = std::min(first + 4, n);
+      for (size_t c = first + 1; c < end; ++c) {
+        if (less(heap_[c], heap_[best])) best = c;
+      }
+      if (!less(heap_[best], last)) break;
+      heap_[i] = heap_[best];
+      i = best;
+    }
+    heap_[i] = last;
+    return top;
+  }
+
+ private:
+  static bool less(const Entry& a, const Entry& b) {
+    return a.f < b.f || (a.f == b.f && a.idx < b.idx);
+  }
+
+  obs::vector<Entry> heap_;
 };
 
 /// A* maze route on one level, constrained to the bbox of (a, b) inflated by
@@ -218,47 +319,46 @@ std::vector<Cell> maze_route(const Grid& grid, int level, const Cell& a,
   const int w = xhi - xlo + 1, h = yhi - ylo + 1;
   auto idx = [&](int x, int y) { return static_cast<size_t>((y - ylo) * w + (x - xlo)); };
   thread_local MazeScratch scratch;
+  thread_local MazeHeap pq;
   scratch.begin(static_cast<size_t>(w * h));
-  obs::vector<double>& dist = scratch.dist;
-  obs::vector<int>& parent = scratch.parent;
-  using QE = std::pair<double, int>;
-  std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
-  scratch.touch(idx(a.x, a.y));
-  dist[idx(a.x, a.y)] = 0.0;
-  pq.push({std::abs(a.x - b.x) + std::abs(a.y - b.y) * 1.0, static_cast<int>(idx(a.x, a.y))});
-  const int dx[4] = {1, -1, 0, 0};
-  const int dy[4] = {0, 0, 1, -1};
+  pq.clear();
+  const double* cost_h = grid.cost_h(level);
+  const double* cost_v = grid.cost_v(level);
+  scratch.touch(idx(a.x, a.y)).dist = 0.0;
+  pq.push({std::abs(a.x - b.x) + std::abs(a.y - b.y) * 1.0,
+           static_cast<int>(idx(a.x, a.y)), a.x, a.y});
   while (!pq.empty()) {
-    const auto [f, ci] = pq.top();
-    pq.pop();
-    const int cx = xlo + ci % w;
-    const int cy = ylo + ci / w;
+    const MazeHeap::Entry top = pq.pop();
+    const int ci = top.idx;
+    const int cx = top.x;
+    const int cy = top.y;
     if (cx == b.x && cy == b.y) break;
-    const double d = dist[static_cast<size_t>(ci)];
-    if (f - (std::abs(cx - b.x) + std::abs(cy - b.y)) > d + 1e-9) continue;
-    for (int k = 0; k < 4; ++k) {
-      const int nx2 = cx + dx[k], ny2 = cy + dy[k];
-      if (nx2 < xlo || nx2 > xhi || ny2 < ylo || ny2 > yhi) continue;
-      const bool horiz = dy[k] == 0;
-      const double ec = horiz ? grid.edge_cost(level, true, std::min(cx, nx2), cy)
-                              : grid.edge_cost(level, false, cx, std::min(cy, ny2));
+    const double d = scratch.nodes[static_cast<size_t>(ci)].dist;
+    if (top.f - (std::abs(cx - b.x) + std::abs(cy - b.y)) > d + 1e-9) continue;
+    // Neighbours in the fixed order +x, -x, +y, -y; `ec` is the cached cost
+    // of the edge between the current cell and (nx2, ny2).
+    auto relax = [&](int nx2, int ny2, double ec) {
       const double nd = d + ec;
       const size_t nidx = idx(nx2, ny2);
-      scratch.touch(nidx);
-      if (nd < dist[nidx] - 1e-12) {
-        dist[nidx] = nd;
-        parent[nidx] = ci;
-        pq.push({nd + std::abs(nx2 - b.x) + std::abs(ny2 - b.y), static_cast<int>(nidx)});
+      MazeScratch::Node& n = scratch.touch(nidx);
+      if (nd < n.dist - 1e-12) {
+        n.dist = nd;
+        n.parent = ci;
+        pq.push({nd + std::abs(nx2 - b.x) + std::abs(ny2 - b.y),
+                 static_cast<int>(nidx), nx2, ny2});
       }
-    }
+    };
+    if (cx < xhi) relax(cx + 1, cy, cost_h[grid.h_idx(cx, cy)]);
+    if (cx > xlo) relax(cx - 1, cy, cost_h[grid.h_idx(cx - 1, cy)]);
+    if (cy < yhi) relax(cx, cy + 1, cost_v[grid.v_idx(cx, cy)]);
+    if (cy > ylo) relax(cx, cy - 1, cost_v[grid.v_idx(cx, cy - 1)]);
   }
-  scratch.touch(idx(b.x, b.y));
-  if (dist[idx(b.x, b.y)] >= 1e17) return {};
+  if (scratch.touch(idx(b.x, b.y)).dist >= 1e17) return {};
   std::vector<Cell> path;
   int ci = static_cast<int>(idx(b.x, b.y));
   while (ci >= 0) {
     path.push_back({xlo + ci % w, ylo + ci / w});
-    ci = parent[static_cast<size_t>(ci)];
+    ci = scratch.nodes[static_cast<size_t>(ci)].parent;
   }
   std::reverse(path.begin(), path.end());
   return path;
@@ -279,6 +379,8 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
   Grid grid(nx, ny);
 
   // Edge capacities from the metal stack.
+  double cap_h[kNumLevels] = {0, 0, 0};
+  double cap_v[kNumLevels] = {0, 0, 0};
   for (const auto& layer : tech.stack().layers) {
     if (layer.level == tech::LayerLevel::kM1) continue;  // cell/pin layer
     int level = kLocal;
@@ -286,15 +388,16 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
     if (layer.level == tech::LayerLevel::kGlobal) level = kGlobal;
     const double tracks = gc / layer.pitch_um();
     if (layer.horizontal) {
-      grid.cap_h[level] += tracks;
+      cap_h[level] += tracks;
     } else {
-      grid.cap_v[level] += tracks;
+      cap_v[level] += tracks;
     }
   }
   // Local layers run over the cells; MIV/MB1 blockages inside T-MI cells
   // shave some local tracks (supplement S5).
-  grid.cap_h[kLocal] *= (1.0 - opt.local_blockage_frac);
-  grid.cap_v[kLocal] *= (1.0 - opt.local_blockage_frac);
+  cap_h[kLocal] *= (1.0 - opt.local_blockage_frac);
+  cap_v[kLocal] *= (1.0 - opt.local_blockage_frac);
+  grid.set_capacities(cap_h, cap_v);
 
   auto to_cell = [&](const geom::Pt& p) {
     return Cell{std::clamp(static_cast<int>(p.x / gc), 0, nx - 1),
@@ -449,6 +552,7 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
   struct Reroute {
     int level = 0;
     std::vector<Cell> path;
+    int maze_calls = 0;  // tallied per batch, posted once on this thread
   };
   for (int iter = 0; iter < opt.rrr_iters; ++iter) {
     double mc = 0.0;
@@ -484,11 +588,11 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
         }
       }
       util::count("route.maze_batches");
+      util::count("route.overflow_retries", static_cast<double>(batch.size()));
       // Rip every member first, so the mazes all route against the same
       // batch-start congestion state.
       for (int ti : batch) {
         TwoPin& tp = twopins[static_cast<size_t>(ti)];
-        util::count("route.overflow_retries");
         grid.add_path(tp.level, tp.path, -1.0);
       }
       std::vector<Reroute> rerouted(batch.size());
@@ -504,7 +608,7 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
               for (int l :
                    {tp.level, std::min(tp.level + 1, static_cast<int>(kGlobal)),
                     std::max(tp.level - 1, static_cast<int>(kLocal))}) {
-                util::count("route.maze_calls");
+                ++rerouted[bi].maze_calls;
                 auto path = maze_route(grid, l, tp.a, tp.b, kMazeMargin);
                 if (path.empty()) continue;
                 // Level changes cost vias; bias toward the preferred level.
@@ -523,7 +627,9 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
           },
           /*grain=*/1);
       // Commit in batch order; a failed maze keeps the ripped-up old path.
+      int maze_calls = 0;
       for (size_t bi = 0; bi < batch.size(); ++bi) {
+        maze_calls += rerouted[bi].maze_calls;
         TwoPin& tp = twopins[static_cast<size_t>(batch[bi])];
         if (!rerouted[bi].path.empty()) {
           tp.level = rerouted[bi].level;
@@ -531,6 +637,7 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
         }
         grid.add_path(tp.level, tp.path, 1.0);
       }
+      util::count("route.maze_calls", maze_calls);
       todo = std::move(deferred);
     }
   }
@@ -615,8 +722,8 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
   result.usage_h = grid.usage_h_all();
   result.usage_v = grid.usage_v_all();
   for (int l = 0; l < kNumLevels; ++l) {
-    result.cap_h[static_cast<size_t>(l)] = grid.cap_h[l];
-    result.cap_v[static_cast<size_t>(l)] = grid.cap_v[l];
+    result.cap_h[static_cast<size_t>(l)] = grid.cap_h(l);
+    result.cap_v[static_cast<size_t>(l)] = grid.cap_v(l);
   }
   return result;
 }

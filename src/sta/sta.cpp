@@ -21,7 +21,7 @@ double sink_cap_ff(const circuit::Netlist& nl, const circuit::PinRef& s) {
   if (s.inst == circuit::kInvalid) return kPoLoadFf;
   const circuit::Instance& inst = nl.inst(s.inst);
   if (inst.libcell == nullptr) return 0.0;
-  const auto pins = cells::input_pins(inst.func);
+  const auto& pins = cells::input_pins(inst.func);
   return inst.libcell->input_cap_ff(pins[static_cast<size_t>(s.pin)]);
 }
 
@@ -149,8 +149,8 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
           for (size_t k = kb; k < ke; ++k) {
             const circuit::InstId id = bucket[k];
             const circuit::Instance& inst = nl.inst(id);
-            const auto in_pins = cells::input_pins(inst.func);
-            const auto out_pins = cells::output_pins(inst.func);
+            const auto& in_pins = cells::input_pins(inst.func);
+            const auto& out_pins = cells::output_pins(inst.func);
             for (size_t o = 0; o < inst.out_nets.size(); ++o) {
               const circuit::NetId out = inst.out_nets[o];
               const double load = r.load_ff[static_cast<size_t>(out)];
@@ -225,8 +225,8 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
           for (size_t k = kb; k < ke; ++k) {
             const circuit::InstId id = bucket[k];
             const circuit::Instance& inst = nl.inst(id);
-            const auto in_pins = cells::input_pins(inst.func);
-            const auto out_pins = cells::output_pins(inst.func);
+            const auto& in_pins = cells::input_pins(inst.func);
+            const auto& out_pins = cells::output_pins(inst.func);
             // Required at each output net driver = min over sinks.
             for (size_t o = 0; o < inst.out_nets.size(); ++o) {
               const circuit::NetId out = inst.out_nets[o];
@@ -303,7 +303,7 @@ HoldResult run_hold_check(const circuit::Netlist& nl,
       if (s.inst == circuit::kInvalid) continue;
       const auto& si = nl.inst(s.inst);
       if (si.libcell == nullptr) continue;
-      const auto pins = cells::input_pins(si.func);
+      const auto& pins = cells::input_pins(si.func);
       l += si.libcell->input_cap_ff(pins[static_cast<size_t>(s.pin)]);
     }
     load[static_cast<size_t>(n)] = l;
@@ -348,8 +348,8 @@ HoldResult run_hold_check(const circuit::Netlist& nl,
   for (circuit::InstId id : nl.topo_order()) {
     const auto& inst = nl.inst(id);
     if (inst.sequential() || inst.libcell == nullptr) continue;
-    const auto in_pins = cells::input_pins(inst.func);
-    const auto out_pins = cells::output_pins(inst.func);
+    const auto& in_pins = cells::input_pins(inst.func);
+    const auto& out_pins = cells::output_pins(inst.func);
     for (size_t o = 0; o < inst.out_nets.size(); ++o) {
       const circuit::NetId out = inst.out_nets[o];
       double best = std::numeric_limits<double>::max();

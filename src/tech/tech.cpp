@@ -192,7 +192,11 @@ MetalStack build_stack(const NodeParams& params, Style style) {
   int metal_num = 1;
   for (const auto& p : plan) {
     for (int i = 0; i < p.count; ++i) {
-      push("M" + std::to_string(metal_num), p.level, false);
+      // Appended, not "M" + to_string(...): that trips a false-positive
+      // -Wrestrict in GCC 12 at -O3.
+      std::string name = "M";
+      name += std::to_string(metal_num);
+      push(name, p.level, false);
       ++metal_num;
     }
   }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cells/func.hpp"
 #include "cells/layout.hpp"
@@ -45,6 +48,47 @@ TEST(Func, PinNamesConsistent) {
     EXPECT_EQ(static_cast<int>(input_pins(f).size()), num_inputs(f));
     EXPECT_FALSE(output_pins(f).empty());
     EXPECT_EQ(truth_table(f).size(), output_pins(f).size());
+  }
+}
+
+TEST(Func, PinTablesMatchCanonicalListsAndAreStable) {
+  using Pins = std::vector<std::string>;
+  // The canonical pin lists, spelled out independently of func.cpp.
+  const std::vector<std::pair<Func, std::pair<Pins, Pins>>> expected = {
+      {Func::kInv, {{"A"}, {"Z"}}},
+      {Func::kBuf, {{"A"}, {"Z"}}},
+      {Func::kNand2, {{"A", "B"}, {"Z"}}},
+      {Func::kNand3, {{"A", "B", "C"}, {"Z"}}},
+      {Func::kNand4, {{"A", "B", "C", "D"}, {"Z"}}},
+      {Func::kNor2, {{"A", "B"}, {"Z"}}},
+      {Func::kNor3, {{"A", "B", "C"}, {"Z"}}},
+      {Func::kNor4, {{"A", "B", "C", "D"}, {"Z"}}},
+      {Func::kAnd2, {{"A", "B"}, {"Z"}}},
+      {Func::kAnd3, {{"A", "B", "C"}, {"Z"}}},
+      {Func::kAnd4, {{"A", "B", "C", "D"}, {"Z"}}},
+      {Func::kOr2, {{"A", "B"}, {"Z"}}},
+      {Func::kOr3, {{"A", "B", "C"}, {"Z"}}},
+      {Func::kOr4, {{"A", "B", "C", "D"}, {"Z"}}},
+      {Func::kXor2, {{"A", "B"}, {"Z"}}},
+      {Func::kXnor2, {{"A", "B"}, {"Z"}}},
+      {Func::kMux2, {{"A", "B", "S"}, {"Z"}}},
+      {Func::kAoi21, {{"A1", "A2", "B"}, {"Z"}}},
+      {Func::kOai21, {{"A1", "A2", "B"}, {"Z"}}},
+      {Func::kAoi22, {{"A1", "A2", "B1", "B2"}, {"Z"}}},
+      {Func::kOai22, {{"A1", "A2", "B1", "B2"}, {"Z"}}},
+      {Func::kHa, {{"A", "B"}, {"S", "CO"}}},
+      {Func::kFa, {{"A", "B", "CI"}, {"S", "CO"}}},
+      {Func::kDff, {{"D", "CK"}, {"Q"}}},
+  };
+  std::vector<Func> funcs = all_comb_funcs();
+  funcs.push_back(Func::kDff);
+  ASSERT_EQ(funcs.size(), expected.size());
+  for (const auto& [f, pins] : expected) {
+    EXPECT_EQ(input_pins(f), pins.first) << to_string(f);
+    EXPECT_EQ(output_pins(f), pins.second) << to_string(f);
+    // Repeated calls hand out the same table entry, never a fresh copy.
+    EXPECT_EQ(&input_pins(f), &input_pins(f)) << to_string(f);
+    EXPECT_EQ(&output_pins(f), &output_pins(f)) << to_string(f);
   }
 }
 

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "extract/extract.hpp"
 #include "flow/flow.hpp"
+#include "gen/gen.hpp"
+#include "opt/opt.hpp"
+#include "place/place.hpp"
 #include "power/power.hpp"
 #include "sta/sta.hpp"
 #include "test_fixtures.hpp"
@@ -315,6 +322,112 @@ TEST(Hold, DetectsArtificiallyLargeHold) {
   const auto h = sta::run_hold_check(r.netlist, par, so);
   EXPECT_GT(h.violations, 0);
   EXPECT_LT(h.worst_slack_ps, 0.0);
+}
+
+}  // namespace
+}  // namespace m3d
+
+namespace m3d {
+namespace {
+
+/// The pre-index extract_from_placement, kept as the reference: every net
+/// rescans all chip ports, and the level's unit and via RC are re-derived
+/// per net.
+extract::Parasitics extract_from_placement_reference(
+    const circuit::Netlist& nl, const tech::Tech& tech) {
+  auto via_rc = [&](route::Level level, double* r, double* c) {
+    const tech::LayerLevel tl =
+        level == route::kLocal          ? tech::LayerLevel::kLocal
+        : level == route::kIntermediate ? tech::LayerLevel::kIntermediate
+                                        : tech::LayerLevel::kGlobal;
+    const int first = tech.stack().first_of(tl);
+    double rr = 0.0, cc = 0.0;
+    const int m1 = tech.stack().find("M1");
+    for (int i = std::max(0, m1);
+         i < first && i < static_cast<int>(tech.stack().cuts.size()); ++i) {
+      rr += tech.cut(i).r_kohm;
+      cc += tech.cut(i).c_ff;
+    }
+    *r = rr;
+    *c = cc;
+  };
+  extract::Parasitics par(static_cast<size_t>(nl.num_nets()));
+  const double node_scale = tech.node() == tech::Node::k7nm ? 7.0 / 45.0 : 1.0;
+  const double t_local = 60.0 * node_scale;
+  const double t_inter = 400.0 * node_scale;
+  for (circuit::NetId n = 0; n < nl.num_nets(); ++n) {
+    const circuit::Net& net = nl.net(n);
+    if (net.is_clock || net.sinks.empty()) continue;
+    geom::Rect box;
+    if (net.driver.inst != circuit::kInvalid) box.expand(nl.inst(net.driver.inst).pos);
+    for (const auto& s : net.sinks) {
+      if (s.inst != circuit::kInvalid) box.expand(nl.inst(s.inst).pos);
+    }
+    for (const auto& port : nl.ports()) {
+      if (port.net == n) box.expand(port.pos);
+    }
+    if (box.empty()) continue;
+    const double hpwl = box.half_perimeter();
+    const double wl = hpwl * (1.0 + 0.1 * std::max(0, net.fanout() - 1));
+    const route::Level level =
+        wl <= t_local ? route::kLocal
+                      : (wl <= t_inter ? route::kIntermediate : route::kGlobal);
+    double vr = 0.0, vc = 0.0;
+    via_rc(level, &vr, &vc);
+    auto& p = par[static_cast<size_t>(n)];
+    p.wirelength_um = wl;
+    p.wire_cap_ff = wl * extract::unit_c_ff_um(tech, level) + 2.0 * vc;
+    p.wire_res_kohm = wl * extract::unit_r_kohm_um(tech, level) + 2.0 * vr;
+  }
+  return par;
+}
+
+/// Every field of every net equal to 0 ULP (bit patterns, not values).
+void expect_bit_identical(const extract::Parasitics& got,
+                          const extract::Parasitics& ref) {
+  ASSERT_EQ(got.size(), ref.size());
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  for (size_t n = 0; n < ref.size(); ++n) {
+    EXPECT_EQ(bits(got[n].wirelength_um), bits(ref[n].wirelength_um)) << n;
+    EXPECT_EQ(bits(got[n].wire_cap_ff), bits(ref[n].wire_cap_ff)) << n;
+    EXPECT_EQ(bits(got[n].wire_res_kohm), bits(ref[n].wire_res_kohm)) << n;
+    ASSERT_EQ(got[n].sink_res_kohm.size(), ref[n].sink_res_kohm.size()) << n;
+    for (size_t k = 0; k < ref[n].sink_res_kohm.size(); ++k) {
+      EXPECT_EQ(bits(got[n].sink_res_kohm[k]), bits(ref[n].sink_res_kohm[k])) << n;
+    }
+  }
+}
+
+TEST(Extract, PlacementMatchesAllPortScanReferenceBitwise) {
+  // LDPC at scale_shift 2: 1,602 chip ports, the case the per-net port
+  // rescan made quadratic.
+  const auto lib = test::make_test_library();
+  gen::GenOptions go;
+  go.scale_shift = 2;
+  circuit::Netlist nl = gen::make_ldpc(go);
+  ASSERT_EQ(nl.ports().size(), 1602u);
+  nl.bind(lib);
+  const tech::Tech tch(tech::Node::k45nm, tech::Style::k2D);
+  const place::Die die = place::make_die(&nl, 0.33, tch.row_height_um());
+  place::place_design(&nl, die, {});
+  expect_bit_identical(extract::extract_from_placement(nl, tch),
+                       extract_from_placement_reference(nl, tch));
+
+  // Again after pre-route optimization has resized cells and inserted
+  // buffers (new nets, rewired sinks); a tight clock forces buffering.
+  opt::OptOptions oo;
+  oo.clock_ns = 1.0;
+  oo.rounds = 3;
+  oo.die = &die;
+  const opt::OptReport rep = opt::optimize(
+      &nl, lib,
+      [&](const circuit::Netlist& n) {
+        return extract::extract_from_placement(n, tch);
+      },
+      oo);
+  ASSERT_GT(rep.buffers_added, 0);
+  expect_bit_identical(extract::extract_from_placement(nl, tch),
+                       extract_from_placement_reference(nl, tch));
 }
 
 }  // namespace

@@ -113,7 +113,9 @@ struct OptFixture {
     nl.set_clock(clk);
     for (int w = 0; w < width; ++w) {
       const NetId d = nl.new_net();
-      nl.add_input_port("d" + std::to_string(w), d);
+      std::string name = "d";  // "d" + ... trips GCC 12's -O3 -Wrestrict
+      name += std::to_string(w);
+      nl.add_input_port(name, d);
       NetId cur = nl.new_net();
       nl.add_gate(Func::kDff, {d, clk}, {cur});
       for (int i = 0; i < chain; ++i) {
