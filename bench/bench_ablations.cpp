@@ -7,7 +7,7 @@
 #include "cts/cts.hpp"
 #include "extract/extract.hpp"
 #include "gen/gen.hpp"
-#include "liberty/characterize.hpp"
+#include "flow/warm.hpp"
 #include "opt/opt.hpp"
 #include "place/place.hpp"
 #include "route/route.hpp"
@@ -43,8 +43,8 @@ Prepared prepare(const liberty::Library& lib, const tech::Tech& tch) {
 }  // namespace
 
 int main() {
-  const liberty::Library lib =
-      liberty::load_or_build_library(tech::Style::k2D, ".libcache");
+  const liberty::Library& lib = m3d::flow::characterized_libraries().library(
+      tech::Node::k45nm, tech::Style::k2D);
   const tech::Tech tch(tech::Node::k45nm, tech::Style::k2D);
 
   {

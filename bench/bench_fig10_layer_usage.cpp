@@ -21,7 +21,7 @@ int main() {
     for (tech::Style style : {tech::Style::k2D, tech::Style::kTMI}) {
       flow::FlowOptions run = o;
       run.style = style;
-      run.lib = &libs().of(run.node, style);
+      run.lib = &library(run.node, style);
       const flow::FlowResult r = flow::run_flow(run);
       const auto& wl = r.routes.wl_by_level;
       const double total = r.routes.total_wl_um + 1e-9;

@@ -73,7 +73,7 @@ int main() {
     for (tech::Style style : {tech::Style::k2D, tech::Style::kTMI}) {
       flow::FlowOptions run = o;
       run.style = style;
-      run.lib = &libs().of(run.node, style);
+      run.lib = &library(run.node, style);
       const flow::FlowResult r = flow::run_flow(run);
       const char* sname = style == tech::Style::k2D ? "2d" : "tmi";
       {

@@ -34,7 +34,7 @@ int main() {
                  pct_str(c.tmi.cell_uw, c.flat.cell_uw),
                  pct_str(c.tmi.net_uw, c.flat.net_uw),
                  pct_str(c.tmi.leak_uw, c.flat.leak_uw),
-                 c.flat.met && c.tmi.met ? "yes" : "NO"});
+                 c.flat.timing_met && c.tmi.timing_met ? "yes" : "NO"});
     }
     t.add_separator();
   }

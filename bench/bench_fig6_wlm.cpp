@@ -18,17 +18,17 @@ int main() {
   for (int f : fanouts) header.push_back(util::strf("f=%d", f));
   t.set_header(header);
   const tech::Tech tch(tech::Node::k45nm, tech::Style::k2D);
-  const auto& lib = libs().of(tech::Node::k45nm, tech::Style::k2D);
+  const auto& lib = library(tech::Node::k45nm, tech::Style::k2D);
   for (gen::Bench b : gen::all_benches()) {
+    const flow::FlowOptions p = flow::preset(b, tech::Node::k45nm);
     gen::GenOptions go;
-    go.scale_shift = flow::default_scale_shift(b);
+    go.scale_shift = p.scale_shift;
     circuit::Netlist nl = gen::make_benchmark(b, go);
     nl.bind(lib);
     synth::SynthOptions so;
     so.clock_ns = 100.0;  // preliminary layout: no timing pressure
     synth::synthesize(&nl, lib, synth::make_statistical_wlm(1e4, tch), so);
-    place::Die die =
-        place::make_die(&nl, flow::default_utilization(b), tch.row_height_um());
+    place::Die die = place::make_die(&nl, p.target_util, tch.row_height_um());
     place::place_design(&nl, die, {});
     const synth::Wlm wlm = synth::extract_wlm(nl, tch);
     std::vector<std::string> row{gen::to_string(b)};

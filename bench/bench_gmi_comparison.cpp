@@ -25,7 +25,7 @@ int main() {
     o.clock_ns = base.flat.clock_ns;
 
     gmi::GmiExtra extra;
-    o.lib = &libs().of(tech::Node::k45nm, tech::Style::k2D);
+    o.lib = &library(tech::Node::k45nm, tech::Style::k2D);
     const flow::FlowResult gmi_res = gmi::run_gmi_flow(o, &extra);
 
     auto row = [&](const char* style, double fp, double wl, double pwr,
@@ -35,12 +35,12 @@ int main() {
                  mivs, met ? "yes" : "NO",
                  pct_str(pwr, base.flat.total_uw)});
     };
-    row("2D", base.flat.footprint_um2, base.flat.wl_um, base.flat.total_uw,
-        "0", base.flat.met);
+    row("2D", base.flat.footprint_um2, base.flat.total_wl_um,
+        base.flat.total_uw, "0", base.flat.timing_met);
     row("G-MI", gmi_res.footprint_um2, gmi_res.total_wl_um, gmi_res.total_uw,
         util::strf("%d", extra.routing_mivs), gmi_res.timing_met);
-    row("T-MI", base.tmi.footprint_um2, base.tmi.wl_um, base.tmi.total_uw,
-        "in-cell", base.tmi.met);
+    row("T-MI", base.tmi.footprint_um2, base.tmi.total_wl_um,
+        base.tmi.total_uw, "in-cell", base.tmi.timing_met);
     t.add_separator();
   }
   t.print();

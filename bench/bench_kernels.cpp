@@ -19,6 +19,7 @@
 #include "extract/extract.hpp"
 #include "flow/flow.hpp"
 #include "gen/gen.hpp"
+#include "liberty/analytic.hpp"
 #include "liberty/characterize.hpp"
 #include "numeric/csr.hpp"
 #include "place/place.hpp"
@@ -30,7 +31,6 @@
 #include "synth/synth.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
-#include "../tests/test_fixtures.hpp"
 
 using namespace m3d;
 
@@ -65,7 +65,7 @@ void BM_CellFoldAndExtract(benchmark::State& state) {
 BENCHMARK(BM_CellFoldAndExtract);
 
 struct FlowFixture {
-  liberty::Library lib = test::make_test_library();
+  liberty::Library lib = liberty::analytic_library();
   circuit::Netlist nl;
   place::Die die;
   tech::Tech tch{tech::Node::k45nm, tech::Style::k2D};
@@ -150,14 +150,14 @@ BENCHMARK(BM_ParasiticExtraction)->Unit(benchmark::kMillisecond);
 // speedup stays measurable PR over PR.
 
 struct DetailFixture {
-  liberty::Library lib = test::make_test_library();
+  liberty::Library lib = liberty::analytic_library();
   circuit::Netlist nl;
   place::Die die;
   place::SpreadPlacement spread;
 
   DetailFixture() {
     gen::GenOptions o;
-    o.scale_shift = 1;  // flow::default_scale_shift(kM256)
+    o.scale_shift = 1;  // flow::preset(kM256, ...).scale_shift
     nl = gen::make_m256(o);
     nl.bind(lib);
     die = place::make_die(&nl, 0.68, 1.4);  // paper: M256 at 68% util
@@ -329,7 +329,7 @@ BENCHMARK(BM_RouteMazeCongested)->Unit(benchmark::kMillisecond);
 // route stage exactly.
 
 struct LdpcFixture {
-  liberty::Library lib = test::make_test_library();
+  liberty::Library lib = liberty::analytic_library();
   tech::Tech tch{tech::Node::k45nm, tech::Style::k2D};
   flow::FlowResult flow;
 

@@ -21,13 +21,15 @@ int main() {
   without.local_blockage_frac = 0.0;
   const Cmp cw = compare_cached("s5_blocked", with);
   const Cmp cn = compare_cached("s5_unblocked", without);
-  t.add_row({"AES-3D (with blockages)", util::strf("%.3f", cw.tmi.wl_um / 1e3),
+  t.add_row({"AES-3D (with blockages)",
+             util::strf("%.3f", cw.tmi.total_wl_um / 1e3),
              util::strf("%+.0f", cw.tmi.wns_ps),
              util::strf("%.1f", cw.tmi.total_uw), "-", "-"});
-  t.add_row({"AES-3D (no blockages)", util::strf("%.3f", cn.tmi.wl_um / 1e3),
+  t.add_row({"AES-3D (no blockages)",
+             util::strf("%.3f", cn.tmi.total_wl_um / 1e3),
              util::strf("%+.0f", cn.tmi.wns_ps),
              util::strf("%.1f", cn.tmi.total_uw),
-             pct_str(cn.tmi.wl_um, cw.tmi.wl_um),
+             pct_str(cn.tmi.total_wl_um, cw.tmi.total_wl_um),
              pct_str(cn.tmi.total_uw, cw.tmi.total_uw)});
   t.print();
   return 0;

@@ -11,8 +11,8 @@ using namespace m3d;
 using namespace m3d::bench;
 
 int main() {
-  const auto& l45 = libs().of(tech::Node::k45nm, tech::Style::k2D);
-  const auto& l7 = libs().of(tech::Node::k7nm, tech::Style::k2D);
+  const auto& l45 = library(tech::Node::k45nm, tech::Style::k2D);
+  const auto& l7 = library(tech::Node::k7nm, tech::Style::k2D);
   util::Table t(
       "Table 11: 7nm cell characterization (avg over rise/fall at input\n"
       "slew 19ps / load 3.2 fF at 45nm; scaled corner at 7nm). Paper rows\n"

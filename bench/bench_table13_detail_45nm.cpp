@@ -17,17 +17,18 @@ void detail_table(const char* title, tech::Node node, const char* key_prefix) {
   for (gen::Bench b : gen::all_benches()) {
     const Cmp c = compare_cached(util::strf("%s_%s", key_prefix, gen::to_string(b)),
                                  preset(b, node));
-    auto row = [&](const char* type, const Metrics& m, const Metrics& base) {
+    auto row = [&](const char* type, const flow::FlowResult& m,
+                   const flow::FlowResult& base) {
       t.add_row({gen::to_string(b), type,
                  util::strf("%.0f (%.1f)", m.footprint_um2,
                             100.0 * m.footprint_um2 / base.footprint_um2),
-                 util::strf("%.0f", m.cells),
-                 util::strf("%.0f (%.1f)", m.buffers,
+                 util::strf("%d", m.cells),
+                 util::strf("%d (%.1f)", m.buffers,
                             base.buffers > 0 ? 100.0 * m.buffers / base.buffers
                                              : 100.0),
-                 util::strf("%.1f", 100.0 * m.util),
-                 util::strf("%.3f (%.1f)", m.wl_um / 1000.0,
-                            100.0 * m.wl_um / base.wl_um),
+                 util::strf("%.1f", 100.0 * m.utilization),
+                 util::strf("%.3f (%.1f)", m.total_wl_um / 1000.0,
+                            100.0 * m.total_wl_um / base.total_wl_um),
                  util::strf("%+.0f", m.wns_ps),
                  util::strf("%.1f (%.1f)", m.total_uw,
                             100.0 * m.total_uw / base.total_uw),

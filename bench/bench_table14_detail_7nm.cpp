@@ -15,17 +15,18 @@ int main() {
   for (gen::Bench b : gen::all_benches()) {
     const Cmp c = compare_cached(util::strf("t7_7_%s", gen::to_string(b)),
                                  preset(b, tech::Node::k7nm));
-    auto row = [&](const char* type, const Metrics& m, const Metrics& base) {
+    auto row = [&](const char* type, const flow::FlowResult& m,
+                   const flow::FlowResult& base) {
       t.add_row({gen::to_string(b), type,
                  util::strf("%.1f (%.1f)", m.footprint_um2,
                             100.0 * m.footprint_um2 / base.footprint_um2),
-                 util::strf("%.0f", m.cells),
-                 util::strf("%.0f (%.1f)", m.buffers,
+                 util::strf("%d", m.cells),
+                 util::strf("%d (%.1f)", m.buffers,
                             base.buffers > 0 ? 100.0 * m.buffers / base.buffers
                                              : 100.0),
-                 util::strf("%.1f", 100.0 * m.util),
-                 util::strf("%.4f (%.1f)", m.wl_um / 1000.0,
-                            100.0 * m.wl_um / base.wl_um),
+                 util::strf("%.1f", 100.0 * m.utilization),
+                 util::strf("%.4f (%.1f)", m.total_wl_um / 1000.0,
+                            100.0 * m.total_wl_um / base.total_wl_um),
                  util::strf("%+.0f", m.wns_ps),
                  util::strf("%.2f (%.1f)", m.total_uw,
                             100.0 * m.total_uw / base.total_uw),

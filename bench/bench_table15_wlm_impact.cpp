@@ -24,14 +24,14 @@ int main() {
     const Cmp cw = compare_cached(util::strf("t15w_%s", gen::to_string(b)), with);
     const Cmp cn = compare_cached(util::strf("t15n_%s", gen::to_string(b)), without);
     t.add_row({std::string(gen::to_string(b)) + "-3D",
-               util::strf("%.3f", cw.tmi.wl_um / 1000.0),
+               util::strf("%.3f", cw.tmi.total_wl_um / 1000.0),
                util::strf("%+.0f", cw.tmi.wns_ps),
                util::strf("%.1f", cw.tmi.total_uw), "-", "-"});
     t.add_row({std::string(gen::to_string(b)) + "-3D-n",
-               util::strf("%.3f", cn.tmi.wl_um / 1000.0),
+               util::strf("%.3f", cn.tmi.total_wl_um / 1000.0),
                util::strf("%+.0f", cn.tmi.wns_ps),
                util::strf("%.1f", cn.tmi.total_uw),
-               pct_str(cn.tmi.wl_um, cw.tmi.wl_um),
+               pct_str(cn.tmi.total_wl_um, cw.tmi.total_wl_um),
                pct_str(cn.tmi.total_uw, cw.tmi.total_uw)});
     t.add_separator();
   }

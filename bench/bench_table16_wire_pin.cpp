@@ -17,7 +17,7 @@ int main() {
   for (gen::Bench b : {gen::Bench::kLdpc, gen::Bench::kDes}) {
     const Cmp c = compare_cached(util::strf("t4_45_%s", gen::to_string(b)),
                                  preset(b, tech::Node::k45nm));
-    auto row = [&](const char* type, const Metrics& m) {
+    auto row = [&](const char* type, const flow::FlowResult& m) {
       t.add_row({std::string(gen::to_string(b)) + type,
                  util::strf("%.1f", m.wire_cap_pf),
                  util::strf("%.1f", m.pin_cap_pf),

@@ -20,9 +20,9 @@ int main() {
     o.clock_ns = base.flat.clock_ns;
     o.style = tech::Style::kTMIPlusM;
     const Cmp plus = compare_cached(util::strf("t17_%s", gen::to_string(b)), o);
-    auto row = [&](const char* name, const Metrics& m,
-                   const Metrics* ref) {
-      t.add_row({name, util::strf("%.3f", m.wl_um / 1000.0),
+    auto row = [&](const char* name, const flow::FlowResult& m,
+                   const flow::FlowResult* ref) {
+      t.add_row({name, util::strf("%.3f", m.total_wl_um / 1000.0),
                  util::strf("%.2f", m.total_uw), util::strf("%.2f", m.cell_uw),
                  util::strf("%.2f", m.net_uw), util::strf("%.3f", m.leak_uw),
                  ref != nullptr ? pct_str(m.total_uw, ref->total_uw) : "-"});

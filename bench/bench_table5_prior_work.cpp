@@ -48,10 +48,10 @@ int main() {
         compare_cached(util::strf("t4_45_%s", gen::to_string(row.bench)),
                        preset(row.bench, tech::Node::k45nm));
     t.add_row({gen::to_string(row.bench), "ours-2D",
-               util::strf("%.6f", c.flat.wl_um * 1e-6),
+               util::strf("%.6f", c.flat.total_wl_um * 1e-6),
                util::strf("%.3f", c.flat.longest_path_ns),
                util::strf("%.2f", c.flat.total_uw / 1000.0), "-"});
-    t.add_row({"", "ours-3D", util::strf("%.6f", c.tmi.wl_um * 1e-6),
+    t.add_row({"", "ours-3D", util::strf("%.6f", c.tmi.total_wl_um * 1e-6),
                util::strf("%.3f", c.tmi.longest_path_ns),
                util::strf("%.2f", c.tmi.total_uw / 1000.0),
                pct_str(c.tmi.total_uw, c.flat.total_uw)});

@@ -35,13 +35,13 @@ int main() {
     const Cmp& c = results[static_cast<size_t>(i)];
     t.add_row({gen::to_string(b),
                pct_str(c.tmi.footprint_um2, c.flat.footprint_um2),
-               pct_str(c.tmi.wl_um, c.flat.wl_um),
+               pct_str(c.tmi.total_wl_um, c.flat.total_wl_um),
                pct_str(c.tmi.total_uw, c.flat.total_uw),
                pct_str(c.tmi.cell_uw, c.flat.cell_uw),
                pct_str(c.tmi.net_uw, c.flat.net_uw),
                pct_str(c.tmi.leak_uw, c.flat.leak_uw),
                util::strf("%.3f", c.flat.clock_ns),
-               c.flat.met && c.tmi.met ? "yes" : "NO"});
+               c.flat.timing_met && c.tmi.timing_met ? "yes" : "NO"});
     const PaperRow& p = paper[i++];
     t.add_row({"  (paper)", util::strf("%+.1f%%", p.fp),
                util::strf("%+.1f%%", p.wl), util::strf("%+.1f%%", p.p),

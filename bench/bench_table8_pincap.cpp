@@ -37,24 +37,23 @@ int main() {
   const char* names[] = {"DES", "DES-p20", "DES-p40", "DES-p60"};
   for (int i = 0; i < 4; ++i) {
     const liberty::Library lib2 =
-        scale_pin_caps(libs().of(tech::Node::k7nm, tech::Style::k2D), factors[i]);
+        scale_pin_caps(library(tech::Node::k7nm, tech::Style::k2D), factors[i]);
     const liberty::Library lib3 =
-        scale_pin_caps(libs().of(tech::Node::k7nm, tech::Style::kTMI), factors[i]);
+        scale_pin_caps(library(tech::Node::k7nm, tech::Style::kTMI), factors[i]);
     flow::FlowOptions o = preset(gen::Bench::kDes, tech::Node::k7nm);
     o.lib = &lib2;
     // Modified libraries cannot go through compare_cached: run directly.
     const flow::CompareResult r = flow::run_iso_comparison(o, lib2, lib3);
-    auto row = [&](const char* suffix, const Metrics& m, const Metrics& base) {
+    auto row = [&](const char* suffix, const flow::FlowResult& m,
+                   const flow::FlowResult& base) {
       t.add_row({std::string(names[i]) + suffix,
-                 util::strf("%.3f", m.wl_um / 1000.0),
+                 util::strf("%.3f", m.total_wl_um / 1000.0),
                  util::strf("%.2f", m.total_uw), util::strf("%.2f", m.cell_uw),
                  util::strf("%.2f", m.net_uw), util::strf("%.3f", m.leak_uw),
                  suffix[1] == '3' ? pct_str(m.total_uw, base.total_uw) : "-"});
     };
-    const Metrics m2 = to_metrics(r.flat);
-    const Metrics m3 = to_metrics(r.tmi);
-    row("-2D", m2, m2);
-    row("-3D", m3, m2);
+    row("-2D", r.flat, r.flat);
+    row("-3D", r.tmi, r.flat);
     t.add_separator();
   }
   t.print();

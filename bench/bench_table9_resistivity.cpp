@@ -20,10 +20,10 @@ int main() {
     flow::FlowOptions o = preset(gen::Bench::kM256, tech::Node::k7nm);
     o.resistivity_scale = scales[i];
     const Cmp c = compare_cached(util::strf("t9_m256_m%d", i), o);
-    auto row = [&](const char* suffix, const Metrics& m, const Metrics& base,
-                   bool show) {
+    auto row = [&](const char* suffix, const flow::FlowResult& m,
+                   const flow::FlowResult& base, bool show) {
       t.add_row({std::string(names[i]) + suffix,
-                 util::strf("%.3f", m.wl_um / 1000.0),
+                 util::strf("%.3f", m.total_wl_um / 1000.0),
                  util::strf("%.2f", m.total_uw), util::strf("%.2f", m.cell_uw),
                  util::strf("%.2f", m.net_uw), util::strf("%.3f", m.leak_uw),
                  show ? pct_str(m.total_uw, base.total_uw) : "-"});

@@ -1,94 +1,31 @@
 #include "common.hpp"
 
-#include <cstdlib>
-#include <fstream>
+#include <cassert>
 #include <mutex>
+#include <optional>
 #include <sys/stat.h>
 
 #include "exec/exec.hpp"
+#include "flow/artifacts.hpp"
 #include "flow/report.hpp"
-#include "liberty/characterize.hpp"
+#include "flow/warm.hpp"
+#include "store/store.hpp"
 #include "util/log.hpp"
 #include "util/strf.hpp"
 
 namespace m3d::bench {
 namespace {
 
-// Bump when flow/calibration changes invalidate cached experiment results.
-// v5: batched rip-up-and-reroute (route.cpp) reschedules maze routing.
-constexpr int kResultVersion = 6;  // v6: full invariant checking + placer
-                                   // legality fixes changed flow QoR
-
 // Concurrent comparisons can share report filenames (e.g. the fig11
 // activity sweep reruns the same bench); serialize the writes.
 std::mutex g_report_mu;
 
-std::string cache_dir() {
-  const char* env = std::getenv("M3D_LIBCACHE");
-  std::string dir = env != nullptr ? env : ".libcache";
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
-
 }  // namespace
 
-const Libs& libs() {
-  static const Libs instance = [] {
-    util::info("loading/characterizing cell libraries (cached in " +
-               cache_dir() + ") ...");
-    Libs l;
-    l.flat45 = liberty::load_or_build_library(tech::Style::k2D, cache_dir());
-    l.tmi45 = liberty::load_or_build_library(tech::Style::kTMI, cache_dir());
-    l.flat7 = liberty::scale_to_7nm(l.flat45);
-    l.tmi7 = liberty::scale_to_7nm(l.tmi45);
-    return l;
-  }();
-  return instance;
+const liberty::Library& library(tech::Node node, tech::Style style) {
+  return flow::characterized_libraries().library(
+      node, style == tech::Style::k2D ? tech::Style::k2D : tech::Style::kTMI);
 }
-
-Metrics to_metrics(const flow::FlowResult& r) {
-  Metrics m;
-  m.footprint_um2 = r.footprint_um2;
-  m.cells = r.cells;
-  m.buffers = r.buffers;
-  m.util = r.utilization;
-  m.wl_um = r.total_wl_um;
-  m.wns_ps = r.wns_ps;
-  m.clock_ns = r.clock_ns;
-  m.longest_path_ns = r.longest_path_ns;
-  m.total_uw = r.total_uw;
-  m.cell_uw = r.cell_uw;
-  m.net_uw = r.net_uw;
-  m.leak_uw = r.leak_uw;
-  m.wire_uw = r.wire_uw;
-  m.pin_uw = r.pin_uw;
-  m.wire_cap_pf = r.wire_cap_pf;
-  m.pin_cap_pf = r.pin_cap_pf;
-  m.met = r.timing_met;
-  m.routed = r.routed;
-  return m;
-}
-
-namespace {
-
-void write_metrics(std::ostream& os, const Metrics& m) {
-  os << m.footprint_um2 << ' ' << m.cells << ' ' << m.buffers << ' ' << m.util
-     << ' ' << m.wl_um << ' ' << m.wns_ps << ' ' << m.clock_ns << ' '
-     << m.longest_path_ns << ' ' << m.total_uw << ' ' << m.cell_uw << ' '
-     << m.net_uw << ' ' << m.leak_uw << ' ' << m.wire_uw << ' ' << m.pin_uw
-     << ' ' << m.wire_cap_pf << ' ' << m.pin_cap_pf << ' ' << m.met << ' '
-     << m.routed << '\n';
-}
-
-bool read_metrics(std::istream& is, Metrics* m) {
-  return static_cast<bool>(
-      is >> m->footprint_um2 >> m->cells >> m->buffers >> m->util >> m->wl_um >>
-      m->wns_ps >> m->clock_ns >> m->longest_path_ns >> m->total_uw >>
-      m->cell_uw >> m->net_uw >> m->leak_uw >> m->wire_uw >> m->pin_uw >>
-      m->wire_cap_pf >> m->pin_cap_pf >> m->met >> m->routed);
-}
-
-}  // namespace
 
 void write_run_reports(const flow::CompareResult& r) {
   const std::lock_guard<std::mutex> lock(g_report_mu);
@@ -106,37 +43,36 @@ void write_run_reports(const flow::CompareResult& r) {
 }
 
 Cmp compare_cached(const std::string& key, const flow::FlowOptions& base) {
-  const std::string path =
-      util::strf("%s/result_%s_v%d.txt", cache_dir().c_str(), key.c_str(),
-                 kResultVersion);
-  {
-    std::ifstream is(path);
-    Cmp cmp;
-    if (is && read_metrics(is, &cmp.flat) && read_metrics(is, &cmp.tmi)) {
-      return cmp;
-    }
+  const liberty::Library& l2 = library(base.node, tech::Style::k2D);
+  const liberty::Library& l3 = library(base.node, tech::Style::kTMI);
+  const store::Store& store = *flow::characterized_libraries().store();
+  const std::string store_key = flow::artifacts::compare_key(
+      key, flow::artifacts::library_fingerprint(l2),
+      flow::artifacts::library_fingerprint(l3));
+  Cmp cmp;
+  const std::optional<std::string> stored = store.get("compare", store_key);
+  if (stored && flow::artifacts::decode_compare_blob(*stored, &cmp)) {
+    return cmp;
   }
-  const auto& l2 = libs().of(base.node, tech::Style::k2D);
-  const auto& l3 = libs().of(base.node, base.style == tech::Style::k2D
-                                            ? tech::Style::kTMI
-                                            : base.style);
   const flow::CompareResult r = flow::run_iso_comparison(base, l2, l3);
   write_run_reports(r);
-  Cmp cmp;
-  cmp.flat = to_metrics(r.flat);
-  cmp.tmi = to_metrics(r.tmi);
-  std::ofstream os(path);
-  if (os) {
-    write_metrics(os, cmp.flat);
-    write_metrics(os, cmp.tmi);
+  const std::string blob = flow::artifacts::encode_compare_blob(r);
+  if (!store.put("compare", store_key, blob)) {
+    util::warn("could not store comparison " + key);
   }
+  [[maybe_unused]] const bool decoded =
+      flow::artifacts::decode_compare_blob(blob, &cmp);
+  assert(decoded);
   return cmp;
 }
 
 std::vector<Cmp> compare_cached_all(const std::vector<Job>& jobs) {
-  // Force the library magic-static before fanning out, so concurrent jobs
-  // don't race to characterize.
-  (void)libs();
+  // Warm the libraries before fanning out, so characterization runs on the
+  // whole pool instead of inside one job while the others wait for it.
+  for (const Job& job : jobs) {
+    (void)library(job.opt.node, tech::Style::k2D);
+    (void)library(job.opt.node, tech::Style::kTMI);
+  }
   std::vector<Cmp> out(jobs.size());
   exec::TaskGroup group(exec::default_pool());
   for (size_t i = 0; i < jobs.size(); ++i) {
@@ -147,12 +83,8 @@ std::vector<Cmp> compare_cached_all(const std::vector<Job>& jobs) {
 }
 
 flow::FlowOptions preset(gen::Bench bench, tech::Node node) {
-  flow::FlowOptions o;
-  o.bench = bench;
-  o.node = node;
-  o.scale_shift = flow::default_scale_shift(bench);
-  o.target_util = flow::default_utilization(bench);
-  o.lib = &libs().of(node, tech::Style::k2D);
+  flow::FlowOptions o = flow::preset(bench, node);
+  o.lib = &library(node, tech::Style::k2D);
   // Paper-table runs carry the full invariant battery: a violation in a
   // published number should be loud, and the check stage is a rounding
   // error next to the flow itself.

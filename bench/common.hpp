@@ -1,7 +1,7 @@
-// Shared infrastructure for the experiment benches: characterized-library
-// loading (disk-cached), flow comparison runs (disk-cached scalar results so
-// `for b in bench/*; do $b; done` does not recompute shared experiments),
-// and paper-style table printing.
+// Shared infrastructure for the experiment benches: characterized libraries
+// and flow comparison results, both served from the artifact store at
+// store::default_dir() so `for b in bench/*; do $b; done` does not
+// recompute shared experiments, and paper-style table printing.
 #pragma once
 
 #include <optional>
@@ -15,44 +15,23 @@
 
 namespace m3d::bench {
 
-/// The four characterized libraries (45nm measured, 7nm ITRS-scaled).
-/// Characterization runs once and is cached under the cache dir
-/// ($M3D_LIBCACHE or ./.libcache).
-struct Libs {
-  liberty::Library flat45, tmi45, flat7, tmi7;
+/// The characterized library of a corner (45nm measured, 7nm ITRS-scaled)
+/// from flow::characterized_libraries(). Both T-MI styles share the folded
+/// library.
+const liberty::Library& library(tech::Node node, tech::Style style);
 
-  const liberty::Library& of(tech::Node node, tech::Style style) const {
-    const bool folded = style != tech::Style::k2D;
-    if (node == tech::Node::k45nm) return folded ? tmi45 : flat45;
-    return folded ? tmi7 : flat7;
-  }
-};
+/// A comparison as the benches see it: the scalar fields of both sides,
+/// exactly as flow::artifacts::decode_compare_blob restores them (no
+/// netlists, routes or stage reports).
+using Cmp = flow::CompareResult;
 
-const Libs& libs();
-
-/// Scalar view of a FlowResult (what the result cache stores).
-struct Metrics {
-  double footprint_um2 = 0, cells = 0, buffers = 0, util = 0;
-  double wl_um = 0, wns_ps = 0, clock_ns = 0, longest_path_ns = 0;
-  double total_uw = 0, cell_uw = 0, net_uw = 0, leak_uw = 0;
-  double wire_uw = 0, pin_uw = 0, wire_cap_pf = 0, pin_cap_pf = 0;
-  bool met = false, routed = false;
-};
-
-Metrics to_metrics(const flow::FlowResult& r);
-
-struct Cmp {
-  Metrics flat, tmi;
-  /// Percent change with a zero-baseline guard (see flow::CompareResult::pct).
-  double pct(double v3, double v2) const {
-    return flow::CompareResult{}.pct(v3, v2);
-  }
-};
-
-/// Runs (or loads from the result cache) an iso-performance comparison.
-/// `key` must uniquely identify the configuration; bump kResultVersion in
-/// common.cpp when flow behaviour changes. Fresh (non-cached) runs also drop
+/// Runs (or loads from the store's "compare" artifacts) an iso-performance
+/// comparison. `key` must uniquely identify the configuration; the store key
+/// adds both libraries' fingerprints (flow::artifacts::compare_key). Clear
+/// the store when flow behaviour changes. Fresh (non-cached) runs also drop
 /// one JSON run report per side under out_figs/run_<bench>_<style>.json.
+/// Fresh results go through the same codec, so a warm run returns the same
+/// bits as the cold run that stored them.
 Cmp compare_cached(const std::string& key, const flow::FlowOptions& base);
 
 /// One experiment configuration for compare_cached_all.

@@ -29,13 +29,13 @@
 #include "cells/layout.hpp"
 #include "cells/spec.hpp"
 #include "flow/flow.hpp"
+#include "liberty/analytic.hpp"
 #include "liberty/characterize.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "tech/tech.hpp"
 #include "util/json.hpp"
 #include "util/strf.hpp"
-#include "../tests/test_fixtures.hpp"
 
 namespace {
 
@@ -56,9 +56,9 @@ const GateCase kCases[] = {
 
 const m3d::liberty::Library& lib_for(m3d::tech::Style style) {
   static const m3d::liberty::Library flat =
-      m3d::test::make_test_library(m3d::tech::Style::k2D);
+      m3d::liberty::analytic_library(m3d::tech::Style::k2D);
   static const m3d::liberty::Library tmi =
-      m3d::test::make_test_library(m3d::tech::Style::kTMI);
+      m3d::liberty::analytic_library(m3d::tech::Style::kTMI);
   return style == m3d::tech::Style::k2D ? flat : tmi;
 }
 

@@ -9,7 +9,7 @@
 #include <cstring>
 
 #include "flow/flow.hpp"
-#include "liberty/characterize.hpp"
+#include "flow/warm.hpp"
 #include "util/strf.hpp"
 #include "util/table.hpp"
 
@@ -30,18 +30,14 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const int shift =
-      argc > 2 ? std::atoi(argv[2]) : flow::default_scale_shift(bench);
+  flow::WarmContext& libs = flow::characterized_libraries();
+  const liberty::Library& lib2d =
+      libs.library(tech::Node::k45nm, tech::Style::k2D);
+  const liberty::Library& lib3d =
+      libs.library(tech::Node::k45nm, tech::Style::kTMI);
 
-  const liberty::Library lib2d =
-      liberty::load_or_build_library(tech::Style::k2D, ".libcache");
-  const liberty::Library lib3d =
-      liberty::load_or_build_library(tech::Style::kTMI, ".libcache");
-
-  flow::FlowOptions base;
-  base.bench = bench;
-  base.scale_shift = shift;
-  base.target_util = flow::default_utilization(bench);
+  flow::FlowOptions base = flow::preset(bench, tech::Node::k45nm);
+  if (argc > 2) base.scale_shift = std::atoi(argv[2]);
   base.lib = &lib2d;
 
   // Find the tightest closable 2D clock, then sweep relaxation factors.

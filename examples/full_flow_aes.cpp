@@ -10,7 +10,7 @@
 
 #include "flow/flow.hpp"
 #include "flow/report.hpp"
-#include "liberty/characterize.hpp"
+#include "flow/warm.hpp"
 #include "util/log.hpp"
 #include "util/strf.hpp"
 #include "util/table.hpp"
@@ -22,11 +22,12 @@ int main(int argc, char** argv) {
   const int shift = argc > 1 ? std::atoi(argv[1]) : 2;
   const double clock_ns = argc > 2 ? std::atof(argv[2]) : 0.0;  // 0 = auto
 
-  // Characterized libraries (built once, then cached in ./.libcache).
-  const liberty::Library lib2d =
-      liberty::load_or_build_library(tech::Style::k2D, ".libcache");
-  const liberty::Library lib3d =
-      liberty::load_or_build_library(tech::Style::kTMI, ".libcache");
+  // Characterized libraries (built once, then served from the store).
+  flow::WarmContext& libs = flow::characterized_libraries();
+  const liberty::Library& lib2d =
+      libs.library(tech::Node::k45nm, tech::Style::k2D);
+  const liberty::Library& lib3d =
+      libs.library(tech::Node::k45nm, tech::Style::kTMI);
 
   flow::FlowOptions opt;
   opt.bench = gen::Bench::kAes;

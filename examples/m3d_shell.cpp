@@ -24,8 +24,8 @@
 #include "extract/extract.hpp"
 #include "flow/flow.hpp"
 #include "flow/report.hpp"
+#include "flow/warm.hpp"
 #include "gen/gen.hpp"
-#include "liberty/characterize.hpp"
 #include "liberty/liberty_writer.hpp"
 #include "opt/opt.hpp"
 #include "place/def.hpp"
@@ -42,9 +42,6 @@ namespace {
 struct Session {
   tech::Node node = tech::Node::k45nm;
   tech::Style style = tech::Style::k2D;
-  std::optional<liberty::Library> lib45_2d, lib45_3d;
-  liberty::Library lib;  // active (possibly 7nm-scaled)
-  bool lib_ready = false;
 
   circuit::Netlist nl;
   bool have_design = false;
@@ -53,17 +50,16 @@ struct Session {
   bool placed = false;
   std::optional<route::RouteResult> routes;
 
-  const liberty::Library& active_lib() {
-    if (!lib_ready) {
-      std::printf("loading libraries (cached in ./.libcache)...\n");
-      lib45_2d = liberty::load_or_build_library(tech::Style::k2D, ".libcache");
-      lib45_3d = liberty::load_or_build_library(tech::Style::kTMI, ".libcache");
-      lib_ready = true;
+  const liberty::Library& active_lib() const {
+    // Both T-MI styles use the folded-cell library.
+    const tech::Style lib_style =
+        style == tech::Style::k2D ? tech::Style::k2D : tech::Style::kTMI;
+    flow::WarmContext& libs = flow::characterized_libraries();
+    if (!libs.warmed(node, lib_style)) {
+      std::printf("loading library (store %s)...\n",
+                  libs.store()->dir().c_str());
     }
-    const liberty::Library& base =
-        style == tech::Style::k2D ? *lib45_2d : *lib45_3d;
-    lib = node == tech::Node::k7nm ? liberty::scale_to_7nm(base) : base;
-    return lib;
+    return libs.library(node, lib_style);
   }
 
   tech::Tech tech_now() const { return tech::Tech(node, style); }
@@ -115,7 +111,9 @@ int main() {
       for (gen::Bench b : gen::all_benches()) {
         if (name == gen::to_string(b)) {
           gen::GenOptions o;
-          o.scale_shift = shift >= 0 ? shift : flow::default_scale_shift(b);
+          o.scale_shift = shift >= 0
+                              ? shift
+                              : flow::preset(b, tech::Node::k45nm).scale_shift;
           s.nl = gen::make_benchmark(b, o);
           s.nl.bind(s.active_lib());
           s.have_design = true;

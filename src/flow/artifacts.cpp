@@ -1,5 +1,6 @@
 #include "flow/artifacts.hpp"
 
+#include <array>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -18,6 +19,7 @@ namespace {
 constexpr uint8_t kLibraryVersion = 1;
 constexpr uint8_t kNetlistBlobVersion = 1;
 constexpr uint8_t kPlaceBlobVersion = 1;
+constexpr uint8_t kCompareBlobVersion = 1;
 
 // --- shared sub-codecs -----------------------------------------------------
 
@@ -90,6 +92,45 @@ bool decode_stage_reports(store::BlobReader* r, size_t expect,
     if (!decode_stage_report(r, &sr)) return false;
     out->push_back(std::move(sr));
   }
+  return true;
+}
+
+// The f64 scalars of a FlowResult, in codec order (const or mutable).
+template <typename Result>
+auto scalar_fields(Result& r) {
+  return std::array{&r.clock_ns,    &r.footprint_um2, &r.utilization,
+                    &r.total_wl_um, &r.wns_ps,        &r.total_uw,
+                    &r.cell_uw,     &r.net_uw,        &r.leak_uw,
+                    &r.wire_uw,     &r.pin_uw,        &r.wire_cap_pf,
+                    &r.pin_cap_pf,  &r.longest_path_ns};
+}
+
+void encode_scalars(const FlowResult& res, store::BlobWriter* w) {
+  w->str(res.bench_name);
+  w->i32(static_cast<int32_t>(res.style));
+  w->u64(res.seed);
+  w->i32(res.cells);
+  w->i32(res.buffers);
+  w->u8(res.timing_met ? 1 : 0);
+  w->u8(res.routed ? 1 : 0);
+  for (const double* v : scalar_fields(res)) w->f64(*v);
+}
+
+bool decode_scalars(store::BlobReader* r, FlowResult* res) {
+  int32_t style = 0;
+  uint8_t met = 0;
+  uint8_t routed = 0;
+  if (!r->str(&res->bench_name) || !r->i32(&style) || !r->u64(&res->seed) ||
+      !r->i32(&res->cells) || !r->i32(&res->buffers) || !r->u8(&met) ||
+      !r->u8(&routed)) {
+    return false;
+  }
+  for (double* v : scalar_fields(*res)) {
+    if (!r->f64(v)) return false;
+  }
+  res->style = static_cast<tech::Style>(style);
+  res->timing_met = met != 0;
+  res->routed = routed != 0;
   return true;
 }
 
@@ -340,6 +381,38 @@ bool decode_place_blob(const std::string& blob, FlowResult* res) {
   res->netlist = std::move(nl);
   res->die = die;
   for (StageReport& sr : reports) res->stages.push_back(std::move(sr));
+  return true;
+}
+
+// --- iso-comparison --------------------------------------------------------
+
+std::string compare_key(const std::string& config_key, uint64_t lib2d_fp,
+                        uint64_t lib3d_fp) {
+  return util::strf(
+      "{\"artifact\":\"compare\",\"config\":\"%s\",\"lib2d\":\"%s\","
+      "\"lib3d\":\"%s\"}",
+      config_key.c_str(), store::key_hex(lib2d_fp).c_str(),
+      store::key_hex(lib3d_fp).c_str());
+}
+
+std::string encode_compare_blob(const CompareResult& cmp) {
+  store::BlobWriter w;
+  w.u8(kCompareBlobVersion);
+  encode_scalars(cmp.flat, &w);
+  encode_scalars(cmp.tmi, &w);
+  return w.take();
+}
+
+bool decode_compare_blob(const std::string& blob, CompareResult* cmp) {
+  store::BlobReader r(blob);
+  uint8_t version = 0;
+  if (!r.u8(&version) || version != kCompareBlobVersion) return false;
+  CompareResult out;
+  if (!decode_scalars(&r, &out.flat) || !decode_scalars(&r, &out.tmi) ||
+      !r.at_end()) {
+    return false;
+  }
+  *cmp = std::move(out);
   return true;
 }
 

@@ -11,6 +11,7 @@
 //   place    <- + (node, style, clock_ns, target_util, tmi_wlm,
 //                  resistivity_scale, build_cts, library fp)
 //   report   <- the full request hash (serve/cache.hpp — unchanged key)
+//   compare  <- (caller's configuration key, 2D library fp, 3D library fp)
 //
 // The library fingerprint (FNV-1a-64 over the lossless binary encoding)
 // appears in every key whose artifact was computed *against* a library, so
@@ -101,5 +102,22 @@ std::string encode_place_blob(const FlowResult& res);
 /// Restores res->netlist (unbound — caller rebinds) and res->die, appends
 /// the three stored StageReports. False on malformed input.
 bool decode_place_blob(const std::string& blob, FlowResult* res);
+
+// --- iso-comparison --------------------------------------------------------
+
+/// Key of a memoized iso-comparison: the caller's configuration key (it
+/// must tell apart every configuration the caller runs) plus the
+/// fingerprints of the 2D and 3D libraries it ran against, so a
+/// re-characterized library never serves an old result.
+std::string compare_key(const std::string& config_key, uint64_t lib2d_fp,
+                        uint64_t lib3d_fp);
+
+/// Blob: the scalar fields of both sides (identification, seed, the Table
+/// 13/14 columns and the S8 split). Netlists, routes, stage reports and
+/// checks are not stored.
+std::string encode_compare_blob(const CompareResult& cmp);
+/// Restores those scalar fields into a default FlowResult per side. False
+/// on malformed input (`*cmp` untouched).
+bool decode_compare_blob(const std::string& blob, CompareResult* cmp);
 
 }  // namespace m3d::flow::artifacts

@@ -103,23 +103,30 @@ synth::Wlm default_wlm(const FlowOptions& opt, const circuit::Netlist& nl,
 
 }  // namespace
 
-int default_scale_shift(gen::Bench bench) {
+FlowOptions preset(gen::Bench bench, tech::Node node) {
+  FlowOptions o;  // target_util defaults to the paper's 0.8
+  o.bench = bench;
+  o.node = node;
   switch (bench) {
-    case gen::Bench::kFpu: return 0;   // ~6k cells (full 52-bit mantissa)
-    case gen::Bench::kAes: return 1;   // ~11k cells
-    case gen::Bench::kLdpc: return 2;  // ~25k cells (longer global wires)
-    case gen::Bench::kDes: return 1;   // ~6k cells (8 pipelined rounds)
-    case gen::Bench::kM256: return 1;  // ~37k cells (128-bit)
+    case gen::Bench::kFpu:  // ~6k cells (full 52-bit mantissa)
+      o.scale_shift = 0;
+      break;
+    case gen::Bench::kAes:  // ~11k cells
+      o.scale_shift = 1;
+      break;
+    case gen::Bench::kLdpc:  // ~25k cells (longer global wires)
+      o.scale_shift = 2;
+      o.target_util = 0.33;  // severe congestion (paper S6)
+      break;
+    case gen::Bench::kDes:  // ~6k cells (8 pipelined rounds)
+      o.scale_shift = 1;
+      break;
+    case gen::Bench::kM256:  // ~37k cells (128-bit)
+      o.scale_shift = 1;
+      o.target_util = 0.68;
+      break;
   }
-  return 2;
-}
-
-double default_utilization(gen::Bench bench) {
-  switch (bench) {
-    case gen::Bench::kLdpc: return 0.33;  // severe congestion (paper S6)
-    case gen::Bench::kM256: return 0.68;
-    default: return 0.8;
-  }
+  return o;
 }
 
 FlowResult run_flow(const FlowOptions& opt_in) {

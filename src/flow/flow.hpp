@@ -191,11 +191,10 @@ CompareResult run_iso_comparison(const FlowOptions& opt,
                                  const liberty::Library& lib2d,
                                  const liberty::Library& lib3d);
 
-/// Per-benchmark default scale shift (keeps the largest benchmarks tractable
-/// while preserving the paper's size ordering).
-int default_scale_shift(gen::Bench bench);
-
-/// Per-benchmark default utilization (paper: LDPC 0.33, M256 0.68, else 0.8).
-double default_utilization(gen::Bench bench);
+/// The one per-benchmark preset: `bench` and `node` with the benchmark's
+/// scale_shift (keeps the largest benchmarks tractable while preserving the
+/// paper's size ordering) and target_util (paper: LDPC 0.33, M256 0.68,
+/// else 0.8). Every other field keeps its FlowOptions default.
+FlowOptions preset(gen::Bench bench, tech::Node node);
 
 }  // namespace m3d::flow

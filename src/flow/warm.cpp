@@ -1,6 +1,7 @@
 #include "flow/warm.hpp"
 
 #include "flow/artifacts.hpp"
+#include "liberty/characterize.hpp"
 #include "util/metrics.hpp"
 #include "util/strf.hpp"
 
@@ -108,6 +109,20 @@ FlowResult WarmContext::run(FlowOptions opt) {
     opt.store_dir = store_->dir();
   }
   return run_flow(opt);
+}
+
+WarmContext& characterized_libraries() {
+  static const std::unique_ptr<WarmContext> warm = [] {
+    auto w = std::make_unique<WarmContext>([](tech::Node node,
+                                              tech::Style style) {
+      if (node == tech::Node::k45nm) return liberty::build_library_45nm(style);
+      return liberty::scale_to_7nm(
+          characterized_libraries().library(tech::Node::k45nm, style));
+    });
+    w->attach_store(store::default_dir(), "spice");
+    return w;
+  }();
+  return *warm;
 }
 
 }  // namespace m3d::flow

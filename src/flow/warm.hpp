@@ -96,4 +96,12 @@ class WarmContext {
   std::map<std::string, double> clocks_;
 };
 
+/// The process-wide context of the SPICE-characterized libraries (store
+/// provider id "spice"), attached to the store at store::default_dir().
+/// The first process on a store characterizes each 45 nm style once
+/// (liberty::build_library_45nm) and stores it bit-exactly; later ones load
+/// it. A 7 nm corner is never characterized: it is the liberty::scale_to_7nm
+/// of the warm 45 nm corner.
+WarmContext& characterized_libraries();
+
 }  // namespace m3d::flow

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "exec/exec.hpp"
-#include "liberty/io.hpp"
 #include "spice/mosfet.hpp"
 #include "spice/sim.hpp"
 #include "util/log.hpp"
@@ -644,22 +643,6 @@ Library build_library_45nm(tech::Style style, const CharOptions& opt) {
       },
       /*grain=*/1);
   for (LibCell& cell : done) lib.add(std::move(cell));
-  return lib;
-}
-
-Library load_or_build_library(tech::Style style, const std::string& cache_dir,
-                              const CharOptions& opt) {
-  const std::string path = util::strf(
-      "%s/nangatelite_%s_45nm.mlib", cache_dir.c_str(), tech::to_string(style));
-  Library lib;
-  if (read_library(path, &lib)) {
-    util::info("loaded cached library " + path);
-    return lib;
-  }
-  lib = build_library_45nm(style, opt);
-  if (!write_library(path, lib)) {
-    util::warn("could not cache library to " + path);
-  }
   return lib;
 }
 

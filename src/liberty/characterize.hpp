@@ -45,10 +45,4 @@ LibCell characterize_cell(const cells::CellSpec& spec,
 /// 45nm (folded layouts for T-MI styles). Use scale_to_7nm() for 7nm.
 Library build_library_45nm(tech::Style style, const CharOptions& opt = {});
 
-/// Loads a previously saved library from `cache_path` if present and
-/// matching; otherwise characterizes and saves. The cache keeps bench
-/// turnaround fast — characterization runs the full SPICE sweep.
-Library load_or_build_library(tech::Style style, const std::string& cache_dir,
-                              const CharOptions& opt = {});
-
 }  // namespace m3d::liberty

@@ -176,8 +176,8 @@ struct Options {
   int jobs = 1;
 
   /// Directory-name fragments lint_tree skips entirely.
-  std::vector<std::string> skip_dirs = {"build", ".git", ".libcache",
-                                        "lint_fixtures", "out_figs"};
+  std::vector<std::string> skip_dirs = {"build", ".git", "lint_fixtures",
+                                        "out_figs"};
 };
 
 /// One in-memory translation unit for lint_sources.

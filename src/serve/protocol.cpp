@@ -187,12 +187,9 @@ bool parse_request(const Value& v, Request* out, RequestError* err) {
 
 Request resolve_defaults(const Request& r) {
   Request out = r;
-  if (out.scale_shift < 0) {
-    out.scale_shift = flow::default_scale_shift(out.bench);
-  }
-  if (out.target_util < 0.0) {
-    out.target_util = flow::default_utilization(out.bench);
-  }
+  const flow::FlowOptions defaults = flow::preset(r.bench, r.node);
+  if (out.scale_shift < 0) out.scale_shift = defaults.scale_shift;
+  if (out.target_util < 0.0) out.target_util = defaults.target_util;
   return out;
 }
 

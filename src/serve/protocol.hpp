@@ -65,8 +65,8 @@ struct Request {
   tech::Style style = tech::Style::k2D;
   double clock_ns = 0.0;   // 0: auto-clock (memoized in flow::WarmContext)
   uint64_t seed = 20130529;
-  int scale_shift = -1;    // -1: flow::default_scale_shift(bench)
-  double target_util = -1.0;  // -1: flow::default_utilization(bench)
+  int scale_shift = -1;    // -1: flow::preset(bench, node).scale_shift
+  double target_util = -1.0;  // -1: flow::preset(bench, node).target_util
   check::Level check_level = check::Level::kBasic;
   /// Stream stage-boundary progress frames before the final reply.
   bool progress = true;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -98,6 +99,11 @@ std::string entry_bytes(const std::string& stage, const std::string& key,
 }
 
 }  // namespace
+
+std::string default_dir() {
+  const char* env = std::getenv("M3D_STORE");
+  return env != nullptr && env[0] != '\0' ? env : ".m3d_store";
+}
 
 Store::Store(std::string dir) : dir_(std::move(dir)) {}
 

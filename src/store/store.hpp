@@ -62,6 +62,11 @@ struct Stats {
   int64_t evictions = 0;
 };
 
+/// The shared store directory of the CLI tools, benches and examples:
+/// $M3D_STORE when set and non-empty, else ".m3d_store" (relative to the
+/// working directory).
+std::string default_dir();
+
 struct EntryInfo {
   std::string path;
   std::string stage;

@@ -110,10 +110,18 @@ TEST(Flow, ResistivityKnobChangesParasitics) {
 
 TEST(Flow, DefaultsCoverAllBenches) {
   for (gen::Bench b : gen::all_benches()) {
-    EXPECT_GE(default_scale_shift(b), 0);
-    EXPECT_GT(default_utilization(b), 0.2);
-    EXPECT_LE(default_utilization(b), 0.85);
+    for (tech::Node node : {tech::Node::k45nm, tech::Node::k7nm}) {
+      const FlowOptions p = preset(b, node);
+      EXPECT_EQ(p.bench, b);
+      EXPECT_EQ(p.node, node);
+      EXPECT_GE(p.scale_shift, 0);
+      EXPECT_GT(p.target_util, 0.2);
+      EXPECT_LE(p.target_util, 0.85);
+    }
   }
+  // The paper's congestion-bound utilizations (paper S6).
+  EXPECT_EQ(preset(gen::Bench::kLdpc, tech::Node::k45nm).target_util, 0.33);
+  EXPECT_EQ(preset(gen::Bench::kM256, tech::Node::k45nm).target_util, 0.68);
 }
 
 TEST(Flow, TmiWlmFlagChangesSynthesizedDesign) {

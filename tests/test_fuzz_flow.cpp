@@ -256,10 +256,7 @@ TEST_P(SlowPaperBench, FullCheckBothStylesAtDefaultScale) {
   const gen::Bench bench = GetParam();
   for (const tech::Style style : {tech::Style::k2D, tech::Style::kTMI}) {
     SCOPED_TRACE(tech::to_string(style));
-    flow::FlowOptions o;
-    o.bench = bench;
-    o.scale_shift = flow::default_scale_shift(bench);
-    o.target_util = flow::default_utilization(bench);
+    flow::FlowOptions o = flow::preset(bench, tech::Node::k45nm);
     o.style = style;
     o.lib = &lib_for(style);
     o.check_level = check::Level::kFull;
@@ -287,10 +284,8 @@ INSTANTIATE_TEST_SUITE_P(PaperBenches, SlowPaperBench,
 // zero-violation gate so a regression cannot silently change the story.
 
 TEST(SlowPaperScale, FpuIsoComparisonAtFullScaleFullChecks) {
-  flow::FlowOptions o;
-  o.bench = gen::Bench::kFpu;
+  flow::FlowOptions o = flow::preset(gen::Bench::kFpu, tech::Node::k45nm);
   o.scale_shift = 0;  // paper scale: the full 52-bit mantissa datapath
-  o.target_util = flow::default_utilization(o.bench);
   o.style = tech::Style::kTMI;
   o.check_level = check::Level::kFull;
   const flow::CompareResult cmp = flow::run_iso_comparison(

@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "liberty/characterize.hpp"
-#include "liberty/io.hpp"
 #include "liberty/library.hpp"
 #include "test_fixtures.hpp"
 
@@ -86,29 +83,6 @@ TEST(Library, ScaleTo7nmAppliesPaperFactors) {
   const auto& a7 = c7->arcs[0].delay[0];
   EXPECT_NEAR(a7.value[0] / a45.value[0], 0.471, 1e-9);
   EXPECT_NEAR(a7.load_ff[1] / a45.load_ff[1], 0.179, 1e-9);
-}
-
-TEST(LibraryIo, RoundTrip) {
-  const Library lib = test::make_test_library(tech::Style::kTMI);
-  const std::string path = "/tmp/m3d_test_lib.mlib";
-  ASSERT_TRUE(write_library(path, lib));
-  Library in;
-  ASSERT_TRUE(read_library(path, &in));
-  EXPECT_EQ(in.size(), lib.size());
-  EXPECT_EQ(in.style, tech::Style::kTMI);
-  EXPECT_DOUBLE_EQ(in.vdd_v, lib.vdd_v);
-  const LibCell* a = lib.find("MUX2_X2");
-  const LibCell* b = in.find("MUX2_X2");
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->arcs.size(), b->arcs.size());
-  EXPECT_DOUBLE_EQ(a->arcs[0].delay[0].at(50, 4), b->arcs[0].delay[0].at(50, 4));
-  EXPECT_DOUBLE_EQ(a->pin_cap_ff.at("S"), b->pin_cap_ff.at("S"));
-  std::remove(path.c_str());
-}
-
-TEST(LibraryIo, MissingFileFails) {
-  Library lib;
-  EXPECT_FALSE(read_library("/tmp/does_not_exist.mlib", &lib));
 }
 
 // A single real characterization as an integration check (fast: INV only).

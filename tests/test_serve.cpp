@@ -155,7 +155,7 @@ TEST(ServeProtocol, MinimalRequestResolvesDefaults) {
   ASSERT_TRUE(parse_request(run_doc(), &r, &err)) << err.message;
   EXPECT_EQ(r.bench, gen::Bench::kFpu);
   const Request resolved = resolve_defaults(r);
-  EXPECT_EQ(resolved.scale_shift, flow::default_scale_shift(r.bench));
+  EXPECT_EQ(resolved.scale_shift, flow::preset(r.bench, r.node).scale_shift);
   EXPECT_GT(resolved.target_util, 0.0);
 }
 
@@ -170,10 +170,10 @@ TEST(ServeProtocol, DefaultedAndSpelledOutRequestsShareOneKey) {
   spelled.set("style", Value::str("2D"));
   spelled.set("clock_ns", Value::number(0.0));
   spelled.set("seed", Value::number(20130529));
-  spelled.set("scale_shift",
-              Value::number(flow::default_scale_shift(gen::Bench::kFpu)));
-  spelled.set("target_util",
-              Value::number(flow::default_utilization(gen::Bench::kFpu)));
+  const flow::FlowOptions fpu =
+      flow::preset(gen::Bench::kFpu, tech::Node::k45nm);
+  spelled.set("scale_shift", Value::number(fpu.scale_shift));
+  spelled.set("target_util", Value::number(fpu.target_util));
   spelled.set("check_level", Value::str("basic"));
   Request full;
   ASSERT_TRUE(parse_request(spelled, &full, &err)) << err.message;

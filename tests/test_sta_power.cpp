@@ -220,7 +220,9 @@ TEST(Power, ActivityCappedAtOne) {
   std::vector<NetId> ins;
   for (int i = 0; i < 4; ++i) {
     ins.push_back(nl.new_net());
-    nl.add_input_port("i" + std::to_string(i), ins.back());
+    std::string port = "i";  // appended: GCC 12 -O3 -Wrestrict
+    port += std::to_string(i);
+    nl.add_input_port(port, ins.back());
   }
   // XOR tree of highly active inputs.
   const NetId x1 = nl.new_net();

@@ -19,8 +19,11 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cells/layout.hpp"
+#include "cells/spec.hpp"
 #include "check/check.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/snapshot.hpp"
@@ -28,6 +31,7 @@
 #include "flow/flow.hpp"
 #include "flow/report.hpp"
 #include "flow/warm.hpp"
+#include "liberty/characterize.hpp"
 #include "store/blob.hpp"
 #include "store/store.hpp"
 #include "util/metrics.hpp"
@@ -556,11 +560,98 @@ TEST(Artifacts, KeysSeparateEveryInputThatChangesTheArtifact) {
   EXPECT_EQ(flow::artifacts::clock_key(a, fp),
             flow::artifacts::clock_key(b, fp));
 
+  // A memoized comparison changes with the caller's configuration key and
+  // with either library: a re-characterized library never serves it.
+  const std::string cmp = flow::artifacts::compare_key("t4_45_DES", fp, fp);
+  EXPECT_NE(cmp, flow::artifacts::compare_key("t4_45_AES", fp, fp));
+  EXPECT_NE(cmp, flow::artifacts::compare_key("t4_45_DES", fp + 1, fp));
+  EXPECT_NE(cmp, flow::artifacts::compare_key("t4_45_DES", fp, fp + 1));
+
   // Custom WLMs are outside the key schema entirely.
   EXPECT_TRUE(flow::artifacts::store_usable(a));
   b = a;
   b.wlm = synth::Wlm{};
   EXPECT_FALSE(flow::artifacts::store_usable(b));
+}
+
+/// A comparison whose scalars include values a text codec would round.
+flow::CompareResult sample_comparison() {
+  flow::CompareResult c;
+  for (flow::FlowResult* r : {&c.flat, &c.tmi}) {
+    r->bench_name = "DES";
+    r->clock_ns = 1.0 / 3.0;
+    r->footprint_um2 = 12345.678901234567;
+    r->cells = 4321;
+    r->buffers = 17;
+    r->utilization = 0.8;
+    r->total_wl_um = std::nextafter(1e5, 2e5);
+    r->wns_ps = -0.0;
+    r->timing_met = true;
+    r->routed = true;
+    r->total_uw = 987.6543210123456;
+    r->cell_uw = 1e-310;  // subnormal
+    r->net_uw = std::sqrt(2.0);
+    r->leak_uw = 0.003;
+    r->wire_uw = 3.0e-7;
+    r->pin_uw = 41.0;
+    r->wire_cap_pf = 0.1;
+    r->pin_cap_pf = 0.2;
+    r->longest_path_ns = 2.0 / 7.0;
+    r->seed = 0xfedcba9876543210ULL;
+  }
+  c.tmi.style = tech::Style::kTMI;
+  c.tmi.timing_met = false;
+  c.tmi.footprint_um2 *= 0.6;
+  return c;
+}
+
+TEST(Artifacts, CompareCodecRoundTripsBitExactly) {
+  const flow::CompareResult c = sample_comparison();
+  const std::string blob = flow::artifacts::encode_compare_blob(c);
+  flow::CompareResult copy;
+  ASSERT_TRUE(flow::artifacts::decode_compare_blob(blob, &copy));
+  EXPECT_EQ(flow::artifacts::encode_compare_blob(copy), blob);
+  for (const auto& [in, out] : {std::pair{&c.flat, &copy.flat},
+                                std::pair{&c.tmi, &copy.tmi}}) {
+    EXPECT_EQ(out->bench_name, in->bench_name);
+    EXPECT_EQ(out->style, in->style);
+    EXPECT_EQ(out->seed, in->seed);
+    EXPECT_EQ(out->cells, in->cells);
+    EXPECT_EQ(out->buffers, in->buffers);
+    EXPECT_EQ(out->timing_met, in->timing_met);
+    EXPECT_EQ(out->routed, in->routed);
+    for (const auto& [a, b] :
+         {std::pair{in->clock_ns, out->clock_ns},
+          std::pair{in->footprint_um2, out->footprint_um2},
+          std::pair{in->utilization, out->utilization},
+          std::pair{in->total_wl_um, out->total_wl_um},
+          std::pair{in->wns_ps, out->wns_ps},
+          std::pair{in->total_uw, out->total_uw},
+          std::pair{in->cell_uw, out->cell_uw},
+          std::pair{in->net_uw, out->net_uw},
+          std::pair{in->leak_uw, out->leak_uw},
+          std::pair{in->wire_uw, out->wire_uw},
+          std::pair{in->pin_uw, out->pin_uw},
+          std::pair{in->wire_cap_pf, out->wire_cap_pf},
+          std::pair{in->pin_cap_pf, out->pin_cap_pf},
+          std::pair{in->longest_path_ns, out->longest_path_ns}}) {
+      EXPECT_EQ(std::signbit(a), std::signbit(b));
+      EXPECT_EQ(a, b);
+    }
+  }
+}
+
+TEST(Artifacts, CompareDecodeRejectsTruncationAndTrailingGarbage) {
+  const std::string blob =
+      flow::artifacts::encode_compare_blob(sample_comparison());
+  flow::CompareResult out;
+  out.flat.bench_name = "untouched";
+  for (size_t n = 0; n < blob.size(); ++n) {
+    EXPECT_FALSE(flow::artifacts::decode_compare_blob(blob.substr(0, n), &out))
+        << "prefix " << n;
+  }
+  EXPECT_FALSE(flow::artifacts::decode_compare_blob(blob + "x", &out));
+  EXPECT_EQ(out.flat.bench_name, "untouched");
 }
 
 // ---------------------------------------------------------------------------
@@ -708,42 +799,71 @@ TEST(FlowStore, CorruptedArtifactsFallBackToRunningAndSelfHeal) {
 // ---------------------------------------------------------------------------
 // WarmContext + store: characterization skipping across "restarts".
 
+/// A one-cell library from the SPICE characterizer: its table values carry
+/// full double precision, which a text cache would round.
+liberty::Library characterized_inv_x1(tech::Style style) {
+  const cells::CellSpec spec = cells::make_spec(cells::Func::kInv, 1);
+  const tech::Tech tch(tech::Node::k45nm, style);
+  const cells::CellLayout layout = style == tech::Style::k2D
+                                       ? cells::layout_2d(spec, tch)
+                                       : cells::fold_tmi(spec, tch);
+  liberty::Library lib;
+  lib.name = "inv_x1";
+  lib.style = style;
+  lib.add(liberty::characterize_cell(spec, layout, lib.vdd_v));
+  return lib;
+}
+
 TEST(WarmStore, LibraryLoadsFromTheStoreInsteadOfRebuilding) {
-  const TempDir dir("warm_lib");
-  std::atomic<int> builds{0};
-  const auto provider = [&builds](tech::Node, tech::Style style) {
-    ++builds;
-    return test::make_test_library(style);
-  };
+  const std::pair<const char*, flow::WarmContext::LibraryProvider>
+      providers[] = {
+          {"fixture",
+           [](tech::Node, tech::Style style) {
+             return test::make_test_library(style);
+           }},
+          {"inv_x1",
+           [](tech::Node, tech::Style style) {
+             return characterized_inv_x1(style);
+           }},
+      };
+  for (const auto& [id, make] : providers) {
+    SCOPED_TRACE(id);
+    const TempDir dir("warm_lib");
+    std::atomic<int> builds{0};
+    const auto provider = [&builds, &make = make](tech::Node node,
+                                                  tech::Style style) {
+      ++builds;
+      return make(node, style);
+    };
 
-  flow::WarmContext first(provider);
-  first.attach_store(dir.path, "fixture");
-  const liberty::Library& built =
-      first.library(tech::Node::k45nm, tech::Style::kTMI);
-  EXPECT_EQ(builds.load(), 1);
+    flow::WarmContext first(provider);
+    first.attach_store(dir.path, id);
+    const liberty::Library& built =
+        first.library(tech::Node::k45nm, tech::Style::kTMI);
+    EXPECT_EQ(builds.load(), 1);
 
-  // A "restarted daemon": fresh context, same store directory. The
-  // library is loaded, not re-characterized — the cold-start the ROADMAP
-  // "millions of users" item names.
-  util::MetricsRegistry reg;
-  flow::WarmContext second(provider);
-  second.attach_store(dir.path, "fixture");
-  {
-    const util::ScopedMetricsSink sink(reg);
-    const liberty::Library& loaded =
-        second.library(tech::Node::k45nm, tech::Style::kTMI);
-    EXPECT_EQ(flow::artifacts::library_fingerprint(loaded),
-              flow::artifacts::library_fingerprint(built));
+    // A "restarted daemon": fresh context, same store directory. The
+    // library is loaded, not re-characterized, and it is bit-identical.
+    util::MetricsRegistry reg;
+    flow::WarmContext second(provider);
+    second.attach_store(dir.path, id);
+    {
+      const util::ScopedMetricsSink sink(reg);
+      const liberty::Library& loaded =
+          second.library(tech::Node::k45nm, tech::Style::kTMI);
+      EXPECT_EQ(flow::artifacts::library_fingerprint(loaded),
+                flow::artifacts::library_fingerprint(built));
+    }
+    EXPECT_EQ(builds.load(), 1);  // the provider never ran again
+    EXPECT_EQ(reg.counter("warm.lib_load"), 1.0);
+    EXPECT_EQ(reg.counter("warm.lib_build"), 0.0);
+
+    // A different provider id must not share entries: it rebuilds.
+    flow::WarmContext other(provider);
+    other.attach_store(dir.path, "other-provider");
+    other.library(tech::Node::k45nm, tech::Style::kTMI);
+    EXPECT_EQ(builds.load(), 2);
   }
-  EXPECT_EQ(builds.load(), 1);  // the provider never ran again
-  EXPECT_EQ(reg.counter("warm.lib_load"), 1.0);
-  EXPECT_EQ(reg.counter("warm.lib_build"), 0.0);
-
-  // A different provider id must not share entries: it rebuilds.
-  flow::WarmContext other(provider);
-  other.attach_store(dir.path, "other-provider");
-  other.library(tech::Node::k45nm, tech::Style::kTMI);
-  EXPECT_EQ(builds.load(), 2);
 }
 
 }  // namespace

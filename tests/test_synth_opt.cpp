@@ -125,7 +125,9 @@ struct OptFixture {
       }
       const NetId q = nl.new_net();
       nl.add_gate(Func::kDff, {cur, clk}, {q});
-      nl.add_output_port("q" + std::to_string(w), q);
+      std::string port = "q";  // appended: GCC 12 -O3 -Wrestrict
+      port += std::to_string(w);
+      nl.add_output_port(port, q);
     }
     nl.bind(lib);
     for (int i = 0; i < nl.num_instances(); ++i) {

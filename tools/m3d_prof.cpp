@@ -12,9 +12,10 @@
 //     allocator traffic) plus the collector's own health stats, so a
 //     truncated capture is visible right in the terminal.
 //
-// The profiler uses the analytic test library (tests/test_fixtures.hpp) —
-// the same one the tier-1 goldens and perf_gate run against — so it starts
-// instantly and profiles exactly the code paths CI locks down.
+// The profiler uses the analytic library (liberty/analytic.hpp) — the same
+// one the tier-1 goldens and perf_gate run against — so it starts
+// instantly and profiles exactly the code paths CI locks down. Scale and
+// utilization come from flow::preset; the clock defaults to the auto clock.
 //
 // Usage:
 //   m3d_prof [--bench FPU] [--style 2D|T-MI|T-MI+M|both] [--clock ns]
@@ -29,13 +30,13 @@
 
 #include "flow/flow.hpp"
 #include "flow/report.hpp"
+#include "liberty/analytic.hpp"
 #include "obs/export.hpp"
 #include "obs/mem.hpp"
 #include "obs/trace.hpp"
 #include "tech/tech.hpp"
 #include "util/strf.hpp"
 #include "util/table.hpp"
-#include "../tests/test_fixtures.hpp"
 
 namespace {
 
@@ -117,7 +118,7 @@ int main(int argc, char** argv) {
   m3d::gen::Bench bench = m3d::gen::Bench::kFpu;
   std::vector<m3d::tech::Style> styles = {m3d::tech::Style::k2D,
                                           m3d::tech::Style::kTMI};
-  double clock_ns = 4.0;
+  double clock_ns = 0.0;  // 0: auto
   uint64_t seed = 20130529;
   int scale_shift = -1;  // -1: per-bench default
   m3d::check::Level check = m3d::check::Level::kBasic;
@@ -162,22 +163,26 @@ int main(int argc, char** argv) {
 
   m3d::obs::set_thread_name("main");
   const m3d::liberty::Library lib2d =
-      m3d::test::make_test_library(m3d::tech::Style::k2D);
+      m3d::liberty::analytic_library(m3d::tech::Style::k2D);
   const m3d::liberty::Library lib3d =
-      m3d::test::make_test_library(m3d::tech::Style::kTMI);
+      m3d::liberty::analytic_library(m3d::tech::Style::kTMI);
+
+  m3d::flow::FlowOptions base =
+      m3d::flow::preset(bench, m3d::tech::Node::k45nm);
+  if (scale_shift >= 0) base.scale_shift = scale_shift;
+  base.seed = seed;
+  base.check_level = check;
+  base.lib = &lib2d;
+  // Probe the auto clock once, before any capture window, so every style
+  // runs at the same clock and no trace contains the probe.
+  base.clock_ns = clock_ns > 0.0 ? clock_ns : m3d::flow::auto_clock_ns(base);
 
   int failures = 0;
   for (m3d::tech::Style style : styles) {
     m3d::obs::reset();  // one clean capture window per style
 
-    m3d::flow::FlowOptions o;
-    o.bench = bench;
+    m3d::flow::FlowOptions o = base;
     o.style = style;
-    o.scale_shift =
-        scale_shift >= 0 ? scale_shift : m3d::flow::default_scale_shift(bench);
-    o.clock_ns = clock_ns;
-    o.seed = seed;
-    o.check_level = check;
     o.lib = style == m3d::tech::Style::k2D ? &lib2d : &lib3d;
     o.trace = true;
     const m3d::flow::FlowResult r = m3d::flow::run_flow(o);

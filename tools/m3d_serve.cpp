@@ -6,21 +6,22 @@
 // store (src/store: response cache + reusable stage artifacts), streaming
 // stage progress to clients mid-run.
 //
-// The daemon serves the analytic test library (tests/test_fixtures.hpp),
-// like m3d_prof: it starts instantly and serves exactly the code paths the
+// The daemon serves the analytic library (liberty/analytic.hpp), like
+// m3d_prof: it starts instantly and serves exactly the code paths the
 // tier-1 goldens lock down, so every reply is reproducible from the request
 // alone. The WarmContext provider is the one seam to swap in characterized
 // libraries.
 //
 // Usage:
 //   m3d_serve [--host 127.0.0.1] [--port 0] [--unix PATH]
-//             [--store-dir .m3d_store] [--no-store]
+//             [--store-dir D] [--no-store]
 //             [--max-inflight N] [--max-queue N] [--timeout-ms N]
 //             [--retry-after-ms N] [--threads N] [--trace]
 //             [--port-file PATH] [--no-shutdown]
 //
-// (--cache-dir / --no-cache are accepted as aliases of --store-dir /
-// --no-store for pre-store scripts.)
+// --store-dir defaults to $M3D_STORE, else .m3d_store. (--cache-dir /
+// --no-cache are accepted as aliases of --store-dir / --no-store for
+// pre-store scripts.)
 //
 // --port 0 (default) binds an ephemeral port; the bound port is printed on
 // stdout and, with --port-file, written to a file the CI smoke script (and
@@ -34,10 +35,11 @@
 
 #include "exec/exec.hpp"
 #include "flow/warm.hpp"
+#include "liberty/analytic.hpp"
 #include "serve/server.hpp"
+#include "store/store.hpp"
 #include "util/log.hpp"
 #include "util/strf.hpp"
-#include "../tests/test_fixtures.hpp"
 
 namespace {
 
@@ -52,7 +54,7 @@ void handle_signal(int) {
 
 int main(int argc, char** argv) {
   m3d::serve::ServerOptions opt;
-  opt.serve.store_dir = ".m3d_store";
+  opt.serve.store_dir = m3d::store::default_dir();
   std::string port_file;
   int threads = 0;
 
@@ -116,7 +118,7 @@ int main(int argc, char** argv) {
   // reused for the daemon's lifetime.
   m3d::flow::WarmContext warm(
       [](m3d::tech::Node, m3d::tech::Style style) {
-        return m3d::test::make_test_library(style);
+        return m3d::liberty::analytic_library(style);
       });
   // Persist warm state (libraries, clock probes) and flow stage artifacts
   // in the same store the response cache uses.

@@ -67,10 +67,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (dir.empty()) {
-    const char* env = std::getenv("M3D_STORE");
-    dir = (env != nullptr && env[0] != '\0') ? env : ".m3d_store";
-  }
+  if (dir.empty()) dir = m3d::store::default_dir();
 
   const m3d::store::Store store(dir);
 
