@@ -1,13 +1,11 @@
 #include "route/route.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <cstdint>
 
 #include "circuit/index.hpp"
 #include "exec/exec.hpp"
-#include "obs/mem.hpp"
+#include "route/maze.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -16,10 +14,6 @@
 
 namespace m3d::route {
 namespace {
-
-struct Cell {
-  int x, y;
-};
 
 /// Maze-search window inflation around a two-pin bbox, in gcells. Also the
 /// inflation used to decide whether two reroutes are spatially disjoint.
@@ -54,8 +48,8 @@ class Grid {
 
   int nx() const { return nx_; }
   int ny() const { return ny_; }
-  size_t h_idx(int i, int j) const { return static_cast<size_t>(j * (nx_ - 1) + i); }
-  size_t v_idx(int i, int j) const { return static_cast<size_t>(j * nx_ + i); }
+  size_t h_idx(int i, int j) const { return CostView{nx_, ny_}.h_idx(i, j); }
+  size_t v_idx(int i, int j) const { return CostView{nx_, ny_}.v_idx(i, j); }
 
   const std::array<std::vector<double>, kNumLevels>& usage_h_all() const { return usage_h_; }
   const std::array<std::vector<double>, kNumLevels>& usage_v_all() const { return usage_v_; }
@@ -75,9 +69,9 @@ class Grid {
     }
   }
 
-  /// Cached maze costs of level `l`, indexed like h_idx / v_idx.
-  const double* cost_h(int l) const { return cost_h_[l].data(); }
-  const double* cost_v(int l) const { return cost_v_[l].data(); }
+  /// Read-only view of level `l`'s cached maze costs, indexed like h_idx /
+  /// v_idx.
+  CostView costs(int l) const { return {nx_, ny_, cost_h_[l].data(), cost_v_[l].data()}; }
 
   double edge_cost(int l, bool horizontal, int i, int j) const {
     return horizontal ? cost_h_[l][h_idx(i, j)] : cost_v_[l][v_idx(i, j)];
@@ -206,162 +200,6 @@ double path_cost(const Grid& grid, int level, const std::vector<Cell>& path) {
     }
   }
   return cost;
-}
-
-/// Per-thread maze scratch with epoch-stamped lazy reset: one packed
-/// {dist, parent, stamp} record per cell, allocated once per thread, and a
-/// cell is (re)initialized the first time an epoch touches it, so repeated
-/// maze calls do no allocation and no O(window) clearing. Each maze call is
-/// entirely thread-private — the scratch never leaks state across calls
-/// (every read goes through touch()), so results are bit-identical to the
-/// fresh-vector version.
-struct MazeScratch {
-  struct Node {
-    double dist;
-    int parent;
-    uint32_t stamp;
-  };
-  // obs::vector: the maze arrays are the router's dominant allocations, so
-  // they opt into the counting allocator for the per-stage memory profile.
-  obs::vector<Node> nodes;
-  uint32_t epoch = 0;
-
-  /// Starts a maze over `cells` slots; grows the array if needed and
-  /// invalidates every previous entry by bumping the epoch.
-  void begin(size_t cells) {
-    if (nodes.size() < cells) nodes.resize(cells, Node{0.0, -1, 0});
-    if (++epoch == 0) {  // wrapped: stale stamps could alias the new epoch
-      for (Node& n : nodes) n.stamp = 0;
-      epoch = 1;
-    }
-  }
-
-  /// Slot `i`, lazily initialized for the current epoch.
-  Node& touch(size_t i) {
-    Node& n = nodes[i];
-    if (n.stamp != epoch) {
-      n.stamp = epoch;
-      n.dist = 1e18;
-      n.parent = -1;
-    }
-    return n;
-  }
-};
-
-/// Min-heap of maze frontier entries, 4-ary for shallower sift-downs. It
-/// orders entries by (f, idx) — exactly the total order in which
-/// std::priority_queue<std::pair<double, int>, ..., std::greater<>> pops —
-/// so any two entries that compare equal are equal in every field (x, y are
-/// functions of idx) and the pop sequence is the same as that queue's.
-/// Carrying the cell's coordinates saves the pop a divide and a modulo.
-class MazeHeap {
- public:
-  struct Entry {
-    double f;
-    int idx;
-    int x, y;
-  };
-
-  bool empty() const { return heap_.empty(); }
-  void clear() { heap_.clear(); }
-
-  void push(const Entry& e) {
-    size_t i = heap_.size();
-    heap_.push_back(e);
-    while (i > 0) {
-      const size_t up = (i - 1) / 4;
-      if (!less(e, heap_[up])) break;
-      heap_[i] = heap_[up];
-      i = up;
-    }
-    heap_[i] = e;
-  }
-
-  Entry pop() {
-    const Entry top = heap_.front();
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    const size_t n = heap_.size();
-    if (n == 0) return top;
-    size_t i = 0;
-    for (;;) {
-      const size_t first = 4 * i + 1;
-      if (first >= n) break;
-      size_t best = first;
-      const size_t end = std::min(first + 4, n);
-      for (size_t c = first + 1; c < end; ++c) {
-        if (less(heap_[c], heap_[best])) best = c;
-      }
-      if (!less(heap_[best], last)) break;
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = last;
-    return top;
-  }
-
- private:
-  static bool less(const Entry& a, const Entry& b) {
-    return a.f < b.f || (a.f == b.f && a.idx < b.idx);
-  }
-
-  obs::vector<Entry> heap_;
-};
-
-/// A* maze route on one level, constrained to the bbox of (a, b) inflated by
-/// `margin` gcells. Returns an empty path on failure.
-std::vector<Cell> maze_route(const Grid& grid, int level, const Cell& a,
-                             const Cell& b, int margin) {
-  const int xlo = std::max(0, std::min(a.x, b.x) - margin);
-  const int xhi = std::min(grid.nx() - 1, std::max(a.x, b.x) + margin);
-  const int ylo = std::max(0, std::min(a.y, b.y) - margin);
-  const int yhi = std::min(grid.ny() - 1, std::max(a.y, b.y) + margin);
-  const int w = xhi - xlo + 1, h = yhi - ylo + 1;
-  auto idx = [&](int x, int y) { return static_cast<size_t>((y - ylo) * w + (x - xlo)); };
-  thread_local MazeScratch scratch;
-  thread_local MazeHeap pq;
-  scratch.begin(static_cast<size_t>(w * h));
-  pq.clear();
-  const double* cost_h = grid.cost_h(level);
-  const double* cost_v = grid.cost_v(level);
-  scratch.touch(idx(a.x, a.y)).dist = 0.0;
-  pq.push({std::abs(a.x - b.x) + std::abs(a.y - b.y) * 1.0,
-           static_cast<int>(idx(a.x, a.y)), a.x, a.y});
-  while (!pq.empty()) {
-    const MazeHeap::Entry top = pq.pop();
-    const int ci = top.idx;
-    const int cx = top.x;
-    const int cy = top.y;
-    if (cx == b.x && cy == b.y) break;
-    const double d = scratch.nodes[static_cast<size_t>(ci)].dist;
-    if (top.f - (std::abs(cx - b.x) + std::abs(cy - b.y)) > d + 1e-9) continue;
-    // Neighbours in the fixed order +x, -x, +y, -y; `ec` is the cached cost
-    // of the edge between the current cell and (nx2, ny2).
-    auto relax = [&](int nx2, int ny2, double ec) {
-      const double nd = d + ec;
-      const size_t nidx = idx(nx2, ny2);
-      MazeScratch::Node& n = scratch.touch(nidx);
-      if (nd < n.dist - 1e-12) {
-        n.dist = nd;
-        n.parent = ci;
-        pq.push({nd + std::abs(nx2 - b.x) + std::abs(ny2 - b.y),
-                 static_cast<int>(nidx), nx2, ny2});
-      }
-    };
-    if (cx < xhi) relax(cx + 1, cy, cost_h[grid.h_idx(cx, cy)]);
-    if (cx > xlo) relax(cx - 1, cy, cost_h[grid.h_idx(cx - 1, cy)]);
-    if (cy < yhi) relax(cx, cy + 1, cost_v[grid.v_idx(cx, cy)]);
-    if (cy > ylo) relax(cx, cy - 1, cost_v[grid.v_idx(cx, cy - 1)]);
-  }
-  if (scratch.touch(idx(b.x, b.y)).dist >= 1e17) return {};
-  std::vector<Cell> path;
-  int ci = static_cast<int>(idx(b.x, b.y));
-  while (ci >= 0) {
-    path.push_back({xlo + ci % w, ylo + ci / w});
-    ci = scratch.nodes[static_cast<size_t>(ci)].parent;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
 }
 
 }  // namespace
@@ -601,15 +439,16 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
           [&](size_t bb, size_t be) {
             for (size_t bi = bb; bi < be; ++bi) {
               const TwoPin& tp = twopins[static_cast<size_t>(batch[bi])];
-              // Try levels: preferred, then one up, then one down.
+              // Try levels: preferred, then one up, then one down, each
+              // that exists. The grid is frozen for the batch, so a level
+              // is searched at most once.
               int best_level = tp.level;
               std::vector<Cell> best_path;
               double best_cost = 1e18;
-              for (int l :
-                   {tp.level, std::min(tp.level + 1, static_cast<int>(kGlobal)),
-                    std::max(tp.level - 1, static_cast<int>(kLocal))}) {
+              for (int l : {tp.level, tp.level + 1, tp.level - 1}) {
+                if (l < kLocal || l > kGlobal) continue;
                 ++rerouted[bi].maze_calls;
-                auto path = maze_route(grid, l, tp.a, tp.b, kMazeMargin);
+                auto path = maze_route(grid.costs(l), tp.a, tp.b, kMazeMargin);
                 if (path.empty()) continue;
                 // Level changes cost vias; bias toward the preferred level.
                 const double cost =

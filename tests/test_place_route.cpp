@@ -251,7 +251,7 @@ TEST(RoutePinned, ForcedCongestionIsBitStable) {
     const util::ScopedMetricsSink sink(reg);
     rr = route::global_route(nl, die, tch, ro);
   }
-  EXPECT_EQ(reg.counter("route.maze_calls"), 6118.0);
+  EXPECT_EQ(reg.counter("route.maze_calls"), 5265.0);
   EXPECT_EQ(route_hash(rr), 0x896b5c657e8d68ddull);
 }
 
