@@ -8,7 +8,6 @@
 #include "obs/trace.hpp"
 #include "util/metrics.hpp"
 #include "util/strf.hpp"
-#include "util/trace.hpp"
 
 namespace m3d::exec {
 namespace {
@@ -69,25 +68,23 @@ void ThreadPool::submit(std::function<void()> fn) {
     return;
   }
   if (obs::enabled()) obs::emit_instant("exec.enqueue");
-  // Wrap so the task runs under the submitter's span context and metrics
-  // sink regardless of which worker picks it up.
-  auto task = [ctx = util::capture_span_context(),
-               sink = &util::MetricsRegistry::current(),
-               fn = std::move(fn)] {
-    util::SpanContextScope span_scope(ctx);
-    util::ScopedMetricsSink sink_scope(*sink);
-    if (!obs::enabled()) {
+  // Wrap so the task runs under the submitter's context (span nesting,
+  // trace parent, flow and metrics sink) regardless of which worker picks
+  // it up. While tracing, the task gets its own exec.task span: parented to
+  // the submitter's innermost span, and itself the parent of every span the
+  // task body opens — the link that keeps worker-side timelines attached to
+  // the submitting flow. The guard emits the end even if fn() throws
+  // (TaskGroup carries the exception), keeping the trace balanced.
+  auto task = [ctx = obs::context(), fn = std::move(fn)] {
+    const uint64_t span = obs::enabled() ? obs::next_span_id() : 0;
+    obs::Context task_ctx = ctx;
+    if (span != 0) task_ctx.span_id = span;
+    const obs::ScopedContext scope(task_ctx);
+    if (span == 0) {
       fn();
       return;
     }
-    // Per-task trace span: parented to the submitter's innermost span (via
-    // ctx), and itself the parent of every span the task body opens — the
-    // link that keeps worker-side timelines attached to the submitting
-    // flow. The guard emits the end even if fn() throws (TaskGroup carries
-    // the exception), keeping the trace balanced.
-    const uint64_t span = obs::next_span_id();
     obs::emit_begin("exec.task", span, ctx.span_id);
-    util::ScopedSpanParent parent(span);
     struct EndGuard {
       uint64_t id;
       ~EndGuard() { obs::emit_end(id); }

@@ -9,9 +9,9 @@
 //  * Callers only parallelize bodies whose writes are disjoint per index
 //    (or reduce through `parallel_reduce`, which folds partials in chunk
 //    order), so execution interleaving cannot change results.
-//  * Tasks inherit the submitting thread's span nesting (util/trace.hpp)
-//    and metrics sink (util/metrics.hpp), so reports attribute worker-side
-//    work to the task that spawned it.
+//  * Tasks inherit the submitting thread's obs::Context (obs/trace.hpp):
+//    span nesting, trace parent, trace flow and metrics sink, so reports
+//    and traces attribute worker-side work to the task that spawned it.
 //
 // Thread count: `ExecOptions::num_threads`, else the `M3D_THREADS`
 // environment variable, else `hardware_concurrency()`. One (or fewer)
@@ -67,8 +67,8 @@ class ThreadPool {
   int num_workers() const { return static_cast<int>(workers_.size()); }
   bool serial() const { return workers_.empty(); }
 
-  /// Submits one task. The task captures the submitter's span context and
-  /// metrics sink; on a serial pool it runs inline before submit returns.
+  /// Submits one task. The task captures the submitter's obs::Context; on
+  /// a serial pool it runs inline before submit returns.
   void submit(std::function<void()> fn);
 
   /// Runs one pending task on the calling thread, if any is immediately

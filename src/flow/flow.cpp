@@ -11,6 +11,7 @@
 #include "flow/artifacts.hpp"
 #include "obs/export.hpp"
 #include "obs/mem.hpp"
+#include "obs/trace.hpp"
 #include "opt/opt.hpp"
 #include "sta/sta.hpp"
 #include "store/store.hpp"
@@ -18,7 +19,6 @@
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/strf.hpp"
-#include "util/trace.hpp"
 
 namespace m3d::flow {
 namespace {
@@ -40,7 +40,7 @@ void run_stage(FlowResult* res, const char* name, bool tracing,
   const auto before = reg.counters();
   const uint64_t alloc_bytes0 = tracing ? obs::allocated_bytes() : 0;
   const uint64_t alloc_calls0 = tracing ? obs::allocation_calls() : 0;
-  util::ScopedTimer timer(util::strf("flow.%s", name));
+  obs::Span timer(util::strf("flow.%s", name));
   body();
   StageReport sr;
   sr.name = name;
@@ -162,17 +162,19 @@ FlowResult run_flow(const FlowOptions& opt_in) {
   // once gen has run.
   const bool tracing = opt.trace || obs::env_enabled();
   std::optional<obs::ScopedTraceEnable> trace_window;
-  std::optional<obs::ScopedFlow> flow_attribution;
+  std::optional<obs::ScopedContext> flow_attribution;
   uint32_t flow_id = 0;
   if (tracing) {
     trace_window.emplace();
     flow_id = obs::register_flow(util::strf("flow %s/%s",
                                             tech::to_string(opt.node),
                                             tech::to_string(opt.style)));
-    flow_attribution.emplace(flow_id);
+    obs::Context ctx = obs::context();
+    ctx.flow = flow_id;
+    flow_attribution.emplace(ctx);
     res.trace_enabled = true;
   }
-  util::ScopedTimer flow_span(
+  obs::Span flow_span(
       util::strf("flow.run %s/%s", tech::to_string(opt.node),
                  tech::to_string(opt.style)));
 

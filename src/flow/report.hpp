@@ -3,10 +3,10 @@
 // as a decimal string, so any run replays from its log), the Table 13/14
 // metric block, the invariant-check record (level + violations, see
 // src/check), and the per-stage wall-clock timings + counters collected by
-// the instrumentation layer (util/trace.hpp, util/metrics.hpp). The benches
-// drop one per run under out_figs/run_<bench>_<style>.json so later perf
-// PRs can diff where the time goes; tests/golden snapshots the canonical
-// form for regression.
+// the instrumentation layer (obs::Span in obs/trace.hpp, the registry in
+// util/metrics.hpp). The benches drop one per run under
+// out_figs/run_<bench>_<style>.json so later perf PRs can diff where the
+// time goes; tests/golden snapshots the canonical form for regression.
 //
 // A run traced via FlowOptions::trace / M3D_TRACE serializes as schema
 // "m3d.run_report/v3": the v2 document plus a per-stage "mem" object

@@ -176,7 +176,7 @@ void rule_l002(std::string_view file, std::string_view clean,
 }
 
 // ---------------------------------------------------------------------------
-// Rule L003: wall-clock reads outside util/trace + util/log.
+// Rule L003: wall-clock reads outside util/log.
 
 void rule_l003(std::string_view file, std::string_view clean,
                const LineIndex& lines, const Options& opts,
@@ -191,8 +191,8 @@ void rule_l003(std::string_view file, std::string_view clean,
          pos = find_word(clean, token, pos + 1)) {
       out.push_back({std::string(file), lines.line_of(pos), "L003",
                      Severity::kError,
-                     util::strf("wall-clock read (%s) outside util/trace + "
-                                "util/log; timestamps in result paths break "
+                     util::strf("wall-clock read (%s) outside util/log; "
+                                "timestamps in result paths break "
                                 "byte-identical canonical reports",
                                 token)});
     }
@@ -206,8 +206,7 @@ void rule_l003(std::string_view file, std::string_view clean,
     if (after < clean.size() && clean[after] == '(') {
       out.push_back({std::string(file), lines.line_of(pos), "L003",
                      Severity::kError,
-                     "wall-clock read (std::time) outside util/trace + "
-                     "util/log"});
+                     "wall-clock read (std::time) outside util/log"});
     }
   }
 }
@@ -669,7 +668,7 @@ const std::vector<RuleInfo>& rule_table() {
        "over it in canonical-output files silently varies across stdlibs"},
       {"L003", "wall-clock",
        "timestamps in result paths break byte-identical canonical reports; "
-       "only util/trace (span timing) and util/log (stamps) may read clocks"},
+       "only util/log (stamps) may read the wall clock"},
       {"L004", "float-equality",
        "sign-off comparisons must use tolerance bands; exact FP equality "
        "flips with -O flags, FMA contraction and parallel reduction order"},

@@ -16,7 +16,7 @@
 //                                implementation-defined, so any fold over it
 //                                silently varies across libstdc++ versions.
 //   L003 wall-clock              std::chrono::system_clock and C time
-//                                functions outside util/trace + util/log —
+//                                functions outside util/log —
 //                                timestamps in result paths break
 //                                byte-identical canonical reports.
 //   L004 float-equality          ==/!= against floating-point literals in
@@ -125,8 +125,8 @@ struct Options {
       "src/liberty/liberty_writer", "src/circuit/verilog",
   };
 
-  /// L003: the only homes for clock reads (span timing and log stamps).
-  std::vector<std::string> l003_allowed = {"src/util/trace", "src/util/log"};
+  /// L003: the only home for wall-clock reads (log stamps).
+  std::vector<std::string> l003_allowed = {"src/util/log"};
 
   /// L004: sign-off arithmetic that must compare with tolerance bands.
   std::vector<std::string> l004_scope = {"src/check/", "src/sta/",

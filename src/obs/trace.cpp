@@ -49,7 +49,14 @@ Registry& registry() {
 }
 
 thread_local ThreadBuffer* t_buffer = nullptr;
-thread_local uint32_t t_flow = 0;
+
+/// The calling thread's Context minus its sink, which util/metrics keeps.
+struct ThreadContext {
+  int depth = 0;
+  uint64_t span_id = 0;
+  uint32_t flow = 0;
+};
+thread_local ThreadContext t_ctx;
 
 ThreadBuffer& local_buffer() {
   if (t_buffer != nullptr) return *t_buffer;
@@ -68,6 +75,10 @@ uint64_t now_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - registry().epoch)
           .count());
+}
+
+std::string indent(int depth) {
+  return std::string(static_cast<size_t>(depth) * 2, ' ');
 }
 
 void record(TraceEvent ev) {
@@ -129,13 +140,52 @@ void set_flow_name(uint32_t flow, const std::string& name) {
   }
 }
 
-uint32_t current_flow() { return t_flow; }
+Context context() {
+  return Context{t_ctx.depth, t_ctx.span_id, t_ctx.flow,
+                 &util::MetricsRegistry::current()};
+}
 
-void set_current_flow(uint32_t flow) { t_flow = flow; }
+ScopedContext::ScopedContext(const Context& ctx)
+    : saved_(context()), sink_(*ctx.sink) {
+  t_ctx = {ctx.depth, ctx.span_id, ctx.flow};
+}
 
-ScopedFlow::ScopedFlow(uint32_t flow) : saved_(t_flow) { t_flow = flow; }
+ScopedContext::~ScopedContext() {
+  t_ctx = {saved_.depth, saved_.span_id, saved_.flow};
+}
 
-ScopedFlow::~ScopedFlow() { t_flow = saved_; }
+Span::Span(std::string name) : name_(std::move(name)), start_ns_(now_ns()) {
+  util::debug(util::strf("%s%s ...", indent(t_ctx.depth).c_str(),
+                         name_.c_str()));
+  ++t_ctx.depth;
+  if (enabled()) {
+    parent_id_ = t_ctx.span_id;
+    span_id_ = next_span_id();
+    emit_begin(name_, span_id_, parent_id_);
+    t_ctx.span_id = span_id_;
+  }
+}
+
+double Span::stop() {
+  if (stopped_) return 0.0;
+  stopped_ = true;
+  const double ms = static_cast<double>(now_ns() - start_ns_) / 1e6;
+  --t_ctx.depth;
+  if (span_id_ != 0) {
+    // Unconditional (not gated on enabled()): the begin was recorded, so
+    // the end must be too, even if the trace window closed mid-span —
+    // exported traces stay balanced and the span is recorded exactly once.
+    emit_end(span_id_);
+    t_ctx.span_id = parent_id_;
+    span_id_ = 0;
+  }
+  util::debug(util::strf("%s%s: %.2f ms", indent(t_ctx.depth).c_str(),
+                         name_.c_str(), ms));
+  util::observe("span." + name_, ms);
+  return ms;
+}
+
+Span::~Span() { stop(); }
 
 void set_thread_name(const std::string& name) {
   ThreadBuffer& buf = local_buffer();
@@ -147,7 +197,7 @@ void emit_begin(const std::string& name, uint64_t span_id,
                 uint64_t parent_id) {
   TraceEvent ev;
   ev.type = EventType::kBegin;
-  ev.flow = t_flow;
+  ev.flow = t_ctx.flow;
   ev.ts_ns = now_ns();
   ev.span_id = span_id;
   ev.parent_id = parent_id;
@@ -158,7 +208,7 @@ void emit_begin(const std::string& name, uint64_t span_id,
 void emit_end(uint64_t span_id) {
   TraceEvent ev;
   ev.type = EventType::kEnd;
-  ev.flow = t_flow;
+  ev.flow = t_ctx.flow;
   ev.ts_ns = now_ns();
   ev.span_id = span_id;
   record(std::move(ev));
@@ -168,7 +218,7 @@ void emit_complete(const std::string& name, uint64_t start_ns) {
   const uint64_t end_ns = now_ns();
   TraceEvent ev;
   ev.type = EventType::kComplete;
-  ev.flow = t_flow;
+  ev.flow = t_ctx.flow;
   ev.ts_ns = start_ns;
   ev.dur_ns = end_ns > start_ns ? end_ns - start_ns : 0;
   ev.name = name;
@@ -180,7 +230,7 @@ uint64_t timestamp_ns() { return now_ns(); }
 void emit_instant(const std::string& name) {
   TraceEvent ev;
   ev.type = EventType::kInstant;
-  ev.flow = t_flow;
+  ev.flow = t_ctx.flow;
   ev.ts_ns = now_ns();
   ev.name = name;
   record(std::move(ev));
@@ -189,7 +239,7 @@ void emit_instant(const std::string& name) {
 void emit_counter(const std::string& name, double value) {
   TraceEvent ev;
   ev.type = EventType::kCounter;
-  ev.flow = t_flow;
+  ev.flow = t_ctx.flow;
   ev.ts_ns = now_ns();
   ev.value = value;
   ev.name = name;

@@ -1,10 +1,17 @@
-// Structured trace-event collection: the observability seam under the span
-// timers (util/trace.hpp), the exec pool hooks (src/exec) and the memory
-// profiler (obs/mem.hpp). Each thread records TraceEvents (span begin/end,
-// instant markers, counter samples) into its own fixed-capacity buffer —
-// no cross-thread contention on the hot path beyond one uncontended mutex —
-// and a snapshot copies everything out for export (obs/export.hpp: Chrome
-// trace JSON + deterministic span summaries).
+// Structured trace-event collection and the flow's one span layer. Spans
+// (obs::Span) time named regions of the flow into the metrics registry and,
+// while collection is on, into the timeline. Each thread records
+// TraceEvents (span begin/end, instant markers, counter samples) into its
+// own fixed-capacity buffer — no cross-thread contention on the hot path
+// beyond one uncontended mutex — and a snapshot copies everything out for
+// export (obs/export.hpp: Chrome trace JSON + deterministic span summaries).
+// The exec pool and the memory profiler (obs/mem.hpp) report here too.
+//
+// One per-thread Context says where a thread reports: its span nesting
+// depth, its innermost traced span, its trace flow and its metrics sink.
+// The exec pool captures it at submit and installs it on the worker with
+// one ScopedContext, so work on pool threads reports to the span, flow and
+// sink that spawned it.
 //
 // Collection is off by default and costs one relaxed atomic load per
 // call site when off, so canonical outputs, goldens and the serial-vs-
@@ -29,6 +36,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "util/metrics.hpp"
 
 namespace m3d::obs {
 
@@ -80,21 +89,69 @@ uint64_t next_span_id();
 uint32_t register_flow(const std::string& name);
 void set_flow_name(uint32_t flow, const std::string& name);
 
-/// The calling thread's flow attribution for new events (0 outside flows).
-/// Propagated across exec pool hops via util::SpanContext.
-uint32_t current_flow();
-void set_current_flow(uint32_t flow);
+/// Where the calling thread reports: span nesting, trace parent, trace flow
+/// and metrics sink.
+struct Context {
+  /// Span nesting depth (0 outside any span); indents the span log lines.
+  int depth = 0;
+  /// Innermost traced span (0 outside any): the parent of new spans.
+  uint64_t span_id = 0;
+  /// Flow attribution of new events (export pid); 0 = process-level.
+  uint32_t flow = 0;
+  /// Metrics sink: util::MetricsRegistry::current() (never null in a
+  /// captured context; util/metrics keeps this one per-thread pointer so
+  /// util::count routes without depending on obs).
+  util::MetricsRegistry* sink = nullptr;
+};
 
-/// RAII flow attribution for the calling thread.
-class ScopedFlow {
+/// The calling thread's context.
+Context context();
+
+/// RAII installation of a context on the calling thread: the exec pool
+/// adopts the submitter's on a worker, and a traced flow or serve request
+/// sets its own flow. `ctx.sink` must be set (context() always sets it).
+/// Restores the previous context on exit.
+class ScopedContext {
  public:
-  explicit ScopedFlow(uint32_t flow);
-  ~ScopedFlow();
-  ScopedFlow(const ScopedFlow&) = delete;
-  ScopedFlow& operator=(const ScopedFlow&) = delete;
+  explicit ScopedContext(const Context& ctx);
+  ~ScopedContext();
+  ScopedContext(const ScopedContext&) = delete;
+  ScopedContext& operator=(const ScopedContext&) = delete;
 
  private:
-  uint32_t saved_;
+  Context saved_;
+  util::ScopedMetricsSink sink_;
+};
+
+/// RAII span: marks a named region of the flow. Construction logs a nested
+/// "begin" line at debug level; stop() (or the destructor) logs the elapsed
+/// wall time and records it into the thread's metrics sink as the histogram
+/// `span.<name>` (ms). Spans nest per thread, and the log indentation
+/// follows the nesting, so `M3D_LOG_LEVEL=debug` prints a live call-tree.
+///
+/// While collection is on, a span also emits a begin/end TraceEvent pair
+/// carrying a process-unique span id and its parent's id, and is the parent
+/// of the spans opened inside it. The pair is emitted exactly once, whether
+/// the span ends via stop() or the destructor; when collection is off the
+/// only trace cost is one relaxed atomic load.
+class Span {
+ public:
+  explicit Span(std::string name);
+  ~Span();
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+
+  /// Ends the span early; the destructor then does nothing, so metrics and
+  /// trace each see the span once. Returns the elapsed ms (0 when already
+  /// stopped).
+  double stop();
+
+ private:
+  std::string name_;
+  uint64_t start_ns_;
+  uint64_t span_id_ = 0;  // 0: tracing was off at construction
+  uint64_t parent_id_ = 0;
+  bool stopped_ = false;
 };
 
 /// Names the calling thread's track in the export ("main", "route/worker3").

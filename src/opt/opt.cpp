@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/trace.hpp"
 #include "sta/sta.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/strf.hpp"
-#include "util/trace.hpp"
 
 namespace m3d::opt {
 namespace {
@@ -43,8 +43,7 @@ double input_slew_of(const circuit::Netlist& nl, const sta::TimingResult& t,
 OptReport optimize(circuit::Netlist* nl, const liberty::Library& lib,
                    const ParasiticFn& parasitics, const OptOptions& opt) {
   OptReport rep;
-  util::ScopedTimer opt_span(opt.allow_buffering ? "opt.preroute"
-                                                 : "opt.postroute");
+  obs::Span opt_span(opt.allow_buffering ? "opt.preroute" : "opt.postroute");
   sta::StaOptions sta_opt;
   sta_opt.clock_ns = opt.clock_ns;
   const double margin_ps = opt.downsize_margin_frac * opt.clock_ns * 1000.0;

@@ -8,12 +8,12 @@
 #include "circuit/index.hpp"
 #include "numeric/cg.hpp"
 #include "numeric/csr.hpp"
+#include "obs/trace.hpp"
 #include "place/hpwl.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/strf.hpp"
-#include "util/trace.hpp"
 
 namespace m3d::place {
 namespace {
@@ -137,7 +137,7 @@ SpreadPlacement global_spread(circuit::Netlist* nl, const Die& die,
   const circuit::NetlistIndex idx(*nl);
 
   // --- Quadratic global placement -------------------------------------------
-  util::ScopedTimer quad_span("place.quadratic");
+  obs::Span quad_span("place.quadratic");
   Mat mat(nv);
   auto pin_var = [&](const circuit::PinRef& p) {
     return p.inst == circuit::kInvalid ? -1 : var_of[static_cast<size_t>(p.inst)];
@@ -304,7 +304,7 @@ SpreadPlacement global_spread(circuit::Netlist* nl, const Die& die,
     }
   };
   {
-    util::ScopedTimer spread_span("place.spread");
+    obs::Span spread_span("place.spread");
     bisect_spread();
     for (int round = 0; round < 2; ++round) {
       solve_with_spread_anchors(0.4);
@@ -318,7 +318,7 @@ SpreadPlacement global_spread(circuit::Netlist* nl, const Die& die,
 void legalize(circuit::Netlist* nl, const Die& die,
               const SpreadPlacement& spread) {
   // --- Tetris legalization ----------------------------------------------------
-  util::ScopedTimer legal_span("place.legalize");
+  obs::Span legal_span("place.legalize");
   const std::vector<circuit::InstId>& movable = spread.movable;
   const std::vector<double>& x = spread.x;
   const std::vector<double>& y = spread.y;
@@ -403,7 +403,7 @@ void detail_place(circuit::Netlist* nl, const Die& die, int passes) {
   // are priced incrementally: the pre-swap cost of each affected net comes
   // from the HPWL cache, only the post-swap side is evaluated fresh (and
   // stored back on accept) — O(net degree) per candidate, no port rescans.
-  util::ScopedTimer detail_span("place.detail");
+  obs::Span detail_span("place.detail");
   const circuit::NetlistIndex idx(*nl);
   HpwlCache cache(*nl, idx);
   std::vector<circuit::InstId> movable;

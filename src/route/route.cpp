@@ -5,12 +5,12 @@
 
 #include "circuit/index.hpp"
 #include "exec/exec.hpp"
+#include "obs/trace.hpp"
 #include "route/maze.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/strf.hpp"
-#include "util/trace.hpp"
 
 namespace m3d::route {
 namespace {
@@ -247,7 +247,7 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
   const double t_local = 60.0 * node_scale;
   const double t_inter = 400.0 * node_scale;
 
-  util::ScopedTimer build_span("route.build_topology");
+  obs::Span build_span("route.build_topology");
   const circuit::NetlistIndex net_index(nl);
   result.nets.assign(static_cast<size_t>(nl.num_nets()), NetRoute{});
   std::vector<TwoPin> twopins;
@@ -346,7 +346,7 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
   util::count("route.twopins", static_cast<double>(twopins.size()));
 
   // Initial pattern routing, short connections first.
-  util::ScopedTimer pattern_span("route.pattern");
+  obs::Span pattern_span("route.pattern");
   std::vector<int> order(twopins.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
   std::sort(order.begin(), order.end(), [&](int a, int b) {
@@ -374,7 +374,7 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
   // deterministic grid states, so the routing is bit-identical at any
   // thread count (the batched schedule itself, not the thread count, is
   // what differs from a one-at-a-time sweep).
-  util::ScopedTimer rrr_span("route.rrr");
+  obs::Span rrr_span("route.rrr");
   struct Window {
     int xlo, xhi, ylo, yhi;
   };

@@ -61,13 +61,13 @@ void Server::stop() {
     stopping_ = true;
     stop_cv_.notify_all();
   }
-  // Closing the listeners makes blocked accept() calls return; shutting
-  // down live connections makes blocked recv() calls return. The handler
-  // threads then fall out of their loops on their own.
+  // Shutting down the listeners makes blocked accept() calls return;
+  // shutting down live connections makes blocked recv() calls return. The
+  // accept and handler threads then fall out of their loops on their own.
+  // The listeners close only after those threads are joined: an accept
+  // loop still reads its listener's fd until it returns.
   tcp_listener_.shutdown_both();
   unix_listener_.shutdown_both();
-  tcp_listener_.close();
-  unix_listener_.close();
   {
     const std::lock_guard<std::mutex> lock(mu_);
     for (Socket& c : conns_) c.shutdown_both();
@@ -81,6 +81,8 @@ void Server::stop() {
     if (batch.empty()) break;
     for (std::thread& t : batch) t.join();
   }
+  tcp_listener_.close();
+  unix_listener_.close();
   if (!opt_.unix_path.empty()) ::unlink(opt_.unix_path.c_str());
 }
 

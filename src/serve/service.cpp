@@ -11,7 +11,6 @@
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/strf.hpp"
-#include "util/trace.hpp"
 
 namespace m3d::serve {
 
@@ -207,21 +206,23 @@ Response Service::run_owner(const Request& req, uint64_t key,
 Response Service::execute(const Request& req, uint64_t key,
                           const std::string& canonical,
                           const std::shared_ptr<Inflight>& entry) {
-  const util::ScopedMsObserver latency("serve.request_ms");
+  std::optional<obs::ScopedTraceEnable> trace_window;
+  std::optional<obs::ScopedContext> attribution;
+  if (opt_.trace) {
+    trace_window.emplace();
+    obs::Context ctx = obs::context();
+    ctx.flow = obs::register_flow(util::strf(
+        "serve %s %s", gen::to_string(req.bench), tech::to_string(req.style)));
+    attribution.emplace(ctx);
+  }
+  // The request's root span: its latency (hold included) and, when traced,
+  // the parent of the flow's spans.
+  const obs::Span request_span("serve.request");
 
   // Ops/test knob: hold the slot before running (deterministic overload
   // windows for the CI smoke script). Bounded by kMaxHoldMs at parse time.
   if (req.hold_ms > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(req.hold_ms));
-  }
-
-  std::optional<obs::ScopedTraceEnable> trace_window;
-  std::optional<obs::ScopedFlow> attribution;
-  if (opt_.trace) {
-    trace_window.emplace();
-    attribution.emplace(obs::register_flow(
-        util::strf("serve %s %s", gen::to_string(req.bench),
-                   tech::to_string(req.style))));
   }
 
   flow::FlowOptions fopt;

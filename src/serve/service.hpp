@@ -32,11 +32,12 @@
 //
 // Observability: serve.admit / serve.reject / serve.coalesce /
 // serve.cache_hit / serve.cache_store / serve.timeout / serve.flow_runs /
-// serve.errors counters, a serve.queue_depth gauge and a serve.request_ms
-// histogram in the global MetricsRegistry, plus a per-Service Stats
-// snapshot (tests assert on Stats so parallel suites cannot interfere).
-// With ServeOptions::trace, each executed request registers an obs flow
-// ("serve <bench> <style>") and runs under obs::ScopedFlow attribution.
+// serve.errors counters, a serve.queue_depth gauge and a span.serve.request
+// latency histogram (one obs::Span per executed request) in the global
+// MetricsRegistry, plus a per-Service Stats snapshot (tests assert on
+// Stats so parallel suites cannot interfere). With ServeOptions::trace,
+// each executed request registers an obs flow ("serve <bench> <style>"),
+// runs under it, and its serve.request span roots the request's timeline.
 #pragma once
 
 #include <condition_variable>
@@ -71,7 +72,7 @@ struct ServeOptions {
   /// (libraries, netlists, placements) in the same directory. Empty
   /// disables persistence.
   std::string store_dir;
-  /// Trace each executed request (obs::ScopedFlow attribution).
+  /// Trace each executed request, under its own obs flow.
   bool trace = false;
   /// Test seams (default no-ops): invoked by the owner right after its
   /// entry is registered (before slot wait), and by a coalescing request

@@ -6,9 +6,9 @@
 #include <limits>
 
 #include "exec/exec.hpp"
+#include "obs/trace.hpp"
 #include "util/metrics.hpp"
 #include "util/strf.hpp"
-#include "util/trace.hpp"
 
 namespace m3d::sta {
 namespace {
@@ -35,10 +35,7 @@ double net_delay_ps(const extract::NetParasitics& par, size_t sink_idx,
 
 TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
                      const StaOptions& opt) {
-  // Counters only (no span): run_sta sits inside the optimizer's inner loop,
-  // so per-call span logging would swamp the debug stream. The histogram
-  // still captures every call's duration.
-  const util::ScopedMsObserver observer("sta.run_sta_ms");
+  const obs::Span span("sta.run");
   util::count("sta.runs");
   const int num_nets = nl.num_nets();
   const int num_inst = nl.num_instances();

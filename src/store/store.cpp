@@ -13,11 +13,11 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/trace.hpp"
 #include "store/blob.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/strf.hpp"
-#include "util/trace.hpp"
 
 namespace m3d::store {
 namespace {
@@ -146,7 +146,7 @@ std::optional<std::string> Store::get(const std::string& stage,
   GetOutcome oc = GetOutcome::kMiss;
   std::optional<std::string> result;
   if (enabled()) {
-    const util::ScopedTimer span("store.get");
+    const obs::Span span("store.get");
     const std::string path = entry_path(stage, key_string);
     std::string text;
     if (read_file(path, &text)) {
@@ -202,7 +202,7 @@ std::optional<std::string> Store::get(const std::string& stage,
 bool Store::put(const std::string& stage, const std::string& key_string,
                 const std::string& blob) const {
   if (!enabled()) return false;
-  const util::ScopedTimer span("store.put");
+  const obs::Span span("store.put");
   ::mkdir(dir_.c_str(), 0777);  // best effort; failure surfaces on open
 
   // Shared lock: concurrent writers are fine (rename is atomic; the last
@@ -268,7 +268,7 @@ std::vector<EntryInfo> Store::list() const {
 GcResult Store::gc(uint64_t max_bytes) const {
   GcResult res;
   if (!enabled()) return res;
-  const util::ScopedTimer span("store.gc");
+  const obs::Span span("store.gc");
   const DirLock lock(dir_, /*exclusive=*/true);
 
   // Stray temp files (a crashed writer) are garbage by definition: with the

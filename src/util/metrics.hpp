@@ -110,9 +110,10 @@ class MetricsRegistry {
 };
 
 /// RAII redirection of this thread's metric reporting into `sink` (see
-/// MetricsRegistry::current()). The exec pool captures the submitter's sink
-/// at task-submit time and installs it on the worker, so metrics emitted on
-/// pool threads land in the flow that spawned the work.
+/// MetricsRegistry::current()). The sink is part of the thread's
+/// obs::Context (obs/trace.hpp), which the exec pool captures at submit and
+/// installs on the worker, so metrics emitted on pool threads land in the
+/// flow that spawned the work.
 class ScopedMetricsSink {
  public:
   explicit ScopedMetricsSink(MetricsRegistry& sink);

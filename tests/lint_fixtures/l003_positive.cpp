@@ -1,4 +1,4 @@
-// L003 positives: wall-clock reads outside util/trace + util/log.
+// L003 positives: wall-clock reads outside util/log.
 #include <chrono>
 #include <ctime>
 

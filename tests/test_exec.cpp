@@ -15,11 +15,11 @@
 #include "flow/flow.hpp"
 #include "flow/report.hpp"
 #include "gen/gen.hpp"
+#include "obs/trace.hpp"
 #include "place/place.hpp"
 #include "route/route.hpp"
 #include "tech/tech.hpp"
 #include "util/metrics.hpp"
-#include "util/trace.hpp"
 #include "test_fixtures.hpp"
 
 namespace m3d::exec {
@@ -123,9 +123,9 @@ TEST(Exec, WorkerSpansAdoptSubmitterSpanDepth) {
   ThreadPool pool(threads(4));
   std::atomic<int> seen_depth{-1};
   {
-    const util::ScopedTimer span("test.exec.span_ctx");
-    ASSERT_EQ(util::span_depth(), 1);
-    pool.submit([&] { seen_depth = util::span_depth(); });
+    const obs::Span span("test.exec.span_ctx");
+    ASSERT_EQ(obs::context().depth, 1);
+    pool.submit([&] { seen_depth = obs::context().depth; });
     // Poll without helping, so the task demonstrably runs on a pool worker.
     for (int spins = 0; seen_depth.load() < 0 && spins < 5000; ++spins) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));

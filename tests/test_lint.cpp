@@ -112,7 +112,7 @@ TEST(Lint, L003IgnoresMonotonicClockAndLookalikes) {
 }
 
 TEST(Lint, L003AllowedInTraceAndLog) {
-  const auto diags = lint::lint_source("src/util/trace.cpp",
+  const auto diags = lint::lint_source("src/util/log.cpp",
                                        read_fixture("l003_positive.cpp"));
   EXPECT_EQ(rules_of(diags).count("L003"), 0u);
 }
@@ -566,7 +566,8 @@ TEST(Lint, ChangedFilesFastPathAnalyzesOnlyTheAffectedNeighborhood) {
 // The Chrome trace exporter carries exactly one sanctioned wall-clock site
 // (the `captured_at` metadata stamp in src/obs/export.cpp). That site is
 // handled by inline reasoned suppressions, NOT by widening l003_allowed:
-// the allow list names the only files whose *purpose* is timekeeping, and
+// the allow list names the only file whose *purpose* is wall-clock time
+// (util/log's stamps; span timing in src/obs reads only steady_clock), and
 // growing it would exempt whole files forever. These tests pin all three
 // facts: the default allow list is unchanged, the real export.cpp lints
 // clean through its suppressions, and the same code without suppressions
@@ -574,8 +575,7 @@ TEST(Lint, ChangedFilesFastPathAnalyzesOnlyTheAffectedNeighborhood) {
 
 TEST(Lint, L003AllowListUnchangedByObsSubsystem) {
   const lint::Options defaults;
-  const std::vector<std::string> expected = {"src/util/trace",
-                                             "src/util/log"};
+  const std::vector<std::string> expected = {"src/util/log"};
   EXPECT_EQ(defaults.l003_allowed, expected)
       << "src/obs must use inline allow(L003) suppressions, not the list";
 }

@@ -1,6 +1,6 @@
 // Tests for the structured trace subsystem (src/obs): the per-thread event
 // collector, the drop-newest buffer policy, exactly-once span emission from
-// ScopedTimer, SpanContext propagation across ThreadPool workers, the
+// obs::Span, obs::Context propagation across ThreadPool workers, the
 // Chrome trace export + validator, the v2/v3 run-report split, and the
 // memory profiling hooks.
 //
@@ -12,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/exec.hpp"
@@ -24,7 +27,6 @@
 #include "test_fixtures.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
-#include "util/trace.hpp"
 
 namespace m3d {
 namespace {
@@ -126,13 +128,13 @@ TEST(ObsCollector, FullBufferDropsNewestAndCountsDrops) {
                    12.0);
 }
 
-TEST(ObsTrace, ScopedTimerEmitsBalancedPairExactlyOnce) {
+TEST(ObsTrace, SpanEmitsBalancedPairExactlyOnce) {
   obs::reset();
   obs::ScopedTraceEnable window;
   {
-    util::ScopedTimer outer("t.outer");
+    obs::Span outer("t.outer");
     {
-      util::ScopedTimer inner("t.inner");
+      obs::Span inner("t.inner");
       inner.stop();
       // A second stop and the destructor must not re-emit.
       inner.stop();
@@ -162,50 +164,97 @@ TEST(ObsTrace, SpanBegunInsideWindowEndsAfterWindowCloses) {
   // was disabled in between — exported traces stay balanced.
   obs::reset();
   auto* window = new obs::ScopedTraceEnable;
-  auto* timer = new util::ScopedTimer("t.straddle");
+  auto* span = new obs::Span("t.straddle");
   delete window;  // collection off, span still open
   EXPECT_FALSE(obs::enabled());
-  delete timer;
+  delete span;
   const auto evs = all_events(obs::snapshot());
   EXPECT_EQ(count_type(evs, obs::EventType::kBegin, "t.straddle"), 1);
   EXPECT_EQ(count_type(evs, obs::EventType::kEnd), 1);
 }
 
-/// Runs one traced task through `pool` that opens an inner span, and
-/// returns (submitter span id, exec.task begin count, inner begin parent,
-/// exec.task parent) extracted from the snapshot.
+/// Runs one traced task through `pool` under a registered flow and a
+/// private metrics sink, installed by one ScopedContext. The task opens an
+/// inner span and bumps a counter; the submitter waits (without helping)
+/// until the task ran, so on a parallel pool the body runs on a worker.
 struct PropagationTrace {
   uint64_t submitter_id = 0;
+  uint32_t flow = 0;  // the submitter's registered flow
   int task_begins = 0;
-  uint64_t inner_parent = 0;
+  uint64_t task_id = 0;
   uint64_t task_parent = 0;
+  uint64_t inner_parent = 0;
+  /// Flow of every exec.task and inner begin event.
+  std::vector<uint32_t> task_side_flows;
+  bool inner_on_submitter_thread = false;
+  double sink_count = 0.0;    // the task's counter in the submitter's sink
+  double global_delta = 0.0;  // ... and in the global registry
 };
 
 PropagationTrace run_propagation_case(exec::ThreadPool& pool) {
   obs::reset();
   obs::ScopedTraceEnable window;
   PropagationTrace out;
+  util::MetricsRegistry sink;
+  auto& global = util::MetricsRegistry::global();
+  const double global_before = global.counter("t.worker_count");
   {
-    util::ScopedTimer submitter("t.submit");
-    out.submitter_id = util::current_span_id();
+    obs::Context ctx = obs::context();
+    ctx.flow = out.flow = obs::register_flow("t.propagation");
+    ctx.sink = &sink;
+    const obs::ScopedContext scope(ctx);
+    obs::Span submitter("t.submit");
+    out.submitter_id = obs::context().span_id;
+    std::atomic<bool> ran{false};
     exec::TaskGroup group(pool);
-    group.run([] { util::ScopedTimer inner("t.worker_inner"); });
+    group.run([&ran] {
+      obs::Span inner("t.worker_inner");
+      util::count("t.worker_count");
+      ran = true;
+    });
+    for (int spins = 0; !ran.load() && spins < 5000; ++spins) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     group.wait();
   }
-  const auto evs = all_events(obs::snapshot());
-  for (const auto& ev : evs) {
-    if (ev.type != obs::EventType::kBegin) continue;
-    if (ev.name == "exec.task") {
-      ++out.task_begins;
-      out.task_parent = ev.parent_id;
-    } else if (ev.name == "t.worker_inner") {
-      out.inner_parent = ev.parent_id;
+  out.sink_count = sink.counter("t.worker_count");
+  out.global_delta = global.counter("t.worker_count") - global_before;
+  for (const auto& th : obs::snapshot().threads) {
+    bool has_submit = false;
+    bool has_inner = false;
+    for (const auto& ev : th.events) {
+      if (ev.type != obs::EventType::kBegin) continue;
+      if (ev.name == "t.submit") {
+        has_submit = true;
+      } else if (ev.name == "exec.task") {
+        ++out.task_begins;
+        out.task_id = ev.span_id;
+        out.task_parent = ev.parent_id;
+        out.task_side_flows.push_back(ev.flow);
+      } else if (ev.name == "t.worker_inner") {
+        has_inner = true;
+        out.inner_parent = ev.parent_id;
+        out.task_side_flows.push_back(ev.flow);
+      }
     }
+    if (has_submit && has_inner) out.inner_on_submitter_thread = true;
   }
   return out;
 }
 
-TEST(ObsTrace, SpanContextPropagatesToSerialPool) {
+/// Flow and sink attribution hold on every pool: each task-side begin
+/// carries the submitter's flow, and the task's counter lands in the
+/// submitter's sink, never in the global registry.
+void expect_submitter_attribution(const PropagationTrace& t,
+                                  size_t task_side_begins) {
+  ASSERT_NE(t.flow, 0u);
+  EXPECT_EQ(t.task_side_flows.size(), task_side_begins);
+  for (uint32_t f : t.task_side_flows) EXPECT_EQ(f, t.flow);
+  EXPECT_DOUBLE_EQ(t.sink_count, 1.0);
+  EXPECT_DOUBLE_EQ(t.global_delta, 0.0);
+}
+
+TEST(ObsTrace, ContextPropagatesToSerialPool) {
   exec::ExecOptions opt;
   opt.num_threads = 1;
   exec::ThreadPool pool(opt);
@@ -215,10 +264,12 @@ TEST(ObsTrace, SpanContextPropagatesToSerialPool) {
   // Serial pools run tasks inline: no exec.task wrapper span, and the
   // worker-side span parents directly under the submitting span.
   EXPECT_EQ(t.task_begins, 0);
+  EXPECT_TRUE(t.inner_on_submitter_thread);
   EXPECT_EQ(t.inner_parent, t.submitter_id);
+  expect_submitter_attribution(t, 1);
 }
 
-TEST(ObsTrace, SpanContextPropagatesAcrossPoolWorkers) {
+TEST(ObsTrace, ContextPropagatesAcrossPoolWorkers) {
   exec::ExecOptions opt;
   opt.num_threads = 4;
   exec::ThreadPool pool(opt);
@@ -229,23 +280,19 @@ TEST(ObsTrace, SpanContextPropagatesAcrossPoolWorkers) {
   // parents to the submitting span; the inner span parents to the wrapper.
   // That chain is what keeps worker-side spans attached to the submitting
   // task in the exported trace.
+  EXPECT_FALSE(t.inner_on_submitter_thread);
   EXPECT_EQ(t.task_begins, 1);
   EXPECT_EQ(t.task_parent, t.submitter_id);
-  uint64_t task_id = 0;
-  for (const auto& ev : all_events(obs::snapshot())) {
-    if (ev.type == obs::EventType::kBegin && ev.name == "exec.task") {
-      task_id = ev.span_id;
-    }
-  }
-  EXPECT_EQ(t.inner_parent, task_id);
+  EXPECT_EQ(t.inner_parent, t.task_id);
+  expect_submitter_attribution(t, 2);
 }
 
 TEST(ObsExport, SummarizeSpansComputesSelfTime) {
   obs::reset();
   obs::ScopedTraceEnable window;
   {
-    util::ScopedTimer outer("t.sum_outer");
-    util::ScopedTimer inner("t.sum_inner");
+    obs::Span outer("t.sum_outer");
+    obs::Span inner("t.sum_inner");
   }
   const auto spans = obs::summarize_spans(obs::snapshot());
   const auto find = [&](const char* name) -> const obs::SpanSummary* {
@@ -275,8 +322,10 @@ TEST(ObsExport, ChromeTraceValidatesAndNamesEveryTrack) {
   obs::set_thread_name("test_main");
   const uint32_t flow_id = obs::register_flow("test_flow");
   {
-    obs::ScopedFlow attribution(flow_id);
-    util::ScopedTimer span("t.export");
+    obs::Context ctx = obs::context();
+    ctx.flow = flow_id;
+    const obs::ScopedContext attribution(ctx);
+    obs::Span span("t.export");
     obs::emit_counter("t.gauge", 7.0);
     obs::emit_instant("t.mark");
   }

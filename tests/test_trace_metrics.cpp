@@ -4,10 +4,10 @@
 #include <thread>
 
 #include "flow/report.hpp"
+#include "obs/trace.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
-#include "util/trace.hpp"
 
 namespace m3d {
 namespace {
@@ -149,17 +149,17 @@ TEST(Metrics, ThreadSafeCounting) {
 }
 
 TEST(Trace, SpansNestAndRecord) {
-  EXPECT_EQ(util::span_depth(), 0);
+  EXPECT_EQ(obs::context().depth, 0);
   {
-    util::ScopedTimer outer("test.outer");
-    EXPECT_EQ(util::span_depth(), 1);
+    obs::Span outer("test.outer");
+    EXPECT_EQ(obs::context().depth, 1);
     {
-      util::ScopedTimer inner("test.inner");
-      EXPECT_EQ(util::span_depth(), 2);
+      obs::Span inner("test.inner");
+      EXPECT_EQ(obs::context().depth, 2);
     }
-    EXPECT_EQ(util::span_depth(), 1);
+    EXPECT_EQ(obs::context().depth, 1);
   }
-  EXPECT_EQ(util::span_depth(), 0);
+  EXPECT_EQ(obs::context().depth, 0);
   auto& reg = MetricsRegistry::global();
   EXPECT_EQ(reg.histogram("span.test.outer").count, 1);
   EXPECT_EQ(reg.histogram("span.test.inner").count, 1);
@@ -167,10 +167,10 @@ TEST(Trace, SpansNestAndRecord) {
 }
 
 TEST(Trace, StopIsIdempotentAndEndsTheSpan) {
-  util::ScopedTimer t("test.stop");
+  obs::Span t("test.stop");
   const double ms = t.stop();
   EXPECT_GE(ms, 0.0);
-  EXPECT_EQ(util::span_depth(), 0);
+  EXPECT_EQ(obs::context().depth, 0);
   EXPECT_DOUBLE_EQ(t.stop(), 0.0);  // second stop: no-op
   EXPECT_EQ(MetricsRegistry::global().histogram("span.test.stop").count, 1);
 }

@@ -1,11 +1,13 @@
 // m3d_prof: one-shot flow profiler. Runs the full flow for one benchmark
 // (both styles by default) with structured trace collection on, then emits:
 //
-//   * trace_<bench>_<style>.json — Chrome trace-event JSON per style; open
-//     in https://ui.perfetto.dev or chrome://tracing. One pid per flow, one
-//     named tid per thread (main + "<pool>/worker<i>"), with exec pool
-//     enqueue/steal instants, per-worker idle windows, and per-stage memory
-//     counter tracks (mem.rss_mb / mem.hwm_mb / mem.stage_alloc_mb).
+//   * trace_<bench>_<style>.json — Chrome trace-event JSON per style, read
+//     back and checked with obs::validate_chrome_trace (an invalid trace
+//     fails the run); open in https://ui.perfetto.dev or chrome://tracing.
+//     One pid per flow, one named tid per thread (main +
+//     "<pool>/worker<i>"), with exec pool enqueue/steal instants,
+//     per-worker idle windows, and per-stage memory counter tracks
+//     (mem.rss_mb / mem.hwm_mb / mem.stage_alloc_mb).
 //   * a top-N self-time table per style (from the deterministic span
 //     summary that also lands in the v3 run report), and
 //   * a per-stage memory profile (stage-exit RSS, peak RSS, counting-
@@ -21,10 +23,16 @@
 //   m3d_prof [--bench FPU] [--style 2D|T-MI|T-MI+M|both] [--clock ns]
 //            [--seed n] [--scale n] [--check none|basic|full]
 //            [--out-dir .] [--top 15]
+//
+// --out-dir is created when missing. Exit status: 0 on success, 1 when a
+// trace cannot be written or fails validation, 2 on a usage error.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,6 +43,7 @@
 #include "obs/mem.hpp"
 #include "obs/trace.hpp"
 #include "tech/tech.hpp"
+#include "util/json.hpp"
 #include "util/strf.hpp"
 #include "util/table.hpp"
 
@@ -101,6 +110,21 @@ void print_top_spans(const std::vector<m3d::obs::SpanSummary>& spans,
   t.print();
 }
 
+/// Reads the trace file at `path` back and validates it; on failure
+/// describes the problem in *err.
+bool validate_trace_file(const std::string& path, std::string* err) {
+  std::ifstream is(path);
+  if (!is) {
+    *err = "cannot read it back";
+    return false;
+  }
+  std::ostringstream text;
+  text << is.rdbuf();
+  m3d::util::json::Value doc;
+  return m3d::util::json::parse(text.str(), &doc, err) &&
+         m3d::obs::validate_chrome_trace(doc, err);
+}
+
 void print_memory(const m3d::flow::FlowResult& r) {
   m3d::util::Table t("per-stage memory profile");
   t.set_header({"stage", "rss MB", "peak MB", "alloc MB", "allocs"});
@@ -161,6 +185,14 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "m3d_prof: cannot create %s: %s\n", out_dir.c_str(),
+                 ec.message().c_str());
+    return 1;
+  }
+
   m3d::obs::set_thread_name("main");
   const m3d::liberty::Library lib2d =
       m3d::liberty::analytic_library(m3d::tech::Style::k2D);
@@ -193,6 +225,13 @@ int main(int argc, char** argv) {
         m3d::obs::trace_filename(r.bench_name, m3d::tech::to_string(style));
     if (!m3d::obs::write_chrome_trace(snap, trace_path)) {
       std::fprintf(stderr, "m3d_prof: cannot write %s\n", trace_path.c_str());
+      ++failures;
+      continue;
+    }
+    std::string err;
+    if (!validate_trace_file(trace_path, &err)) {
+      std::fprintf(stderr, "m3d_prof: invalid trace %s: %s\n",
+                   trace_path.c_str(), err.c_str());
       ++failures;
       continue;
     }
