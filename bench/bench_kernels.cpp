@@ -374,6 +374,19 @@ BENCHMARK(BM_ExtractPlacementLdpc)
     ->Name("extract.placement")
     ->Unit(benchmark::kMillisecond);
 
+// sta.run: one full setup-timing pass (the opt loop re-runs it every
+// round) on the final netlist with its routed parasitics at 8.5 ns.
+void BM_StaRunLdpc(benchmark::State& state) {
+  auto& f = ldpc_fixture();
+  const auto par = extract::extract_from_routes(f.flow.netlist, f.tch, f.flow.routes);
+  sta::StaOptions opt;
+  opt.clock_ns = 8.5;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sta::run_sta(f.flow.netlist, par, opt));
+  }
+}
+BENCHMARK(BM_StaRunLdpc)->Name("sta.run")->Unit(benchmark::kMillisecond);
+
 // --- Numeric kernel layer (src/numeric) vs retained dense baselines. -----
 //
 // spice.newton_step: a transient run of the largest characterization

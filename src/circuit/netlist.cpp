@@ -163,6 +163,7 @@ std::vector<InstId> Netlist::topo_order() const {
     if (gi.sequential()) continue;
     for (NetId out : gi.out_nets) {
       for (const PinRef& s : nets_[static_cast<size_t>(out)].sinks) {
+        if (s.inst == kInvalid) continue;  // a primary-output pin
         const Instance& si = instances_[static_cast<size_t>(s.inst)];
         if (si.dead || si.sequential()) continue;
         if (--pending[static_cast<size_t>(s.inst)] == 0) ready.push_back(s.inst);

@@ -1,8 +1,10 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -30,6 +32,11 @@ struct ThreadBuffer {
   uint64_t recorded = 0;
   uint64_t dropped = 0;
   uint64_t high_water = 0;
+  /// Spans whose begin this buffer accepted and whose end is still due:
+  /// each holds one reserved slot, so its end is never dropped.
+  std::vector<uint64_t> open;
+  /// Spans whose begin was dropped: their ends are dropped too.
+  std::vector<uint64_t> refused;
 };
 
 struct Registry {
@@ -81,18 +88,46 @@ std::string indent(int depth) {
   return std::string(static_cast<size_t>(depth) * 2, ' ');
 }
 
+void drop(ThreadBuffer& buf) {
+  ++buf.dropped;
+  if (buf.dropped == 1) {
+    util::warn(util::strf(
+        "obs: trace buffer of %s full (%zu events); dropping new events — "
+        "raise M3D_TRACE_BUF to capture more",
+        buf.name.c_str(), buf.events.size()));
+  }
+}
+
+/// Removes `id` from `ids` (searched from the back: spans end LIFO);
+/// false when absent.
+bool take(std::vector<uint64_t>& ids, uint64_t id) {
+  const auto it = std::find(ids.rbegin(), ids.rend(), id);
+  if (it == ids.rend()) return false;
+  ids.erase(std::next(it).base());
+  return true;
+}
+
 void record(TraceEvent ev) {
   ThreadBuffer& buf = local_buffer();
   std::lock_guard<std::mutex> lock(buf.mu);
-  if (buf.events.size() >= buffer_capacity()) {
-    ++buf.dropped;
-    if (buf.dropped == 1) {
-      util::warn(util::strf(
-          "obs: trace buffer of %s full (%zu events); dropping new events — "
-          "raise M3D_TRACE_BUF to capture more",
-          buf.name.c_str(), buf.events.size()));
+  if (ev.type == EventType::kEnd) {
+    if (take(buf.refused, ev.span_id)) {
+      drop(buf);
+      return;
     }
-    return;
+    // An end whose begin reset() cleared away would be unmatched.
+    if (!take(buf.open, ev.span_id)) return;
+  } else {
+    // Room for this event, the reserved ends of the spans already open
+    // and, for a begin, its own end.
+    const size_t need = buf.events.size() + buf.open.size() +
+                        (ev.type == EventType::kBegin ? 2 : 1);
+    if (need > buffer_capacity()) {
+      if (ev.type == EventType::kBegin) buf.refused.push_back(ev.span_id);
+      drop(buf);
+      return;
+    }
+    if (ev.type == EventType::kBegin) buf.open.push_back(ev.span_id);
   }
   buf.events.push_back(std::move(ev));
   ++buf.recorded;
@@ -289,6 +324,8 @@ void reset() {
   for (const auto& buf : reg.threads) {
     std::lock_guard<std::mutex> buf_lock(buf->mu);
     buf->events.clear();
+    buf->open.clear();
+    buf->refused.clear();
     buf->recorded = 0;
     buf->dropped = 0;
     buf->high_water = 0;

@@ -20,8 +20,12 @@
 //
 // Buffer policy: each thread's buffer holds at most buffer_capacity()
 // events (M3D_TRACE_BUF, default 65536). When full, *new* events are
-// dropped — never overwritten — so a truncated trace keeps a well-formed
-// prefix; drops are counted per thread and published as `obs.events_dropped`
+// dropped — never overwritten. A span's begin is accepted only with room
+// for its end on top of the ends already reserved by the thread's open
+// spans; an accepted begin's end is always recorded, and a dropped begin's
+// end is dropped with it. So a truncated trace stays balanced: every B has
+// its E, though the spans that closed after the buffer filled are missing
+// from it. Drops are counted per thread and published as `obs.events_dropped`
 // (plus `obs.events_recorded` and `obs.buffer_high_water`) at snapshot
 // time, and the first drop per thread logs a warning. Trace truncation is
 // never silent.

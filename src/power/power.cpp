@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sta/cell_tables.hpp"
+
 namespace m3d::power {
 namespace {
 
@@ -102,6 +104,7 @@ PowerResult run_power(const circuit::Netlist& nl, const extract::Parasitics& par
     }
   }
 
+  const sta::CellTables cell_tables(nl);
   const double v2 = opt.vdd_v * opt.vdd_v;
   const double f_per_ns = 1.0 / opt.clock_ns;
 
@@ -115,10 +118,9 @@ PowerResult run_power(const circuit::Netlist& nl, const extract::Parasitics& par
     double pin_c = 0.0;
     for (const auto& s : net.sinks) {
       if (s.inst == circuit::kInvalid) continue;
-      const circuit::Instance& si = nl.inst(s.inst);
-      if (si.libcell == nullptr) continue;
-      const auto& pins = cells::input_pins(si.func);
-      pin_c += si.libcell->input_cap_ff(pins[static_cast<size_t>(s.pin)]);
+      const sta::CellTable* cell = cell_tables.of(s.inst);
+      if (cell == nullptr) continue;
+      pin_c += cell->pin_cap_ff[static_cast<size_t>(s.pin)];
     }
     // fF * V^2 * (1/ns) = uW.
     r.wire_uw += 0.5 * a * wire_c * v2 * f_per_ns;

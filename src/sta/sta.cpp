@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "exec/exec.hpp"
 #include "obs/trace.hpp"
+#include "sta/cell_tables.hpp"
 #include "util/metrics.hpp"
 #include "util/strf.hpp"
 
@@ -15,14 +17,205 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::max() / 4;
 constexpr double kPoLoadFf = 2.0;  // assumed load on primary outputs
+constexpr int kNoSlot = -1;        // sink slot of a primary output
+constexpr size_t kLevelGrain = 32;  // fixed => same chunks at any threads
 
-/// Pin capacitance of a sink (0 for primary outputs).
-double sink_cap_ff(const circuit::Netlist& nl, const circuit::PinRef& s) {
-  if (s.inst == circuit::kInvalid) return kPoLoadFf;
-  const circuit::Instance& inst = nl.inst(s.inst);
-  if (inst.libcell == nullptr) return 0.0;
-  const auto& pins = cells::input_pins(inst.func);
-  return inst.libcell->input_cap_ff(pins[static_cast<size_t>(s.pin)]);
+// Instance and net kinds, resolved once per call.
+enum : uint8_t {
+  kDead = 1,     // instance removed by optimization
+  kSeq = 2,      // sequential instance
+  kBound = 4,    // instance with a libcell
+  kSource = 8,   // net: primary input or clock
+  kClock = 16,   // net: clock
+  kPo = 32,      // net: primary output
+};
+
+/// The netlist compiled into flat arrays for one timing call. Instance i's
+/// input pins are the slots [pin_off[i], pin_off[i+1]) of every per-pin
+/// array, its output nets out_net[out_off[i], out_off[i+1]), and its arcs
+/// the slots arc_off[i] + out * num_in + in; net n's sinks are
+/// [sink_off[n], sink_off[n+1]) in Net::sinks order. Rebuilt on every
+/// call: nothing here outlives the netlist edits between calls.
+struct Graph {
+  explicit Graph(const circuit::Netlist& nl) : cells(nl) {}
+
+  CellTables cells;
+  std::vector<uint8_t> inst_kind;
+  std::vector<int> pin_off;  // [num_inst + 1]
+  std::vector<int> out_off;  // [num_inst + 1]
+  std::vector<int> arc_off;  // [num_inst + 1]
+  std::vector<circuit::NetId> pin_net;  // by pin slot: Instance::in_nets
+  std::vector<circuit::NetId> out_net;  // Instance::out_nets
+  std::vector<uint8_t> net_kind;
+  std::vector<int> sink_off;  // [num_nets + 1]
+  std::vector<circuit::InstId> sink_inst;  // kInvalid: primary output
+  std::vector<int> sink_slot;              // kNoSlot: primary output
+  std::vector<double> sink_cap_ff;         // kPoLoadFf: primary output
+  std::vector<double> sink_delay_ps;       // net_delay_ps to the sink
+  /// By net: wire cap plus every sink's cap, summed in sink order.
+  std::vector<double> load_ff;
+  /// Live instances Kahn's algorithm ordered (Netlist::topo_order's set).
+  size_t num_ordered = 0;
+  /// Timed instances (combinational, with a libcell) bucketed by level:
+  /// level l is level_inst[level_off[l], level_off[l+1]), in topological
+  /// order within the level.
+  std::vector<int> level_off;
+  std::vector<circuit::InstId> level_inst;
+
+  bool is(circuit::InstId i, uint8_t kind) const {
+    return (inst_kind[static_cast<size_t>(i)] & kind) != 0;
+  }
+  /// Combinational and bound: propagated level by level.
+  bool timed(circuit::InstId i) const {
+    return (inst_kind[static_cast<size_t>(i)] & (kSeq | kBound)) == kBound;
+  }
+  /// Live, sequential and bound: a timing start and end point.
+  bool flop(circuit::InstId i) const {
+    return (inst_kind[static_cast<size_t>(i)] & (kDead | kSeq | kBound)) ==
+           (kSeq | kBound);
+  }
+  size_t num_levels() const { return level_off.size() - 1; }
+  const circuit::InstId* level(size_t l) const {
+    return level_inst.data() + level_off[l];
+  }
+  size_t level_size(size_t l) const {
+    return static_cast<size_t>(level_off[l + 1] - level_off[l]);
+  }
+};
+
+/// Kahn's algorithm with Netlist::topo_order's queue discipline (the same
+/// order), fixing each instance's level as it leaves the queue, when all
+/// of its combinational drivers already have. Levels follow topo_order's
+/// edge rule: only combinational drivers count, flops and primary inputs
+/// are sources.
+void levelize(const std::vector<circuit::InstId>& comb_driver, Graph* g) {
+  const size_t num_inst = g->inst_kind.size();
+  std::vector<int> pending(num_inst, 0);
+  std::vector<int> level(num_inst, 0);
+  std::vector<circuit::InstId> order;
+  order.reserve(num_inst);
+  for (circuit::InstId i = 0; i < static_cast<circuit::InstId>(num_inst); ++i) {
+    if (g->is(i, kDead)) continue;
+    int deps = 0;
+    if (!g->is(i, kSeq)) {
+      for (int p = g->pin_off[static_cast<size_t>(i)];
+           p < g->pin_off[static_cast<size_t>(i) + 1]; ++p) {
+        const circuit::NetId in = g->pin_net[static_cast<size_t>(p)];
+        deps += comb_driver[static_cast<size_t>(in)] != circuit::kInvalid ? 1 : 0;
+      }
+    }
+    pending[static_cast<size_t>(i)] = deps;
+    if (deps == 0) order.push_back(i);
+  }
+  size_t num_levels = 0;
+  for (size_t head = 0; head < order.size(); ++head) {
+    const circuit::InstId id = order[head];
+    if (g->is(id, kSeq)) continue;  // level 0; flops release no one
+    int lv = 0;
+    for (int p = g->pin_off[static_cast<size_t>(id)];
+         p < g->pin_off[static_cast<size_t>(id) + 1]; ++p) {
+      const circuit::InstId d =
+          comb_driver[static_cast<size_t>(g->pin_net[static_cast<size_t>(p)])];
+      if (d != circuit::kInvalid) {
+        lv = std::max(lv, level[static_cast<size_t>(d)] + 1);
+      }
+    }
+    level[static_cast<size_t>(id)] = lv;
+    if (g->is(id, kBound)) {
+      num_levels = std::max(num_levels, static_cast<size_t>(lv) + 1);
+    }
+    for (int o = g->out_off[static_cast<size_t>(id)];
+         o < g->out_off[static_cast<size_t>(id) + 1]; ++o) {
+      const size_t out = static_cast<size_t>(g->out_net[static_cast<size_t>(o)]);
+      for (int k = g->sink_off[out]; k < g->sink_off[out + 1]; ++k) {
+        const circuit::InstId si = g->sink_inst[static_cast<size_t>(k)];
+        if (si == circuit::kInvalid || g->is(si, kDead | kSeq)) continue;
+        if (--pending[static_cast<size_t>(si)] == 0) order.push_back(si);
+      }
+    }
+  }
+  g->num_ordered = order.size();
+
+  // Stable counting sort of the timed instances by level.
+  g->level_off.assign(num_levels + 1, 0);
+  for (circuit::InstId id : order) {
+    if (!g->timed(id)) continue;
+    ++g->level_off[static_cast<size_t>(level[static_cast<size_t>(id)]) + 1];
+  }
+  for (size_t l = 0; l < num_levels; ++l) g->level_off[l + 1] += g->level_off[l];
+  g->level_inst.resize(static_cast<size_t>(g->level_off[num_levels]));
+  std::vector<int> cursor(g->level_off.begin(), g->level_off.end() - 1);
+  for (circuit::InstId id : order) {
+    if (!g->timed(id)) continue;
+    const size_t lv = static_cast<size_t>(level[static_cast<size_t>(id)]);
+    g->level_inst[static_cast<size_t>(cursor[lv]++)] = id;
+  }
+}
+
+Graph compile(const circuit::Netlist& nl, const extract::Parasitics& par) {
+  const size_t num_inst = static_cast<size_t>(nl.num_instances());
+  const size_t num_nets = static_cast<size_t>(nl.num_nets());
+  assert(par.size() == num_nets);
+  Graph g(nl);
+  g.inst_kind.resize(num_inst);
+  g.pin_off.assign(num_inst + 1, 0);
+  g.out_off.assign(num_inst + 1, 0);
+  g.arc_off.assign(num_inst + 1, 0);
+  for (size_t i = 0; i < num_inst; ++i) {
+    const circuit::Instance& inst = nl.inst(static_cast<circuit::InstId>(i));
+    const size_t nin = inst.in_nets.size();
+    assert(inst.libcell == nullptr ||
+           g.cells.of(static_cast<circuit::InstId>(i))->num_in == nin);
+    g.inst_kind[i] = static_cast<uint8_t>((inst.dead ? kDead : 0) |
+                                          (inst.sequential() ? kSeq : 0) |
+                                          (inst.libcell != nullptr ? kBound : 0));
+    g.pin_off[i + 1] = g.pin_off[i] + static_cast<int>(nin);
+    g.out_off[i + 1] = g.out_off[i] + static_cast<int>(inst.out_nets.size());
+    g.arc_off[i + 1] = g.arc_off[i] + static_cast<int>(nin * inst.out_nets.size());
+    g.pin_net.insert(g.pin_net.end(), inst.in_nets.begin(), inst.in_nets.end());
+    g.out_net.insert(g.out_net.end(), inst.out_nets.begin(), inst.out_nets.end());
+  }
+  g.net_kind.resize(num_nets);
+  g.sink_off.assign(num_nets + 1, 0);
+  std::vector<circuit::InstId> comb_driver(num_nets, circuit::kInvalid);
+  for (size_t n = 0; n < num_nets; ++n) {
+    const circuit::Net& net = nl.net(static_cast<circuit::NetId>(n));
+    g.net_kind[n] = static_cast<uint8_t>(
+        (net.is_primary_input || net.is_clock ? kSource : 0) |
+        (net.is_clock ? kClock : 0) | (net.is_primary_output ? kPo : 0));
+    g.sink_off[n + 1] = g.sink_off[n] + static_cast<int>(net.sinks.size());
+    const circuit::InstId d = net.driver.inst;
+    if (d != circuit::kInvalid && !g.is(d, kSeq)) comb_driver[n] = d;
+  }
+  const size_t num_sinks = static_cast<size_t>(g.sink_off[num_nets]);
+  g.sink_inst.resize(num_sinks);
+  g.sink_slot.resize(num_sinks);
+  g.sink_cap_ff.resize(num_sinks);
+  g.sink_delay_ps.resize(num_sinks);
+  g.load_ff.resize(num_nets);
+  // Each net writes only its own sink range and load slot.
+  exec::parallel_for(num_nets, [&](size_t nb, size_t ne) {
+    for (size_t n = nb; n < ne; ++n) {
+      const auto& sinks = nl.net(static_cast<circuit::NetId>(n)).sinks;
+      const extract::NetParasitics& p = par[n];
+      const size_t base = static_cast<size_t>(g.sink_off[n]);
+      double load = p.wire_cap_ff;
+      for (size_t k = 0; k < sinks.size(); ++k) {
+        const circuit::PinRef& s = sinks[k];
+        const bool po = s.inst == circuit::kInvalid;
+        const double cap = po ? kPoLoadFf : g.cells.pin_cap_ff(s.inst, s.pin);
+        g.sink_inst[base + k] = s.inst;
+        g.sink_slot[base + k] =
+            po ? kNoSlot : g.pin_off[static_cast<size_t>(s.inst)] + s.pin;
+        g.sink_cap_ff[base + k] = cap;
+        g.sink_delay_ps[base + k] = net_delay_ps(p, k, cap);
+        load += cap;
+      }
+      g.load_ff[n] = load;
+    }
+  });
+  levelize(comb_driver, &g);
+  return g;
 }
 
 }  // namespace
@@ -33,6 +226,10 @@ double net_delay_ps(const extract::NetParasitics& par, size_t sink_idx,
   return par.sink_res(sink_idx) * (0.5 * par.wire_cap_ff + sink_pin_cap_ff);
 }
 
+// The passes below fold in the same order as a per-instance sweep over
+// Net::sinks and the cell's pins: every load, max over input arcs and min
+// over sinks and outputs visits its operands in that order, so the flat
+// arrays change where values live, never how they combine.
 TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
                      const StaOptions& opt) {
   const obs::Span span("sta.run");
@@ -40,65 +237,51 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
   const int num_nets = nl.num_nets();
   const int num_inst = nl.num_instances();
   const double clock_ps = opt.clock_ns * 1000.0;
-  assert(static_cast<int>(par.size()) == num_nets);
 
+  Graph g = compile(nl, par);
   TimingResult r;
   r.arrival_ps.assign(static_cast<size_t>(num_nets), 0.0);
   r.slew_ps.assign(static_cast<size_t>(num_nets), opt.primary_input_slew_ps);
   r.required_ps.assign(static_cast<size_t>(num_nets), kInf);
   r.inst_slack_ps.assign(static_cast<size_t>(num_inst), kInf);
-  r.load_ff.assign(static_cast<size_t>(num_nets), 0.0);
+  r.load_ff = std::move(g.load_ff);
 
-  // Loads: each net writes only its own slot.
-  exec::parallel_for(static_cast<size_t>(num_nets), [&](size_t nb, size_t ne) {
-    for (size_t n = nb; n < ne; ++n) {
-      const circuit::Net& net = nl.net(static_cast<circuit::NetId>(n));
-      double load = par[n].wire_cap_ff;
-      for (const auto& s : net.sinks) load += sink_cap_ff(nl, s);
-      r.load_ff[n] = load;
-    }
-  });
+  // Arrival/slew/required at each instance input pin, and the delay of
+  // each arc as the forward pass evaluated it.
+  const size_t num_pins = g.pin_net.size();
+  std::vector<double> arr_in(num_pins, 0.0);
+  std::vector<double> slew_in(num_pins, opt.primary_input_slew_ps);
+  std::vector<double> req_in(num_pins, kInf);
+  std::vector<double> arc_delay(static_cast<size_t>(g.arc_off.back()), 0.0);
 
-  // Arrival/slew at each instance input pin.
-  std::vector<std::vector<double>> arr_in(static_cast<size_t>(num_inst));
-  std::vector<std::vector<double>> slew_in(static_cast<size_t>(num_inst));
-  for (int i = 0; i < num_inst; ++i) {
-    const size_t nin = nl.inst(i).in_nets.size();
-    arr_in[static_cast<size_t>(i)].assign(nin, 0.0);
-    slew_in[static_cast<size_t>(i)].assign(nin, opt.primary_input_slew_ps);
-  }
-
+  const double k2 = opt.slew_degrade_k * opt.slew_degrade_k;
   auto propagate_net = [&](circuit::NetId n) {
-    const circuit::Net& net = nl.net(n);
-    const auto& p = par[static_cast<size_t>(n)];
-    for (size_t k = 0; k < net.sinks.size(); ++k) {
-      const auto& s = net.sinks[k];
-      if (s.inst == circuit::kInvalid) continue;
-      const double nd = net_delay_ps(p, k, sink_cap_ff(nl, s));
-      const double elmore = nd;
-      arr_in[static_cast<size_t>(s.inst)][static_cast<size_t>(s.pin)] =
-          r.arrival_ps[static_cast<size_t>(n)] + nd;
-      const double sl = r.slew_ps[static_cast<size_t>(n)];
-      slew_in[static_cast<size_t>(s.inst)][static_cast<size_t>(s.pin)] =
-          std::sqrt(sl * sl + opt.slew_degrade_k * opt.slew_degrade_k * elmore * elmore);
+    const double arr = r.arrival_ps[static_cast<size_t>(n)];
+    const double sl = r.slew_ps[static_cast<size_t>(n)];
+    for (int k = g.sink_off[static_cast<size_t>(n)];
+         k < g.sink_off[static_cast<size_t>(n) + 1]; ++k) {
+      const int slot = g.sink_slot[static_cast<size_t>(k)];
+      if (slot == kNoSlot) continue;
+      const double nd = g.sink_delay_ps[static_cast<size_t>(k)];
+      arr_in[static_cast<size_t>(slot)] = arr + nd;
+      slew_in[static_cast<size_t>(slot)] = std::sqrt(sl * sl + k2 * nd * nd);
     }
   };
 
   // Sources: primary-input nets and DFF outputs.
   for (circuit::NetId n = 0; n < num_nets; ++n) {
-    const circuit::Net& net = nl.net(n);
-    if (net.is_primary_input || net.is_clock) {
-      r.arrival_ps[static_cast<size_t>(n)] = 0.0;
-      r.slew_ps[static_cast<size_t>(n)] =
-          net.is_clock ? opt.clock_slew_ps : opt.primary_input_slew_ps;
-      propagate_net(n);
-    }
+    const uint8_t kind = g.net_kind[static_cast<size_t>(n)];
+    if ((kind & kSource) == 0) continue;
+    r.arrival_ps[static_cast<size_t>(n)] = 0.0;
+    r.slew_ps[static_cast<size_t>(n)] =
+        (kind & kClock) != 0 ? opt.clock_slew_ps : opt.primary_input_slew_ps;
+    propagate_net(n);
   }
-  for (int i = 0; i < num_inst; ++i) {
-    const circuit::Instance& inst = nl.inst(i);
-    if (inst.dead || !inst.sequential() || inst.libcell == nullptr) continue;
-    const circuit::NetId q = inst.out_nets[0];
-    const liberty::TimingArc* arc = inst.libcell->arc("CK", "Q");
+  for (circuit::InstId i = 0; i < num_inst; ++i) {
+    if (!g.flop(i)) continue;
+    const circuit::NetId q =
+        g.out_net[static_cast<size_t>(g.out_off[static_cast<size_t>(i)])];
+    const liberty::TimingArc* arc = g.cells.of(i)->ck_q;
     const double load = r.load_ff[static_cast<size_t>(q)];
     r.arrival_ps[static_cast<size_t>(q)] =
         arc != nullptr ? arc->worst_delay(opt.clock_slew_ps, load) : 0.0;
@@ -107,58 +290,39 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
     propagate_net(q);
   }
 
-  // Forward pass over combinational instances, one topological level at a
-  // time. Levels use the same edge rule as topo_order (combinational
-  // drivers only), so every value an instance reads (its arr_in/slew_in,
-  // written by its drivers' propagate_net) is finalized by the barrier
-  // between levels. Within a level all writes are disjoint — an instance
-  // touches only its own output nets' arrival/slew and its sink pins'
+  // Forward pass over combinational instances, one level at a time. Every
+  // value an instance reads (its arr_in/slew_in, written by its drivers'
+  // propagate_net) is finalized by the barrier between levels. Within a
+  // level all writes are disjoint — an instance touches only its own
+  // output nets' arrival/slew, its own arc delays and its sink pins'
   // arr_in/slew_in, each of which has exactly one driver — so the chunks
   // can run concurrently and the result is bit-identical to serial.
-  const std::vector<circuit::InstId> order = nl.topo_order();
-  util::count("sta.arrivals_propagated", static_cast<double>(order.size()));
-  std::vector<int> level(static_cast<size_t>(num_inst), 0);
-  std::vector<std::vector<circuit::InstId>> levels;
-  for (circuit::InstId id : order) {
-    const circuit::Instance& inst = nl.inst(id);
-    int lv = 0;
-    if (!inst.sequential()) {
-      for (circuit::NetId in : inst.in_nets) {
-        const auto& drv = nl.net(in).driver;
-        if (drv.inst != circuit::kInvalid && !nl.inst(drv.inst).sequential()) {
-          lv = std::max(lv, level[static_cast<size_t>(drv.inst)] + 1);
-        }
-      }
-    }
-    level[static_cast<size_t>(id)] = lv;
-    if (inst.sequential() || inst.libcell == nullptr) continue;
-    if (static_cast<size_t>(lv) >= levels.size()) {
-      levels.resize(static_cast<size_t>(lv) + 1);
-    }
-    levels[static_cast<size_t>(lv)].push_back(id);
-  }
-  util::set_gauge("sta.levels", static_cast<double>(levels.size()));
-  constexpr size_t kLevelGrain = 32;  // fixed => same chunks at any threads
-  for (const auto& bucket : levels) {
+  util::count("sta.arrivals_propagated", static_cast<double>(g.num_ordered));
+  util::set_gauge("sta.levels", static_cast<double>(g.num_levels()));
+  for (size_t l = 0; l < g.num_levels(); ++l) {
+    const circuit::InstId* bucket = g.level(l);
     exec::parallel_for(
-        bucket.size(),
+        g.level_size(l),
         [&](size_t kb, size_t ke) {
           for (size_t k = kb; k < ke; ++k) {
-            const circuit::InstId id = bucket[k];
-            const circuit::Instance& inst = nl.inst(id);
-            const auto& in_pins = cells::input_pins(inst.func);
-            const auto& out_pins = cells::output_pins(inst.func);
-            for (size_t o = 0; o < inst.out_nets.size(); ++o) {
-              const circuit::NetId out = inst.out_nets[o];
+            const size_t id = static_cast<size_t>(bucket[k]);
+            const CellTable& cell = *g.cells.of(bucket[k]);
+            const size_t pin0 = static_cast<size_t>(g.pin_off[id]);
+            const size_t nin = static_cast<size_t>(g.pin_off[id + 1]) - pin0;
+            const size_t out0 = static_cast<size_t>(g.out_off[id]);
+            const size_t nout = static_cast<size_t>(g.out_off[id + 1]) - out0;
+            double* delay = arc_delay.data() + g.arc_off[id];
+            for (size_t o = 0; o < nout; ++o) {
+              const circuit::NetId out = g.out_net[out0 + o];
               const double load = r.load_ff[static_cast<size_t>(out)];
               double arr = 0.0, slew = opt.primary_input_slew_ps;
-              for (size_t p = 0; p < inst.in_nets.size(); ++p) {
-                const liberty::TimingArc* arc =
-                    inst.libcell->arc(in_pins[p], out_pins[o]);
+              for (size_t p = 0; p < nin; ++p) {
+                const liberty::TimingArc* arc = cell.arc(p, o);
                 if (arc == nullptr) continue;
-                const double in_slew = slew_in[static_cast<size_t>(id)][p];
+                const double in_slew = slew_in[pin0 + p];
                 const double d = arc->worst_delay(in_slew, load);
-                const double a = arr_in[static_cast<size_t>(id)][p] + d;
+                delay[o * nin + p] = d;
+                const double a = arr_in[pin0 + p] + d;
                 if (a > arr) {
                   arr = a;
                   slew = arc->worst_slew(in_slew, load);
@@ -176,10 +340,6 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
   // Endpoint slacks: DFF D pins and primary outputs.
   r.wns_ps = kInf;
   r.tns_ps = 0.0;
-  std::vector<std::vector<double>> req_in(static_cast<size_t>(num_inst));
-  for (int i = 0; i < num_inst; ++i) {
-    req_in[static_cast<size_t>(i)].assign(nl.inst(i).in_nets.size(), kInf);
-  }
   auto note_endpoint = [&](double arrival, double required,
                            circuit::NetId net) {
     const double slack = required - arrival;
@@ -192,63 +352,62 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
       r.critical_endpoint = net;
     }
   };
-  for (int i = 0; i < num_inst; ++i) {
-    const circuit::Instance& inst = nl.inst(i);
-    if (inst.dead || !inst.sequential() || inst.libcell == nullptr) continue;
+  for (circuit::InstId i = 0; i < num_inst; ++i) {
+    if (!g.flop(i)) continue;
     // D pin is input 0 of the DFF.
-    const double arr = arr_in[static_cast<size_t>(i)][0];
-    const double req = clock_ps - inst.libcell->setup_ps;
-    req_in[static_cast<size_t>(i)][0] = req;
-    note_endpoint(arr, req, inst.in_nets[0]);
+    const size_t d_pin = static_cast<size_t>(g.pin_off[static_cast<size_t>(i)]);
+    const double req = clock_ps - nl.inst(i).libcell->setup_ps;
+    req_in[d_pin] = req;
+    note_endpoint(arr_in[d_pin], req, g.pin_net[d_pin]);
   }
   for (circuit::NetId n = 0; n < num_nets; ++n) {
-    const circuit::Net& net = nl.net(n);
-    if (!net.is_primary_output) continue;
+    if ((g.net_kind[static_cast<size_t>(n)] & kPo) == 0) continue;
     note_endpoint(r.arrival_ps[static_cast<size_t>(n)], clock_ps, n);
   }
   if (r.wns_ps >= kInf / 2) r.wns_ps = clock_ps;  // no endpoints
+
+  // Required at a net's driver pin: min over its sinks' required times
+  // less their net delays, starting from the primary-output requirement.
+  auto net_required = [&](circuit::NetId n) {
+    double req = (g.net_kind[static_cast<size_t>(n)] & kPo) != 0 ? clock_ps : kInf;
+    for (int k = g.sink_off[static_cast<size_t>(n)];
+         k < g.sink_off[static_cast<size_t>(n) + 1]; ++k) {
+      const int slot = g.sink_slot[static_cast<size_t>(k)];
+      if (slot == kNoSlot) continue;
+      req = std::min(req, req_in[static_cast<size_t>(slot)] -
+                              g.sink_delay_ps[static_cast<size_t>(k)]);
+    }
+    return req;
+  };
 
   // Backward pass: required time at each net's driver pin. Levels run
   // highest-first; an instance reads req_in of its sinks (all at strictly
   // higher levels, or DFF D pins pre-set above) and writes only its own
   // output nets' required_ps and its own req_in entries, so within a level
   // the chunks are independent and the result matches the serial reverse
-  // topological sweep bit for bit.
-  for (auto lit = levels.rbegin(); lit != levels.rend(); ++lit) {
-    const auto& bucket = *lit;
+  // topological sweep bit for bit. Arc delays are the forward pass's: the
+  // same arc at the same input slew and load.
+  for (size_t l = g.num_levels(); l-- > 0;) {
+    const circuit::InstId* bucket = g.level(l);
     exec::parallel_for(
-        bucket.size(),
+        g.level_size(l),
         [&](size_t kb, size_t ke) {
           for (size_t k = kb; k < ke; ++k) {
-            const circuit::InstId id = bucket[k];
-            const circuit::Instance& inst = nl.inst(id);
-            const auto& in_pins = cells::input_pins(inst.func);
-            const auto& out_pins = cells::output_pins(inst.func);
-            // Required at each output net driver = min over sinks.
-            for (size_t o = 0; o < inst.out_nets.size(); ++o) {
-              const circuit::NetId out = inst.out_nets[o];
-              const circuit::Net& net = nl.net(out);
-              double req = net.is_primary_output ? clock_ps : kInf;
-              const auto& p = par[static_cast<size_t>(out)];
-              for (size_t sk = 0; sk < net.sinks.size(); ++sk) {
-                const auto& s = net.sinks[sk];
-                if (s.inst == circuit::kInvalid) continue;
-                const double nd = net_delay_ps(p, sk, sink_cap_ff(nl, s));
-                req = std::min(
-                    req, req_in[static_cast<size_t>(s.inst)]
-                               [static_cast<size_t>(s.pin)] - nd);
-              }
+            const size_t id = static_cast<size_t>(bucket[k]);
+            const CellTable& cell = *g.cells.of(bucket[k]);
+            const size_t pin0 = static_cast<size_t>(g.pin_off[id]);
+            const size_t nin = static_cast<size_t>(g.pin_off[id + 1]) - pin0;
+            const size_t out0 = static_cast<size_t>(g.out_off[id]);
+            const size_t nout = static_cast<size_t>(g.out_off[id + 1]) - out0;
+            const double* delay = arc_delay.data() + g.arc_off[id];
+            for (size_t o = 0; o < nout; ++o) {
+              const circuit::NetId out = g.out_net[out0 + o];
+              const double req = net_required(out);
               r.required_ps[static_cast<size_t>(out)] = req;
               // Push through the cell to its input pins.
-              const double load = r.load_ff[static_cast<size_t>(out)];
-              for (size_t pi = 0; pi < inst.in_nets.size(); ++pi) {
-                const liberty::TimingArc* arc =
-                    inst.libcell->arc(in_pins[pi], out_pins[o]);
-                if (arc == nullptr) continue;
-                const double d =
-                    arc->worst_delay(slew_in[static_cast<size_t>(id)][pi], load);
-                req_in[static_cast<size_t>(id)][pi] =
-                    std::min(req_in[static_cast<size_t>(id)][pi], req - d);
+              for (size_t p = 0; p < nin; ++p) {
+                if (cell.arc(p, o) == nullptr) continue;
+                req_in[pin0 + p] = std::min(req_in[pin0 + p], req - delay[o * nin + p]);
               }
             }
           }
@@ -258,26 +417,17 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
   // Required at source nets (DFF outputs / PIs) for completeness.
   for (circuit::NetId n = 0; n < num_nets; ++n) {
     if (r.required_ps[static_cast<size_t>(n)] < kInf) continue;
-    const circuit::Net& net = nl.net(n);
-    double req = net.is_primary_output ? clock_ps : kInf;
-    const auto& p = par[static_cast<size_t>(n)];
-    for (size_t k = 0; k < net.sinks.size(); ++k) {
-      const auto& s = net.sinks[k];
-      if (s.inst == circuit::kInvalid) continue;
-      const double nd = net_delay_ps(p, k, sink_cap_ff(nl, s));
-      req = std::min(req, req_in[static_cast<size_t>(s.inst)][static_cast<size_t>(s.pin)] - nd);
-    }
-    r.required_ps[static_cast<size_t>(n)] = req;
+    r.required_ps[static_cast<size_t>(n)] = net_required(n);
   }
 
   // Per-instance slack.
-  for (int i = 0; i < num_inst; ++i) {
-    const circuit::Instance& inst = nl.inst(i);
-    if (inst.dead || inst.libcell == nullptr) continue;
+  for (circuit::InstId i = 0; i < num_inst; ++i) {
+    if ((g.inst_kind[static_cast<size_t>(i)] & (kDead | kBound)) != kBound) continue;
     double slack = kInf;
-    for (circuit::NetId out : inst.out_nets) {
-      slack = std::min(slack, r.required_ps[static_cast<size_t>(out)] -
-                                  r.arrival_ps[static_cast<size_t>(out)]);
+    for (int o = g.out_off[static_cast<size_t>(i)];
+         o < g.out_off[static_cast<size_t>(i) + 1]; ++o) {
+      const size_t out = static_cast<size_t>(g.out_net[static_cast<size_t>(o)]);
+      slack = std::min(slack, r.required_ps[out] - r.arrival_ps[out]);
     }
     r.inst_slack_ps[static_cast<size_t>(i)] = slack;
   }
@@ -289,51 +439,44 @@ HoldResult run_hold_check(const circuit::Netlist& nl,
                           const StaOptions& opt) {
   const int num_nets = nl.num_nets();
   const int num_inst = nl.num_instances();
-  // Earliest arrival per net driver pin; min over arcs with *min* table
-  // lookups (we reuse the NLDM tables; min over rise/fall).
-  std::vector<double> early(static_cast<size_t>(num_nets), 0.0);
+  const Graph g = compile(nl, par);
+  // Hold loads count only bound instance pins: no primary-output load.
   std::vector<double> load(static_cast<size_t>(num_nets), 0.0);
-  for (circuit::NetId n = 0; n < num_nets; ++n) {
-    const circuit::Net& net = nl.net(n);
-    double l = par[static_cast<size_t>(n)].wire_cap_ff;
-    for (const auto& s : net.sinks) {
-      if (s.inst == circuit::kInvalid) continue;
-      const auto& si = nl.inst(s.inst);
-      if (si.libcell == nullptr) continue;
-      const auto& pins = cells::input_pins(si.func);
-      l += si.libcell->input_cap_ff(pins[static_cast<size_t>(s.pin)]);
+  for (size_t n = 0; n < static_cast<size_t>(num_nets); ++n) {
+    double l = par[n].wire_cap_ff;
+    for (int k = g.sink_off[n]; k < g.sink_off[n + 1]; ++k) {
+      const circuit::InstId si = g.sink_inst[static_cast<size_t>(k)];
+      if (si == circuit::kInvalid || !g.is(si, kBound)) continue;
+      l += g.sink_cap_ff[static_cast<size_t>(k)];
     }
-    load[static_cast<size_t>(n)] = l;
+    load[n] = l;
   }
-  std::vector<std::vector<double>> early_in(static_cast<size_t>(num_inst));
-  for (int i = 0; i < num_inst; ++i) {
-    early_in[static_cast<size_t>(i)].assign(nl.inst(i).in_nets.size(), 0.0);
-  }
+  // Earliest arrival per net driver pin and per instance input pin; min
+  // over arcs with *min* table lookups (min over rise/fall).
+  std::vector<double> early(static_cast<size_t>(num_nets), 0.0);
+  std::vector<double> early_in(g.pin_net.size(), 0.0);
   auto push = [&](circuit::NetId n) {
-    const circuit::Net& net = nl.net(n);
-    for (size_t k = 0; k < net.sinks.size(); ++k) {
-      const auto& s = net.sinks[k];
-      if (s.inst == circuit::kInvalid) continue;
-      const double nd =
-          net_delay_ps(par[static_cast<size_t>(n)], k, sink_cap_ff(nl, s));
-      early_in[static_cast<size_t>(s.inst)][static_cast<size_t>(s.pin)] =
-          early[static_cast<size_t>(n)] + nd;
+    for (int k = g.sink_off[static_cast<size_t>(n)];
+         k < g.sink_off[static_cast<size_t>(n) + 1]; ++k) {
+      const int slot = g.sink_slot[static_cast<size_t>(k)];
+      if (slot == kNoSlot) continue;
+      early_in[static_cast<size_t>(slot)] =
+          early[static_cast<size_t>(n)] + g.sink_delay_ps[static_cast<size_t>(k)];
     }
   };
   // Primary inputs are externally timed: their paths cannot create hold
   // violations at internal flops, so they carry a huge early arrival.
   constexpr double kExternallyTimed = 1e7;
   for (circuit::NetId n = 0; n < num_nets; ++n) {
-    if (nl.net(n).is_primary_input || nl.net(n).is_clock) {
-      early[static_cast<size_t>(n)] = kExternallyTimed;
-      push(n);
-    }
+    if ((g.net_kind[static_cast<size_t>(n)] & kSource) == 0) continue;
+    early[static_cast<size_t>(n)] = kExternallyTimed;
+    push(n);
   }
-  for (int i = 0; i < num_inst; ++i) {
-    const auto& inst = nl.inst(i);
-    if (inst.dead || !inst.sequential() || inst.libcell == nullptr) continue;
-    const circuit::NetId q = inst.out_nets[0];
-    const liberty::TimingArc* arc = inst.libcell->arc("CK", "Q");
+  for (circuit::InstId i = 0; i < num_inst; ++i) {
+    if (!g.flop(i)) continue;
+    const circuit::NetId q =
+        g.out_net[static_cast<size_t>(g.out_off[static_cast<size_t>(i)])];
+    const liberty::TimingArc* arc = g.cells.of(i)->ck_q;
     double d = 0.0;
     if (arc != nullptr) {
       d = std::min(arc->delay[0].at(opt.clock_slew_ps, load[static_cast<size_t>(q)]),
@@ -342,24 +485,26 @@ HoldResult run_hold_check(const circuit::Netlist& nl,
     early[static_cast<size_t>(q)] = d;
     push(q);
   }
-  for (circuit::InstId id : nl.topo_order()) {
-    const auto& inst = nl.inst(id);
-    if (inst.sequential() || inst.libcell == nullptr) continue;
-    const auto& in_pins = cells::input_pins(inst.func);
-    const auto& out_pins = cells::output_pins(inst.func);
-    for (size_t o = 0; o < inst.out_nets.size(); ++o) {
-      const circuit::NetId out = inst.out_nets[o];
+  // Levels in order are a topological order of the timed instances.
+  for (const circuit::InstId inst : g.level_inst) {
+    const size_t id = static_cast<size_t>(inst);
+    const CellTable& cell = *g.cells.of(inst);
+    const size_t pin0 = static_cast<size_t>(g.pin_off[id]);
+    const size_t nin = static_cast<size_t>(g.pin_off[id + 1]) - pin0;
+    const size_t out0 = static_cast<size_t>(g.out_off[id]);
+    const size_t nout = static_cast<size_t>(g.out_off[id + 1]) - out0;
+    for (size_t o = 0; o < nout; ++o) {
+      const circuit::NetId out = g.out_net[out0 + o];
       double best = std::numeric_limits<double>::max();
-      for (size_t p = 0; p < inst.in_nets.size(); ++p) {
-        const liberty::TimingArc* arc =
-            inst.libcell->arc(in_pins[p], out_pins[o]);
+      for (size_t p = 0; p < nin; ++p) {
+        const liberty::TimingArc* arc = cell.arc(p, o);
         if (arc == nullptr) continue;
         const double d =
             std::min(arc->delay[0].at(opt.primary_input_slew_ps,
                                       load[static_cast<size_t>(out)]),
                      arc->delay[1].at(opt.primary_input_slew_ps,
                                       load[static_cast<size_t>(out)]));
-        best = std::min(best, early_in[static_cast<size_t>(id)][p] + d);
+        best = std::min(best, early_in[pin0 + p] + d);
       }
       early[static_cast<size_t>(out)] =
           best == std::numeric_limits<double>::max() ? 0.0 : best;
@@ -368,12 +513,11 @@ HoldResult run_hold_check(const circuit::Netlist& nl,
   }
   HoldResult res;
   res.worst_slack_ps = std::numeric_limits<double>::max();
-  for (int i = 0; i < num_inst; ++i) {
-    const auto& inst = nl.inst(i);
-    if (inst.dead || !inst.sequential() || inst.libcell == nullptr) continue;
-    const double arr = early_in[static_cast<size_t>(i)][0];
+  for (circuit::InstId i = 0; i < num_inst; ++i) {
+    if (!g.flop(i)) continue;
+    const double arr = early_in[static_cast<size_t>(g.pin_off[static_cast<size_t>(i)])];
     if (arr > kExternallyTimed / 2) continue;  // PI-fed: externally timed
-    const double slack = arr - inst.libcell->hold_ps;
+    const double slack = arr - nl.inst(i).libcell->hold_ps;
     if (slack < res.worst_slack_ps) res.worst_slack_ps = slack;
     if (slack < 0) ++res.violations;
   }

@@ -128,6 +128,46 @@ TEST(ObsCollector, FullBufferDropsNewestAndCountsDrops) {
                    12.0);
 }
 
+// A buffer that fills mid-span still yields a valid trace: accepted begins
+// keep a reserved slot for their ends, and a dropped begin takes its end
+// with it — on every worker, with spans nested inside pool tasks.
+TEST(ObsCollector, TruncatedTraceStaysBalancedAcrossPoolWorkers) {
+  exec::ExecOptions opt;
+  opt.num_threads = 4;
+  exec::ThreadPool pool(opt);
+  constexpr size_t kCapacity = 16;
+  obs::reset();
+  obs::set_buffer_capacity(kCapacity);
+  {
+    obs::ScopedTraceEnable window;
+    obs::Span outer("t.trunc_outer");
+    pool.parallel_for(64, 1, [](size_t b, size_t e) {
+      for (size_t i = b; i < e; ++i) {
+        obs::Span task("t.trunc_task");
+        {
+          obs::Span inner("t.trunc_inner");
+          obs::emit_instant("t.trunc_mark");
+        }
+        obs::emit_counter("t.trunc_value", static_cast<double>(i));
+      }
+    });
+  }
+  const obs::Snapshot snap = obs::snapshot();
+  obs::set_buffer_capacity(0);  // restore the default for later tests
+  EXPECT_GT(snap.events_dropped, 0u) << "the case must truncate";
+  for (const auto& th : snap.threads) {
+    EXPECT_LE(th.events.size(), kCapacity) << th.name;
+    EXPECT_EQ(count_type(th.events, obs::EventType::kBegin),
+              count_type(th.events, obs::EventType::kEnd))
+        << th.name;
+  }
+  util::json::Value doc;
+  std::string err;
+  ASSERT_TRUE(util::json::parse(obs::chrome_trace_string(snap), &doc, &err))
+      << err;
+  EXPECT_TRUE(obs::validate_chrome_trace(doc, &err)) << err;
+}
+
 TEST(ObsTrace, SpanEmitsBalancedPairExactlyOnce) {
   obs::reset();
   obs::ScopedTraceEnable window;
