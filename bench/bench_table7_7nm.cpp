@@ -21,7 +21,7 @@ int main() {
       "Table 7: 7nm layout results — %% difference of T-MI over 2D.\n"
       "Paper values in the second line of each row.");
   t.set_header({"circuit", "footprint", "wirelen", "total pwr", "cell pwr",
-                "net pwr", "leakage", "clk ns", "met"});
+                "net pwr", "leakage", "clk ns", "met", "routed"});
   // All five circuits are independent experiments: fan them out across the
   // exec pool and print the rows in order afterwards.
   std::vector<Job> jobs;
@@ -41,12 +41,13 @@ int main() {
                pct_str(c.tmi.net_uw, c.flat.net_uw),
                pct_str(c.tmi.leak_uw, c.flat.leak_uw),
                util::strf("%.3f", c.flat.clock_ns),
-               c.flat.timing_met && c.tmi.timing_met ? "yes" : "NO"});
+               c.flat.timing_met && c.tmi.timing_met ? "yes" : "NO",
+               routed_str(c)});
     const PaperRow& p = paper[i++];
     t.add_row({"  (paper)", util::strf("%+.1f%%", p.fp),
                util::strf("%+.1f%%", p.wl), util::strf("%+.1f%%", p.p),
                util::strf("%+.1f%%", p.cell), util::strf("%+.1f%%", p.net),
-               util::strf("%+.1f%%", p.leak), "-", "-"});
+               util::strf("%+.1f%%", p.leak), "-", "-", "-"});
     t.add_separator();
   }
   t.print();

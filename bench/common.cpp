@@ -97,4 +97,11 @@ std::string pct_str(double v3, double v2) {
   return util::strf("%+.1f%%", 100.0 * (v3 / v2 - 1.0));
 }
 
+std::string routed_str(const Cmp& c) {
+  if (c.flat.routed && c.tmi.routed) return "yes";
+  if (c.flat.routed) return "NO (T-MI)";
+  if (c.tmi.routed) return "NO (2D)";
+  return "NO (both)";
+}
+
 }  // namespace m3d::bench

@@ -55,4 +55,8 @@ flow::FlowOptions preset(gen::Bench bench, tech::Node node);
 /// "-41.7%" formatting helper.
 std::string pct_str(double v3, double v2);
 
+/// Routing status of both sides: "yes" when both routed without overflow,
+/// else "NO (2D)", "NO (T-MI)" or "NO (both)".
+std::string routed_str(const Cmp& c);
+
 }  // namespace m3d::bench

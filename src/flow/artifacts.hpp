@@ -1,8 +1,8 @@
 // Stage-artifact keys and codecs for the content-addressed store
 // (src/store): the bridge between run_flow / WarmContext and Store.
 //
-// Key schema (DESIGN.md "Serve request keys" / "Result store"): each stage
-// artifact keys on the *prefix* of the resolved canonical request that
+// Key schema (DESIGN.md "Stage-artifact keys" / "Result store"): each stage
+// artifact keys on the *prefix* of the resolved flow options that
 // determines it, serialized as fixed-order compact JSON —
 //
 //   library  <- (provider, node, style)
@@ -10,7 +10,6 @@
 //   netlist  <- (bench, scale_shift, seed)           [pure generator output]
 //   place    <- + (node, style, clock_ns, target_util, tmi_wlm,
 //                  resistivity_scale, build_cts, library fp)
-//   report   <- the full request hash (serve/cache.hpp — unchanged key)
 //   compare  <- (caller's configuration key, 2D library fp, 3D library fp)
 //
 // The library fingerprint (FNV-1a-64 over the lossless binary encoding)

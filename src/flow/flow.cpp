@@ -31,7 +31,7 @@ namespace {
 /// (stage-exit RSS/peak-RSS, counting-allocator traffic), which is also
 /// emitted as trace counter samples so the timeline shows memory tracks.
 /// `observer` (FlowOptions::stage_observer) sees the finished report last,
-/// after it is appended — the serving layer's progress stream.
+/// after it is appended.
 template <typename Body>
 void run_stage(FlowResult* res, const char* name, bool tracing,
                const std::function<void(const StageReport&)>& observer,
@@ -66,9 +66,8 @@ void run_stage(FlowResult* res, const char* name, bool tracing,
 }
 
 /// Store-hit path: appends nothing itself — the decoded blob already pushed
-/// the recorded StageReports — but replays them to the observer so the
-/// serving layer's progress stream sees every stage exactly once, in order,
-/// whether it ran or was restored.
+/// the recorded StageReports — but replays them to the observer so it sees
+/// every stage exactly once, in order, whether it ran or was restored.
 void replay_stages(const FlowResult& res, size_t first,
                    const std::function<void(const StageReport&)>& observer) {
   if (!observer) return;

@@ -82,9 +82,9 @@ struct FlowOptions {
   /// Content-addressed stage-artifact store directory (src/store): when
   /// set (or via the M3D_STORE environment variable), run_flow memoizes
   /// and reuses its expensive prefixes — the generated netlist, the placed
-  /// (+CTS) design and the auto-clock probe — across runs, processes and
-  /// daemon restarts. Replayed stages keep their recorded StageReports, so
-  /// a store-hit run's canonical report is byte-identical to a cold run's.
+  /// (+CTS) design and the auto-clock probe — across runs and processes.
+  /// Replayed stages keep their recorded StageReports, so a store-hit
+  /// run's canonical report is byte-identical to a cold run's.
   /// Empty and no M3D_STORE: the serial fallback — every stage runs.
   std::string store_dir;
   /// Structured trace collection (src/obs) for this run: span timeline
@@ -95,8 +95,9 @@ struct FlowOptions {
   /// without the trace subsystem.
   bool trace = false;
   /// Stage-boundary hook: invoked once per flow stage, right after its
-  /// StageReport is appended, on the thread executing the flow. The serving
-  /// layer streams these to clients mid-run. The callback must not re-enter
+  /// StageReport is appended, on the thread executing the flow; perfbench
+  /// times its stages through it. A store-warm run replays the restored
+  /// stages' reports through it too. The callback must not re-enter
   /// the flow and must tolerate being called from pool worker threads (the
   /// iso-comparison driver runs flows on the exec pool). Never affects the
   /// computed result.

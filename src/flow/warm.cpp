@@ -3,7 +3,6 @@
 #include "flow/artifacts.hpp"
 #include "liberty/characterize.hpp"
 #include "util/metrics.hpp"
-#include "util/strf.hpp"
 
 namespace m3d::flow {
 
@@ -60,55 +59,6 @@ bool WarmContext::warmed(tech::Node node, tech::Style style) const {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = corners_.find(key);
   return it != corners_.end() && it->second->lib != nullptr;
-}
-
-double WarmContext::clock_for(const FlowOptions& opt) {
-  if (opt.clock_ns > 0.0) return opt.clock_ns;
-  // The probe is a pure function of these fields (auto_clock_ns always
-  // probes the 2D corner regardless of opt.style). Custom netlists are not
-  // memoizable by value; fall through to a fresh probe for those.
-  const bool memoizable = opt.custom_netlist == nullptr;
-  std::string key;
-  if (memoizable) {
-    key = util::strf("%s/%s/s%d/u%.6f/seed%llu", gen::to_string(opt.bench),
-                     tech::to_string(opt.node), opt.scale_shift,
-                     opt.target_util,
-                     static_cast<unsigned long long>(opt.seed));
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = clocks_.find(key);
-    if (it != clocks_.end()) {
-      util::count("warm.clock_hit");
-      return it->second;
-    }
-  }
-  FlowOptions probe = opt;
-  if (probe.lib == nullptr) {
-    probe.lib = &library(opt.node, tech::Style::k2D);
-  }
-  util::count("warm.clock_probe");
-  // The attached store (if any) persists the probe result across restarts;
-  // a store hit skips the synthesis probe entirely (visible as store.hits).
-  const double clock = artifacts::resolved_clock_ns(probe, store_.get());
-  if (memoizable) {
-    // A concurrent probe for the same key computed the identical value
-    // (the probe is deterministic), so last-writer-wins is benign.
-    const std::lock_guard<std::mutex> lock(mu_);
-    clocks_[key] = clock;
-  }
-  return clock;
-}
-
-FlowResult WarmContext::run(FlowOptions opt) {
-  if (opt.lib == nullptr) {
-    opt.lib = &library(opt.node, opt.style);
-  }
-  if (opt.clock_ns <= 0.0) {
-    opt.clock_ns = clock_for(opt);
-  }
-  if (opt.store_dir.empty() && store_ != nullptr) {
-    opt.store_dir = store_->dir();
-  }
-  return run_flow(opt);
 }
 
 WarmContext& characterized_libraries() {

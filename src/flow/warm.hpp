@@ -1,34 +1,20 @@
-// Reentrant warm-state handle: one process runs many flows without paying
-// per-run setup again. The serving layer (src/serve) keeps exactly one of
-// these alive for the daemon's lifetime; benches and tests can use it the
-// same way.
+// Warm library cache: one process runs many flows without characterizing a
+// library again. A LibraryProvider builds the library for a (node, style)
+// corner once — characterization is the expensive cold start — and every
+// later flow at that corner reuses the same immutable instance. Builds are
+// serialized per corner (std::call_once), so two concurrent first requests
+// (e.g. flows on different exec pool workers) never characterize twice, and
+// requests for an already-warm corner never block behind a build for a
+// different one.
 //
-// What stays warm:
-//   * Libraries. A LibraryProvider builds the library for a (node, style)
-//     pair once — characterization is the expensive cold-start the ROADMAP
-//     "millions of users" item names — and every later flow at that corner
-//     reuses the same immutable instance. Builds are serialized per corner
-//     (std::call_once), so two concurrent first requests never characterize
-//     twice, and requests for an already-warm corner never block behind a
-//     build for a different one.
-//   * Auto-clock probes. run_flow resolves clock_ns == 0 by synthesizing a
-//     2D probe netlist; the result is a pure function of (bench, node,
-//     scale_shift, seed, target_util), so WarmContext memoizes it and a
-//     request flood at the same configuration pays for one probe.
+// Thread-safety: every method is safe to call concurrently. Counters:
+// warm.lib_build / warm.lib_hit / warm.lib_load.
 //
-// Thread-safety: every method is safe to call concurrently; run() itself is
-// reentrant (run_flow keeps all mutable state flow-local, see src/exec's
-// determinism contract). Counters: warm.lib_build / warm.lib_hit /
-// warm.lib_load / warm.clock_probe / warm.clock_hit.
-//
-// With attach_store(), warm state additionally persists across process
-// restarts: library characterizations and auto-clock probes are loaded from
-// the content-addressed store (src/store) before being rebuilt, and run()
-// threads the store directory into every flow so placements and generated
-// netlists are reused too.
+// With attach_store(), libraries also persist across process restarts: each
+// corner is loaded from the content-addressed store (src/store) before the
+// provider is asked to build it.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -36,7 +22,6 @@
 #include <string>
 #include <utility>
 
-#include "flow/flow.hpp"
 #include "liberty/library.hpp"
 #include "store/store.hpp"
 #include "tech/tech.hpp"
@@ -55,11 +40,10 @@ class WarmContext {
   explicit WarmContext(LibraryProvider provider);
 
   /// Backs this context with a persistent artifact store at `dir`:
-  /// libraries and auto-clock probes are fetched from it before falling
-  /// back to the provider / a fresh probe, and run() defaults
-  /// FlowOptions::store_dir to `dir`. `provider_id` names the library
-  /// provider in store keys (two providers must never share entries).
-  /// Call before the first library()/run(); empty `dir` is a no-op.
+  /// libraries are fetched from it before falling back to the provider.
+  /// `provider_id` names the library provider in store keys (two providers
+  /// must never share entries). Call before the first library(); empty
+  /// `dir` is a no-op.
   void attach_store(const std::string& dir, const std::string& provider_id);
 
   /// The attached store (null when attach_store was not called / no-op).
@@ -70,15 +54,6 @@ class WarmContext {
 
   /// True when the corner's library has already been built (stats/ops).
   bool warmed(tech::Node node, tech::Style style) const;
-
-  /// The resolved clock for `opt`: opt.clock_ns when positive, else the
-  /// memoized auto_clock_ns probe result. `opt.lib` may be null — the probe
-  /// uses the warm 2D library for opt.node.
-  double clock_for(const FlowOptions& opt);
-
-  /// run_flow with warm state filled in: opt.lib resolved from the corner
-  /// (unless the caller pinned one), opt.clock_ns resolved via clock_for.
-  FlowResult run(FlowOptions opt);
 
  private:
   struct Corner {
@@ -91,9 +66,8 @@ class WarmContext {
   LibraryProvider provider_;
   std::unique_ptr<store::Store> store_;  // set once, before first use
   std::string provider_id_;
-  mutable std::mutex mu_;  // guards corners_ map shape and clocks_
+  mutable std::mutex mu_;  // guards corners_ map shape
   std::map<std::pair<int, int>, std::unique_ptr<Corner>> corners_;
-  std::map<std::string, double> clocks_;
 };
 
 /// The process-wide context of the SPICE-characterized libraries (store

@@ -1,8 +1,8 @@
 // The analytic NLDM library (store provider id "fixture"): closed-form
 // tables with the shape, not the values, of the characterized one. It
-// builds in microseconds and runs no SPICE, so unit tests, the profiler,
-// the serve daemon and the perf gates start instantly and are reproducible
-// from their inputs alone.
+// builds in microseconds and runs no SPICE, so unit tests, the profiler
+// and the perf gates start instantly and are reproducible from their
+// inputs alone.
 #pragma once
 
 #include "liberty/library.hpp"

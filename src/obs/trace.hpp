@@ -112,8 +112,8 @@ struct Context {
 Context context();
 
 /// RAII installation of a context on the calling thread: the exec pool
-/// adopts the submitter's on a worker, and a traced flow or serve request
-/// sets its own flow. `ctx.sink` must be set (context() always sets it).
+/// adopts the submitter's on a worker, and a traced flow sets its own
+/// flow. `ctx.sink` must be set (context() always sets it).
 /// Restores the previous context on exit.
 class ScopedContext {
  public:

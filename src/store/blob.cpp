@@ -2,18 +2,12 @@
 
 #include <cstring>
 
+#include "util/rng.hpp"
 #include "util/strf.hpp"
 
 namespace m3d::store {
 
-uint64_t fnv1a64(std::string_view s) {
-  uint64_t h = 14695981039346656037ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+uint64_t fnv1a64(std::string_view s) { return util::hash64(s); }
 
 std::string key_hex(uint64_t key) {
   return util::strf("%016llx", static_cast<unsigned long long>(key));

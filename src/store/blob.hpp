@@ -19,9 +19,8 @@
 
 namespace m3d::store {
 
-/// FNV-1a 64-bit: blob checksums and store keys. Same function (and
-/// constants) as serve/protocol.cpp's request hash, duplicated here so the
-/// store layer stays below the serving layer in the dependency order.
+/// FNV-1a 64-bit (util::hash64): blob checksums and store keys. Entry names
+/// on disk are this hash, so a change to it orphans every stored entry.
 uint64_t fnv1a64(std::string_view s);
 
 /// Lower-case 16-digit hex (store entry filename stem).

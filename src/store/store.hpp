@@ -2,9 +2,8 @@
 // keyed (stage, FNV-1a-64 of a canonical key string) -> artifact blob. The
 // flow memoizes its expensive prefixes through it (characterized libraries,
 // generated netlists, placements — see flow/artifacts.hpp for the key
-// schema), and the serve response cache is its outermost layer (stage
-// "report", serve/cache.hpp), so results survive daemon restarts and are
-// shared between processes on one host.
+// schema), and the benches keep their comparison results in it, so results
+// survive process restarts and are shared between processes on one host.
 //
 // Layout: one file per entry, `<dir>/<stage>-<16-hex-key>.m3ds`, holding
 //

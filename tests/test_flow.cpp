@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <iterator>
+#include <string>
+#include <vector>
 
 #include "flow/flow.hpp"
+#include "util/metrics.hpp"
+#include "util/strf.hpp"
 #include "test_fixtures.hpp"
 
 namespace m3d::flow {
@@ -64,6 +70,43 @@ TEST(Flow, RunFlowPopulatesStageReports) {
   const StageReport* sta = r.stage("sta_power");
   ASSERT_NE(sta, nullptr);
   EXPECT_GT(sta->counter("sta.runs"), 0.0);
+}
+
+// stage_observer sees each FlowResult::stages entry exactly once, in order,
+// whether the stage ran or a store hit replayed its recorded report.
+TEST(Flow, StageObserverSeesEveryReportedStageInOrder) {
+  const std::string dir = util::strf("/tmp/m3d_flow_test_observer_%d",
+                                     static_cast<int>(::getpid()));
+  std::filesystem::remove_all(dir);
+  FlowOptions o = small_opts(gen::Bench::kDes);
+  o.clock_ns = 2.0;
+  o.store_dir = dir;
+  std::vector<std::string> seen;
+  o.stage_observer = [&seen](const StageReport& s) { seen.push_back(s.name); };
+  const auto expect_seen_matches = [&seen](const FlowResult& r) {
+    ASSERT_EQ(seen.size(), r.stages.size());
+    for (size_t i = 0; i < seen.size(); ++i) {
+      EXPECT_EQ(seen[i], r.stages[i].name) << "stage " << i;
+    }
+  };
+
+  const FlowResult cold = run_flow(o);
+  expect_seen_matches(cold);
+  EXPECT_EQ(seen.front(), "gen");
+  const std::vector<std::string> cold_seen = seen;
+
+  seen.clear();
+  util::MetricsRegistry reg;
+  FlowResult warm;
+  {
+    const util::ScopedMetricsSink sink(reg);
+    warm = run_flow(o);
+  }
+  // gen/synth/place came from the store, yet were still observed.
+  EXPECT_EQ(reg.histogram("span.flow.place").count, 0);
+  expect_seen_matches(warm);
+  EXPECT_EQ(seen, cold_seen);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Flow, IsoComparisonClosesBothAndShrinksFootprint) {

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -71,6 +72,17 @@ void set_mtime(const std::string& path, int64_t epoch_s) {
   times[0].tv_nsec = 0;
   times[1] = times[0];
   ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0) << path;
+}
+
+// ---------------------------------------------------------------------------
+// Key hashing.
+
+TEST(StoreKeys, Fnv1a64AndKeyHexArePinned) {
+  // Entry filenames are key_hex(fnv1a64(canonical key)): a silent change to
+  // either would orphan every entry already on disk.
+  EXPECT_EQ(store::fnv1a64(""), 14695981039346656037ULL);
+  EXPECT_EQ(store::fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(store::key_hex(0x1234abcdULL), "000000001234abcd");
 }
 
 // ---------------------------------------------------------------------------
@@ -796,6 +808,79 @@ TEST(FlowStore, CorruptedArtifactsFallBackToRunningAndSelfHeal) {
   EXPECT_TRUE(st.verify().clean());  // self-healed by the re-run's puts
 }
 
+// Several flows race on one store directory. run_flow opens its own Store
+// per call, so each flow holds its own flock(2) descriptor on `.lock`: the
+// same locking two separate processes sharing the directory would see.
+TEST(FlowStore, ConcurrentFlowsShareOneStoreDirectory) {
+  const TempDir dir("flow_concurrent");
+  static constexpr uint64_t kSeeds[] = {31, 32, 33};
+  static constexpr tech::Style kStyles[] = {tech::Style::k2D,
+                                            tech::Style::kTMI};
+  static const liberty::Library lib2d =
+      test::make_test_library(tech::Style::k2D);
+  const auto opts = [&](const std::string& store_dir, uint64_t seed,
+                        tech::Style style) {
+    flow::FlowOptions o = store_flow_opts(store_dir);
+    o.seed = seed;
+    o.style = style;
+    o.lib = style == tech::Style::k2D ? &lib2d : &flow_lib();
+    return o;
+  };
+  constexpr size_t kRuns = std::size(kSeeds) * std::size(kStyles);
+
+  // Serial cold reference, without a store.
+  std::vector<std::string> reference;
+  for (const uint64_t seed : kSeeds) {
+    for (const tech::Style style : kStyles) {
+      reference.push_back(
+          report::to_canonical_json(flow::run_flow(opts("", seed, style)))
+              .dump(-1));
+    }
+  }
+
+  constexpr int kThreads = 4;
+  std::vector<std::string> reports[kThreads];
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (const uint64_t seed : kSeeds) {
+          for (const tech::Style style : kStyles) {
+            reports[t].push_back(
+                report::to_canonical_json(
+                    flow::run_flow(opts(dir.path, seed, style)))
+                    .dump(-1));
+          }
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+  }
+
+  // Same seed and style: byte-identical to the cold reference, whether the
+  // flow ran, raced another writer, or restored a stored artifact.
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(reports[t].size(), kRuns);
+    for (size_t i = 0; i < kRuns; ++i) {
+      EXPECT_EQ(reports[t][i], reference[i]) << "thread " << t << " run " << i;
+    }
+  }
+
+  // The directory came through the races intact: every entry verifies, no
+  // temp file is left, and each (seed, style) has exactly one placement.
+  const store::Store st(dir.path);
+  EXPECT_TRUE(st.verify().clean());
+  for (const auto& f : std::filesystem::directory_iterator(dir.path)) {
+    EXPECT_EQ(f.path().filename().string().find(".tmp."), std::string::npos)
+        << f.path();
+  }
+  size_t place_entries = 0;
+  for (const store::EntryInfo& e : st.list()) {
+    if (e.stage == "place") ++place_entries;
+  }
+  EXPECT_EQ(place_entries, kRuns);
+}
+
 // ---------------------------------------------------------------------------
 // WarmContext + store: characterization skipping across "restarts".
 
@@ -842,7 +927,7 @@ TEST(WarmStore, LibraryLoadsFromTheStoreInsteadOfRebuilding) {
         first.library(tech::Node::k45nm, tech::Style::kTMI);
     EXPECT_EQ(builds.load(), 1);
 
-    // A "restarted daemon": fresh context, same store directory. The
+    // A restarted process: fresh context, same store directory. The
     // library is loaded, not re-characterized, and it is bit-identical.
     util::MetricsRegistry reg;
     flow::WarmContext second(provider);

@@ -1,6 +1,6 @@
 // m3d_store: ops CLI for the content-addressed stage-artifact store
-// (src/store). The store directory is shared by m3d_serve daemons and
-// direct run_flow callers on one host; this tool inspects and maintains it
+// (src/store). The store directory is shared by run_flow callers and the
+// benches on one host; this tool inspects and maintains it
 // without stopping them (verify takes the shared directory lock, gc the
 // exclusive one).
 //
