@@ -50,7 +50,7 @@ int main() {
   {
     util::Table t(
         "Ablation 1: router rip-up-and-reroute iterations (LDPC at an\n"
-        "aggressive 55%% utilization, 45nm 2D).");
+        "aggressive 55% utilization, 45nm 2D).");
     t.set_header({"rrr_iters", "WL mm", "overflow edges", "max congestion"});
     Prepared p = prepare(lib, tch);
     for (int iters : {0, 1, 2, 4, 8}) {
@@ -94,7 +94,7 @@ int main() {
   {
     util::Table t(
         "Ablation 3: max-transition limit vs buffer/upsize effort\n"
-        "(random logic, 10%% long wires, 45nm 2D).");
+        "(random logic, 10% long wires, 45nm 2D).");
     t.set_header({"max_slew ps", "upsized", "buffers added", "timing met"});
     for (double slew : {120.0, 200.0, 400.0}) {
       gen::RandomLogicOptions ro;

@@ -9,7 +9,7 @@ using namespace m3d::bench;
 
 int main() {
   util::Table t(
-      "Fig 10: wirelength by routing level (mm and %% of total), 45nm T-MI.\n"
+      "Fig 10: wirelength by routing level (mm and % of total), 45nm T-MI.\n"
       "Paper: both local and intermediate heavily used; LDPC uses much more\n"
       "global metal than M256/DES.");
   t.set_header({"circuit", "style", "local mm", "intermediate mm", "global mm",

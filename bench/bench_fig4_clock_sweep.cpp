@@ -11,7 +11,7 @@ int main() {
   util::Table t(
       "Fig 4: power reduction rate (T-MI over 2D) under various target\n"
       "clock periods. Paper trend: the faster the clock, the larger the\n"
-      "benefit (AES @0.8ns: total ~11%%; M256 @2.4ns: ~17%%).");
+      "benefit (AES @0.8ns: total ~11%; M256 @2.4ns: ~17%).");
   t.set_header({"circuit", "corner", "clock ns", "total pwr", "cell pwr",
                 "net pwr", "leakage", "met"});
   for (gen::Bench b : {gen::Bench::kAes, gen::Bench::kM256}) {

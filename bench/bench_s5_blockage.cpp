@@ -11,7 +11,7 @@ using namespace m3d::bench;
 int main() {
   util::Table t(
       "S5: AES T-MI with and without the MIV/MB1 local-routing blockages.\n"
-      "Paper: negligible differences at 80%% utilization.");
+      "Paper: negligible differences at 80% utilization.");
   t.set_header({"setting", "WL mm", "WNS ps", "total uW", "delta WL",
                 "delta pwr"});
   flow::FlowOptions with = preset(gen::Bench::kAes, tech::Node::k45nm);

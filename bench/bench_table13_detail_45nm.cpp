@@ -1,5 +1,6 @@
 // Table 13: detailed 45nm layout results for 2D and T-MI — footprint,
-// cells, buffers, utilization, wirelength, WNS, and the power breakdown.
+// cells, buffers, utilization, wirelength, WNS, the power breakdown, and
+// whether each side routed without overflow.
 #include <cstdio>
 
 #include "common.hpp"
@@ -13,7 +14,7 @@ void detail_table(const char* title, tech::Node node, const char* key_prefix) {
   util::Table t(title);
   t.set_header({"circuit", "type", "footprint um2", "#cells", "#buffers",
                 "util %", "WL mm", "WNS ps", "total uW", "cell uW", "net uW",
-                "leak uW"});
+                "leak uW", "routed"});
   for (gen::Bench b : gen::all_benches()) {
     const Cmp c = compare_cached(util::strf("%s_%s", key_prefix, gen::to_string(b)),
                                  preset(b, node));
@@ -33,7 +34,8 @@ void detail_table(const char* title, tech::Node node, const char* key_prefix) {
                  util::strf("%.1f (%.1f)", m.total_uw,
                             100.0 * m.total_uw / base.total_uw),
                  util::strf("%.1f", m.cell_uw), util::strf("%.1f", m.net_uw),
-                 util::strf("%.2f", m.leak_uw)});
+                 util::strf("%.2f", m.leak_uw),
+                 m.routed ? "yes" : "NO"});
     };
     row("2D", c.flat, c.flat);
     row("3D", c.tmi, c.flat);

@@ -11,7 +11,7 @@ int main() {
       "Table 14: detailed layout results, 7nm (percent-of-2D in parens).");
   t.set_header({"circuit", "type", "footprint um2", "#cells", "#buffers",
                 "util %", "WL mm", "WNS ps", "total uW", "cell uW", "net uW",
-                "leak uW"});
+                "leak uW", "routed"});
   for (gen::Bench b : gen::all_benches()) {
     const Cmp c = compare_cached(util::strf("t7_7_%s", gen::to_string(b)),
                                  preset(b, tech::Node::k7nm));
@@ -31,7 +31,8 @@ int main() {
                  util::strf("%.2f (%.1f)", m.total_uw,
                             100.0 * m.total_uw / base.total_uw),
                  util::strf("%.2f", m.cell_uw), util::strf("%.2f", m.net_uw),
-                 util::strf("%.3f", m.leak_uw)});
+                 util::strf("%.3f", m.leak_uw),
+                 m.routed ? "yes" : "NO"});
     };
     row("2D", c.flat, c.flat);
     row("3D", c.tmi, c.flat);

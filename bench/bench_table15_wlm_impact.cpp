@@ -10,8 +10,8 @@ using namespace m3d::bench;
 int main() {
   util::Table t(
       "Table 15: T-MI designs with ('-3D') and without ('-3D-n') the T-MI\n"
-      "WLM. Paper: negligible for FPU/AES/DES, up to +10%% WL and power for\n"
-      "LDPC and +4-6%% for M256 without it.");
+      "WLM. Paper: negligible for FPU/AES/DES, up to +10% WL and power for\n"
+      "LDPC and +4-6% for M256 without it.");
   t.set_header({"design", "WL mm", "WNS ps", "total uW", "delta WL",
                 "delta pwr"});
   for (gen::Bench b : gen::all_benches()) {

@@ -11,7 +11,7 @@ using namespace m3d::bench;
 int main() {
   util::Table t(
       "Table 17: impact of the modified metal stack (T-MI+M) at 7nm.\n"
-      "Paper: total power improves by ~2.4-2.8%% over plain T-MI.");
+      "Paper: total power improves by ~2.4-2.8% over plain T-MI.");
   t.set_header({"design", "WL mm", "total uW", "cell uW", "net uW", "leak uW",
                 "vs T-MI"});
   for (gen::Bench b : {gen::Bench::kLdpc, gen::Bench::kM256}) {

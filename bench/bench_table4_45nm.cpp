@@ -18,7 +18,7 @@ int main() {
                             {-43.4, -28.4, -17.5, -10.7, -22.2, -12.9}};
 
   util::Table t(
-      "Table 4: 45nm layout results — %% difference of T-MI over 2D\n"
+      "Table 4: 45nm layout results — % difference of T-MI over 2D\n"
       "(iso-performance; timing closed on both designs). Paper values in\n"
       "the second line of each row.");
   t.set_header({"circuit", "footprint", "wirelen", "total pwr", "cell pwr",

@@ -18,7 +18,7 @@ int main() {
                             {-44.6, -23.0, -17.8, -14.1, -23.0, -2.4}};
 
   util::Table t(
-      "Table 7: 7nm layout results — %% difference of T-MI over 2D.\n"
+      "Table 7: 7nm layout results — % difference of T-MI over 2D.\n"
       "Paper values in the second line of each row.");
   t.set_header({"circuit", "footprint", "wirelen", "total pwr", "cell pwr",
                 "net pwr", "leakage", "clk ns", "met", "routed"});

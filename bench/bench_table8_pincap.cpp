@@ -27,9 +27,9 @@ liberty::Library scale_pin_caps(const liberty::Library& in, double factor) {
 
 int main() {
   util::Table t(
-      "Table 8: impact of lower cell pin cap at 7nm on DES. '-pNN' = NN%%\n"
+      "Table 8: impact of lower cell pin cap at 7nm on DES. '-pNN' = NN%\n"
       "reduced pin caps. Paper: the T-MI power benefit does *not* grow as\n"
-      "pin caps shrink (-3.4%% -> -1.8/-2.7/-2.3%%), because the cell power\n"
+      "pin caps shrink (-3.4% -> -1.8/-2.7/-2.3%), because the cell power\n"
       "then dominates.");
   t.set_header({"design", "WL mm", "total uW", "cell uW", "net uW", "leak uW",
                 "power delta"});

@@ -9,7 +9,7 @@ using namespace m3d::bench;
 
 int main() {
   util::Table t(
-      "Table 9: lower metal resistivity at 7nm, M256. Paper: -17.8%% power\n"
+      "Table 9: lower metal resistivity at 7nm, M256. Paper: -17.8% power\n"
       "delta in both cases — lower resistivity does not shrink the T-MI\n"
       "benefit.");
   t.set_header({"design", "WL mm", "total uW", "cell uW", "net uW", "leak uW",

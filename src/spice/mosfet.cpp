@@ -2,10 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace m3d::spice {
 
-double MosModel::ids(double vd, double vg, double vs) const {
+double MosModel::floor_ma_um() const {
+  return ioff_ma_um * std::exp(vth_v / subthreshold_swing_v);
+}
+
+double MosModel::ids(double vd, double vg, double vs, MosCache* cache) const {
+  const double in[3] = {vd, vg, vs};
+  if (cache != nullptr && cache->has_last &&
+      std::memcmp(in, cache->last_in, sizeof(in)) == 0) {
+    return cache->last_id;
+  }
   // Map to device polarity: for PMOS, mirror all voltages.
   double vds = vd - vs;
   double vgs = vg - vs;
@@ -21,15 +31,29 @@ double MosModel::ids(double vd, double vg, double vs) const {
     sign = -sign;
   }
   const double vgt = vgs - vth_v;
+  // Each transcendental below is one expression, evaluated directly or
+  // through the cache's memo of the same expression.
   // Smooth saturation of the leakage term in vds (thermal voltage 26mV).
-  const double leak_sat = 1.0 - std::exp(-vds / 0.026);
+  const auto leak_of = [](double x) { return 1.0 - std::exp(-x / 0.026); };
+  const double leak_sat =
+      cache != nullptr ? cache->leak.get(vds, leak_of) : leak_of(vds);
   double id;
   if (vgt <= 0) {
     // Subthreshold slope anchored so that ioff is the current at vgs = 0.
-    id = ioff_ma_um * std::exp(vgs / subthreshold_swing_v) * leak_sat;
+    const auto sub_of = [this](double x) {
+      return std::exp(x / subthreshold_swing_v);
+    };
+    id = ioff_ma_um *
+         (cache != nullptr ? cache->sub.get(vgs, sub_of) : sub_of(vgs)) *
+         leak_sat;
   } else {
-    const double idsat = k_ma_um * std::pow(vgt, alpha);
-    const double vdsat = vdsat_coef * std::pow(vgt, alpha / 2.0);
+    const auto drive_of = [this](double x) {
+      return MosCache::Drive{std::pow(x, alpha), std::pow(x, alpha / 2.0)};
+    };
+    const MosCache::Drive p =
+        cache != nullptr ? cache->drive.get(vgt, drive_of) : drive_of(vgt);
+    const double idsat = k_ma_um * p.pow_alpha;
+    const double vdsat = vdsat_coef * p.pow_half;
     if (vds >= vdsat) {
       id = idsat * (1.0 + lambda * (vds - vdsat));
     } else {
@@ -37,11 +61,17 @@ double MosModel::ids(double vd, double vg, double vs) const {
       id = idsat * x * (2.0 - x);
     }
     // Floor at the subthreshold value at vgt = 0 for continuity.
-    id = std::max(id, ioff_ma_um * std::exp(vth_v / subthreshold_swing_v) *
+    id = std::max(id, (cache != nullptr ? cache->floor_ma_um : floor_ma_um()) *
                           leak_sat);
   }
   if (pmos) sign = -sign;
-  return sign * id;
+  const double result = sign * id;
+  if (cache != nullptr) {
+    cache->has_last = true;
+    std::memcpy(cache->last_in, in, sizeof(in));
+    cache->last_id = result;
+  }
+  return result;
 }
 
 MosModel ptm45_nmos() {

@@ -8,7 +8,12 @@
 // These are consistent: V/kOhm = mA and fF*V/ps = mA.
 #pragma once
 
+#include <cstdint>
+#include <cstring>
+
 namespace m3d::spice {
+
+struct MosCache;
 
 struct MosModel {
   bool pmos = false;
@@ -27,7 +32,66 @@ struct MosModel {
   /// Positive current flows drain -> source for NMOS (source -> drain
   /// internally for PMOS, reported with sign so that current always leaves
   /// the drain node for NMOS pull-down and enters it for PMOS pull-up).
-  double ids(double vd, double vg, double vs) const;
+  ///
+  /// `cache`, when given, must have been built for this model; it only
+  /// skips work whose inputs repeat bit for bit, so the result is bitwise
+  /// the uncached one (see MosCache).
+  double ids(double vd, double vg, double vs, MosCache* cache = nullptr) const;
+
+  /// ioff * exp(vth / S): the subthreshold current at vgt = 0 per unit
+  /// leak_sat, which floors the above-threshold current.
+  double floor_ma_um() const;
+};
+
+/// Two-slot memo of a pure function of one double, keyed on the argument's
+/// exact bits. Equal bits give the function equal inputs, so a hit returns
+/// bitwise the value a fresh call would; ±0.0 and NaN payloads are distinct
+/// keys. A miss overwrites the slot filled longer ago.
+template <class V>
+struct ExactMemo {
+  uint64_t key[2] = {0, 0};
+  V val[2] = {};
+  int filled = 0;  // slots [0, filled) hold values
+  int next = 0;    // slot the next miss overwrites
+
+  template <class F>
+  V get(double x, F f) {
+    uint64_t k = 0;
+    std::memcpy(&k, &x, sizeof(k));
+    if (filled > 0 && key[0] == k) return val[0];
+    if (filled > 1 && key[1] == k) return val[1];
+    key[next] = k;
+    val[next] = f(x);
+    const V v = val[next];
+    if (filled < 2) ++filled;
+    next ^= 1;
+    return v;
+  }
+};
+
+/// Per-device evaluation cache for MosModel::ids. A Newton step evaluates
+/// each device at its operating point and at a +eps probe of each terminal;
+/// the probes share exact sub-arguments with the operating point (the drain
+/// probe keeps vgs, the gate probe keeps vds), and quiescent devices repeat
+/// their whole terminal triple. Every entry is keyed on the exact bits of
+/// the argument it was computed from and holds the one model expression's
+/// result, so a cached evaluation equals MosModel::ids without a cache to
+/// 0 ULP.
+struct MosCache {
+  explicit MosCache(const MosModel& m) : floor_ma_um(m.floor_ma_um()) {}
+
+  struct Drive {
+    double pow_alpha = 0.0;  // vgt^alpha
+    double pow_half = 0.0;   // vgt^(alpha/2)
+  };
+
+  bool has_last = false;
+  double last_in[3] = {};  // last (vd, vg, vs), compared bytewise
+  double last_id = 0.0;    // ids at last_in
+  ExactMemo<double> leak;  // vds -> 1 - exp(-vds / 0.026)
+  ExactMemo<double> sub;   // vgs -> exp(vgs / S)
+  ExactMemo<Drive> drive;  // vgt -> its two powers
+  double floor_ma_um;      // MosModel::floor_ma_um()
 };
 
 /// 45nm bulk NMOS/PMOS calibrated so that our characterized INV/NAND2/MUX2/DFF

@@ -204,6 +204,10 @@ struct Solver {
   double base_dt = std::numeric_limits<double>::quiet_NaN();
   std::vector<double> f_, dx_, i_node_;
   std::vector<double> jac_;  // dense path / fallback scratch
+  // Per MOSFET: its evaluation cache, and its ids at the `v` of the last
+  // static_currents pass, which residual() leaves for solve_linear().
+  std::vector<MosCache> mos_cache_;
+  std::vector<double> ids_;
   std::string fail_reason;
 
   Solver(const Circuit& c, const TranOptions& o, const SimImpl& impl)
@@ -216,21 +220,28 @@ struct Solver {
     f_.resize(static_cast<size_t>(t.n_unknown));
     dx_.resize(static_cast<size_t>(t.n_unknown));
     i_node_.resize(static_cast<size_t>(t.num_nodes));
+    mos_cache_.reserve(ckt.mosfets().size());
+    for (const auto& m : ckt.mosfets()) mos_cache_.emplace_back(m.model);
+    ids_.resize(ckt.mosfets().size());
   }
 
   /// Currents leaving each node through static elements (R + MOS) at node
-  /// voltages `v` (full vector, all nodes).
+  /// voltages `v` (full vector, all nodes). Records each device's ids in
+  /// ids_.
   void static_currents(const std::vector<double>& v,
-                       std::vector<double>& i_out) const {
+                       std::vector<double>& i_out) {
     std::fill(i_out.begin(), i_out.end(), 0.0);
     for (const auto& r : ckt.resistors()) {
       const double i = (v[static_cast<size_t>(r.a)] - v[static_cast<size_t>(r.b)]) / r.r_kohm;
       i_out[static_cast<size_t>(r.a)] += i;
       i_out[static_cast<size_t>(r.b)] -= i;
     }
+    size_t k = 0;
     for (const auto& m : ckt.mosfets()) {
-      const double i = m.w_um * m.model.ids(v[static_cast<size_t>(m.d)], v[static_cast<size_t>(m.g)],
-                                            v[static_cast<size_t>(m.s)]);
+      const double id = m.model.ids(v[static_cast<size_t>(m.d)], v[static_cast<size_t>(m.g)],
+                                    v[static_cast<size_t>(m.s)], &mos_cache_[k]);
+      ids_[k++] = id;
+      const double i = m.w_um * id;
       i_out[static_cast<size_t>(m.d)] += i;
       i_out[static_cast<size_t>(m.s)] -= i;
     }
@@ -309,7 +320,9 @@ struct Solver {
   /// Assembles the Jacobian at `v` and solves J dx = f into dx_. Sparse
   /// path: base values + per-iteration MOS stamps through the slot
   /// program, numeric refactor on the shared symbolic analysis, dense
-  /// partial-pivot retry when a pivot trips the relative threshold.
+  /// partial-pivot retry when a pivot trips the relative threshold. Must
+  /// follow residual() at the same `v`: the stamps' operating-point
+  /// currents are the ids_ it recorded.
   bool solve_linear(const std::vector<double>& v, double dt) {
     const int n = t.n_unknown;
     if (opt.solver == SolverKind::kDense) return solve_dense(v, dt);
@@ -321,14 +334,16 @@ struct Solver {
       if (slot >= 0) mat.val[static_cast<size_t>(slot)] += g;
     };
     size_t k = 0;
+    size_t j = 0;
     for (const auto& m : ckt.mosfets()) {
       const double vd = v[static_cast<size_t>(m.d)];
       const double vg = v[static_cast<size_t>(m.g)];
       const double vs = v[static_cast<size_t>(m.s)];
-      const double i0 = m.model.ids(vd, vg, vs);
-      const double gd = (m.model.ids(vd + kEps, vg, vs) - i0) / kEps;
-      const double gg = (m.model.ids(vd, vg + kEps, vs) - i0) / kEps;
-      const double gs = (m.model.ids(vd, vg, vs + kEps) - i0) / kEps;
+      MosCache* cache = &mos_cache_[j];
+      const double i0 = ids_[j++];
+      const double gd = (m.model.ids(vd + kEps, vg, vs, cache) - i0) / kEps;
+      const double gg = (m.model.ids(vd, vg + kEps, vs, cache) - i0) / kEps;
+      const double gs = (m.model.ids(vd, vg, vs + kEps, cache) - i0) / kEps;
       const double w = m.w_um;
       acc(t.mos_slots[k], w * gd);
       acc(t.mos_slots[k + 1], w * gg);
@@ -492,12 +507,8 @@ TranResult simulate(const Circuit& ckt, const TranOptions& opt,
   for (int p : opt.probes) {
     result.wave[p].reserve(static_cast<size_t>(steps) + 1);
   }
-  std::unordered_map<int, double> energy;    // node -> fJ
-  std::unordered_map<int, double> charge;    // node -> fC (for avg current)
-  for (const auto& s : ckt.sources()) {
-    energy[s.node] = 0.0;
-    charge[s.node] = 0.0;
-  }
+  std::vector<double> energy(static_cast<size_t>(num_nodes), 0.0);  // fJ
+  std::vector<double> charge(static_cast<size_t>(num_nodes), 0.0);  // fC
 
   auto record = [&](double t) {
     result.time_ps.push_back(t);
@@ -542,8 +553,9 @@ TranResult simulate(const Circuit& ckt, const TranOptions& opt,
     for (const auto& s : ckt.sources()) {
       const double delivered_ma = i_node[static_cast<size_t>(s.node)];  // leaving node
       // Work done by the source = V * I_delivered * dt. (mA * V * ps = fJ.)
-      energy[s.node] += v[static_cast<size_t>(s.node)] * delivered_ma * opt.dt_ps;
-      if (in_tail) charge[s.node] += delivered_ma * opt.dt_ps;
+      energy[static_cast<size_t>(s.node)] +=
+          v[static_cast<size_t>(s.node)] * delivered_ma * opt.dt_ps;
+      if (in_tail) charge[static_cast<size_t>(s.node)] += delivered_ma * opt.dt_ps;
     }
     record(t);
   }
@@ -551,9 +563,10 @@ TranResult simulate(const Circuit& ckt, const TranOptions& opt,
   const double avg_window =
       opt.tail_ps > 0.0 ? std::min(opt.tail_ps, steps * opt.dt_ps)
                         : steps * opt.dt_ps;
-  for (auto& [node, e] : energy) result.source_energy_fj[node] = e;
-  for (auto& [node, q] : charge) {
-    result.source_avg_current_ma[node] = q / avg_window;
+  for (const auto& s : ckt.sources()) {
+    const size_t nd = static_cast<size_t>(s.node);
+    result.source_energy_fj[s.node] = energy[nd];
+    result.source_avg_current_ma[s.node] = charge[nd] / avg_window;
   }
   return result;
 }

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "liberty/characterize.hpp"
 #include "liberty/library.hpp"
+#include "liberty/liberty_writer.hpp"
+#include "store/blob.hpp"
 #include "test_fixtures.hpp"
 
 namespace m3d::liberty {
@@ -113,6 +117,42 @@ TEST(Characterize, InvProducesMonotoneDelayTables) {
 
 namespace m3d::liberty {
 namespace {
+
+// Bit-level pin of the SPICE characterizer: FNV-1a of the Liberty text of
+// one combinational, one multi-input and the sequential cell, each
+// characterized from its 2D layout and its T-MI fold. The constants were
+// recorded before the Newton loop reused MOSFET evaluations; a change to the
+// simulator's arithmetic (Jacobian stamps, convergence, source energy)
+// moves them.
+TEST(Characterize, LibertyTextOfCharacterizedCellsIsPinned) {
+  struct Pin {
+    cells::Func func;
+    tech::Style style;
+    uint64_t fnv;
+  };
+  const Pin pins[] = {
+      {cells::Func::kInv, tech::Style::k2D, 0xdbd01ce7ba7b7c0cull},
+      {cells::Func::kNand2, tech::Style::k2D, 0xac1ba56b1f6384ebull},
+      {cells::Func::kDff, tech::Style::k2D, 0x9be387af0fe77371ull},
+      {cells::Func::kInv, tech::Style::kTMI, 0x6f3d6a4947376d92ull},
+      {cells::Func::kNand2, tech::Style::kTMI, 0x1602dbae96d24367ull},
+      {cells::Func::kDff, tech::Style::kTMI, 0x7925996edda32fc2ull},
+  };
+  for (const Pin& pin : pins) {
+    const cells::CellSpec spec = cells::make_spec(pin.func, 1);
+    const tech::Tech tch(tech::Node::k45nm, pin.style);
+    const cells::CellLayout layout = pin.style == tech::Style::k2D
+                                         ? cells::layout_2d(spec, tch)
+                                         : cells::fold_tmi(spec, tch);
+    Library lib;
+    lib.name = "pin";
+    lib.style = pin.style;
+    lib.add(characterize_cell(spec, layout, 1.1));
+    const uint64_t fnv = store::fnv1a64(to_liberty_text(lib));
+    EXPECT_EQ(fnv, pin.fnv) << spec.name << " (" << tech::to_string(pin.style)
+                            << "): 0x" << store::key_hex(fnv);
+  }
+}
 
 TEST(Characterize, MeasuredSetupIsPlausible) {
   const cells::CellSpec dff = cells::make_spec(cells::Func::kDff, 1);

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "spice/circuit.hpp"
 #include "spice/mosfet.hpp"
 #include "spice/sim.hpp"
+#include "util/rng.hpp"
 
 namespace m3d::spice {
 namespace {
@@ -51,6 +54,89 @@ TEST(Mosfet, MonotoneInVgs) {
     const double i = n.ids(kVdd, vg, 0.0);
     EXPECT_GE(i, prev - 1e-12) << "vg=" << vg;
     prev = i;
+  }
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Operating region of `m` at (vd, vg, vs), mirroring the model's own
+// polarity and source/drain mapping.
+enum Region { kCutoff, kSubthreshold, kLinear, kSaturation, kNumRegions };
+
+Region region_of(const MosModel& m, double vd, double vg, double vs) {
+  double vds = vd - vs;
+  double vgs = vg - vs;
+  if (m.pmos) {
+    vds = -vds;
+    vgs = -vgs;
+  }
+  if (vds < 0) {
+    vgs -= vds;
+    vds = -vds;
+  }
+  const double vgt = vgs - m.vth_v;
+  if (vgt <= 0) return vgs <= 0 ? kCutoff : kSubthreshold;
+  return vds < m.vdsat_coef * std::pow(vgt, m.alpha / 2.0) ? kLinear
+                                                           : kSaturation;
+}
+
+// MosCache oracle: runs the Newton loop's evaluation pattern (operating
+// point, repeats, +/-1e-5 probes of each terminal) through one cache per
+// device and requires every result to equal uncached ids() to 0 ULP.
+TEST(Mosfet, CachedEvaluationMatchesIdsBitwise) {
+  constexpr double kEps = 1e-5;
+  util::Rng rng(0x5eedca4e);
+  int checked = 0;
+  int swapped = 0;
+  int negative_zero = 0;  // results that are -0.0
+  int regions[kNumRegions] = {};
+  for (const MosModel& m : {ptm45_nmos(), ptm45_pmos()}) {
+    MosCache cache(m);
+    auto check = [&](double vd, double vg, double vs) {
+      const double want = m.ids(vd, vg, vs);
+      const double got = m.ids(vd, vg, vs, &cache);
+      ASSERT_TRUE(same_bits(want, got))
+          << (m.pmos ? "pmos" : "nmos") << " ids(" << vd << ", " << vg
+          << ", " << vs << "): cached " << got << " vs " << want;
+      ++regions[region_of(m, vd, vg, vs)];
+      if ((m.pmos ? vs - vd : vd - vs) < 0) ++swapped;
+      if (want == 0.0 && std::signbit(want)) ++negative_zero;
+      ++checked;
+    };
+    // Hand-picked points (each region, both rails, vds of zero, -0.0
+    // terminals), then random points over and beyond the rails. Negating a
+    // terminal reaches vds < 0 and turns 0.0 into -0.0.
+    std::vector<std::vector<double>> points = {
+        {kVdd, 0.0, 0.0},  {kVdd, 0.3, 0.0},  {0.05, kVdd, 0.0},
+        {kVdd, kVdd, 0.0}, {0.0, 0.0, kVdd},  {0.0, kVdd, kVdd},
+        {0.2, kVdd, 1.0},  {1.0, 0.8, 0.2},   {0.0, kVdd, 0.0},
+        {-0.0, kVdd, 0.0}, {0.0, kVdd, -0.0}, {-0.0, -0.0, -0.0},
+        {0.0, 0.0, 0.0},   {kVdd, -0.0, kVdd}, {0.5, 0.5, 0.5}};
+    for (int i = 0; i < 400; ++i) {
+      points.push_back({rng.uniform(-0.2, 1.3), rng.uniform(-0.2, 1.3),
+                        rng.uniform(-0.2, 1.3)});
+    }
+    for (const auto& p : points) {
+      const double vd = p[0], vg = p[1], vs = p[2];
+      for (double e : {kEps, -kEps}) {
+        check(vd, vg, vs);
+        check(vd, vg, vs);  // whole-triple repeat
+        check(vd + e, vg, vs);
+        check(vd, vg + e, vs);
+        check(vd, vg, vs + e);
+        check(vd, vg, vs);  // operating point again after the probes
+        check(-vd, vg, vs);
+        check(vd, vg, -vs);
+      }
+    }
+  }
+  EXPECT_GT(checked, 10000);
+  EXPECT_GT(swapped, 100);
+  EXPECT_GT(negative_zero, 0);
+  for (int r = 0; r < kNumRegions; ++r) {
+    EXPECT_GT(regions[r], 100) << "region " << r;
   }
 }
 
