@@ -16,22 +16,20 @@ int main() {
   // The per-circuit base comparisons pin the clock; the activity sweep (5
   // circuits x 4 activities, all independent) then fans out across the
   // exec pool, and the tables print from the ordered results.
-  std::vector<Job> base_jobs;
+  std::vector<flow::FlowOptions> base_jobs;
   for (gen::Bench b : gen::all_benches()) {
-    base_jobs.push_back({util::strf("t4_45_%s", gen::to_string(b)),
-                         preset(b, tech::Node::k45nm)});
+    base_jobs.push_back(preset(b, tech::Node::k45nm));
   }
   const std::vector<Cmp> bases = compare_cached_all(base_jobs);
 
-  std::vector<Job> jobs;
+  std::vector<flow::FlowOptions> jobs;
   size_t bi = 0;
   for (gen::Bench b : gen::all_benches()) {
     flow::FlowOptions o = preset(b, tech::Node::k45nm);
     o.clock_ns = bases[bi++].flat.clock_ns;
     for (double a : activities) {
       o.seq_activity = a;
-      jobs.push_back(
-          {util::strf("fig11_%s_a%02.0f", gen::to_string(b), a * 100), o});
+      jobs.push_back(o);
     }
   }
   const std::vector<Cmp> sweep = compare_cached_all(jobs);

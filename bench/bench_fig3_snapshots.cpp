@@ -67,8 +67,7 @@ int main() {
   // Fig 3: LDPC and DES routed (2D) — congestion view plus footprint note.
   for (gen::Bench b : {gen::Bench::kLdpc, gen::Bench::kDes, gen::Bench::kAes}) {
     flow::FlowOptions o = preset(b, tech::Node::k45nm);
-    const Cmp base =
-        compare_cached(util::strf("t4_45_%s", gen::to_string(b)), o);
+    const Cmp base = compare_cached(o);
     o.clock_ns = base.flat.clock_ns;
     for (tech::Style style : {tech::Style::k2D, tech::Style::kTMI}) {
       flow::FlowOptions run = o;

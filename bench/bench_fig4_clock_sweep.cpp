@@ -16,8 +16,7 @@ int main() {
                 "net pwr", "leakage", "met"});
   for (gen::Bench b : {gen::Bench::kAes, gen::Bench::kM256}) {
     // Baseline: the tightest closable clock, then relaxed corners.
-    const Cmp base = compare_cached(util::strf("t4_45_%s", gen::to_string(b)),
-                                    preset(b, tech::Node::k45nm));
+    const Cmp base = compare_cached(preset(b, tech::Node::k45nm));
     const double base_clk = base.flat.clock_ns;
     const struct {
       const char* name;
@@ -26,8 +25,7 @@ int main() {
     for (const auto& corner : corners) {
       flow::FlowOptions o = preset(b, tech::Node::k45nm);
       o.clock_ns = base_clk * corner.factor;
-      const Cmp c = compare_cached(
-          util::strf("fig4b_%s_%s", gen::to_string(b), corner.name), o);
+      const Cmp c = compare_cached(o);
       t.add_row({gen::to_string(b), corner.name,
                  util::strf("%.2f", c.flat.clock_ns),
                  pct_str(c.tmi.total_uw, c.flat.total_uw),

@@ -21,7 +21,7 @@ int main() {
                 "MIVs", "met", "pwr vs 2D"});
   for (gen::Bench b : {gen::Bench::kAes, gen::Bench::kDes}) {
     flow::FlowOptions o = preset(b, tech::Node::k45nm);
-    const Cmp base = compare_cached(util::strf("t4_45_%s", gen::to_string(b)), o);
+    const Cmp base = compare_cached(o);
     o.clock_ns = base.flat.clock_ns;
 
     gmi::GmiExtra extra;

@@ -143,8 +143,8 @@ BENCHMARK(BM_ParasiticExtraction)->Unit(benchmark::kMillisecond);
 
 // --- Incremental place/route cost kernels vs their pre-index baselines. ---
 //
-// The fixture runs M256 at the default paper-bench scale (scale_shift 1,
-// the size the flow actually uses) — the largest benchmark, and with ~770
+// The fixture runs M256 at its flow::preset scale and utilisation (the
+// size the flow actually uses) — the largest benchmark, and with ~770
 // ports the one where the old rescan-every-port HPWL loop hurt most. The
 // *Baseline benchmarks keep verbatim copies of the replaced loops so the
 // speedup stays measurable PR over PR.
@@ -156,11 +156,13 @@ struct DetailFixture {
   place::SpreadPlacement spread;
 
   DetailFixture() {
+    const flow::FlowOptions p =
+        flow::preset(gen::Bench::kM256, tech::Node::k45nm);
     gen::GenOptions o;
-    o.scale_shift = 1;  // flow::preset(kM256, ...).scale_shift
+    o.scale_shift = p.scale_shift;
     nl = gen::make_m256(o);
     nl.bind(lib);
-    die = place::make_die(&nl, 0.68, 1.4);  // paper: M256 at 68% util
+    die = place::make_die(&nl, p.target_util, 1.4);
     spread = place::global_spread(&nl, die, {});
     place::legalize(&nl, die, spread);
   }
@@ -321,8 +323,8 @@ BENCHMARK(BM_RouteMazeCongested)->Unit(benchmark::kMillisecond);
 
 // --- The ldpc_iso hot path: routing and placement extraction. -------------
 //
-// LDPC at its default bench scale (scale_shift 2, ~26k cells) and the
-// paper's 0.33 utilisation, taken through the flow at a fixed 8.5 ns clock.
+// LDPC at its flow::preset scale and utilisation (~26k cells, the paper's
+// 0.33), taken through the flow at a fixed 8.5 ns clock.
 // The fixture is the flow's final netlist: post-route optimization only
 // resizes cells, so its nets and positions are the ones pre-route
 // optimization handed to the router, and routing it reproduces the flow's
@@ -334,10 +336,7 @@ struct LdpcFixture {
   flow::FlowResult flow;
 
   LdpcFixture() {
-    flow::FlowOptions o;
-    o.bench = gen::Bench::kLdpc;
-    o.scale_shift = 2;
-    o.target_util = 0.33;
+    flow::FlowOptions o = flow::preset(gen::Bench::kLdpc, tech::Node::k45nm);
     o.clock_ns = 8.5;
     o.lib = &lib;
     o.check_level = check::Level::kNone;
@@ -391,10 +390,7 @@ BENCHMARK(BM_StaRunLdpc)->Name("sta.run")->Unit(benchmark::kMillisecond);
 //
 // spice.newton_step: a transient run of the largest characterization
 // circuit (DFF_X4 with output load) — the Newton loop is assemble + factor
-// + two triangular solves per step, so the sparse-vs-dense ratio here is
-// the per-step linear-algebra win at characterization scale. The dense
-// baseline is the pre-port O(n^3)-per-step path, still selectable through
-// TranOptions::solver.
+// + two triangular solves per step on the sparse LU.
 
 spice::Circuit make_char_circuit(cells::Func func, int drive, int* load_idx,
                                  int* in_src_idx) {
@@ -422,27 +418,18 @@ spice::Circuit make_char_circuit(cells::Func func, int drive, int* load_idx,
   return ckt;
 }
 
-void BM_SpiceNewtonStep(benchmark::State& state, spice::SolverKind kind) {
+void BM_SpiceNewtonStep(benchmark::State& state) {
   const spice::Circuit ckt =
       make_char_circuit(cells::Func::kDff, 4, nullptr, nullptr);
   spice::TranOptions opt;
   opt.t_stop_ps = 400.0;
   opt.dt_ps = 0.5;
-  opt.solver = kind;
   for (auto _ : state) {
     benchmark::DoNotOptimize(spice::simulate(ckt, opt));
   }
 }
-void BM_SpiceNewtonStepSparse(benchmark::State& state) {
-  BM_SpiceNewtonStep(state, spice::SolverKind::kSparse);
-}
-void BM_SpiceNewtonStepDense(benchmark::State& state) {
-  BM_SpiceNewtonStep(state, spice::SolverKind::kDense);
-}
-BENCHMARK(BM_SpiceNewtonStepSparse)
+BENCHMARK(BM_SpiceNewtonStep)
     ->Name("spice.newton_step")->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SpiceNewtonStepDense)
-    ->Name("spice.newton_step_dense")->Unit(benchmark::kMillisecond);
 
 // numeric.spmv: y = A x on a placement-connectivity-shaped matrix (2000
 // rows, ~8 nonzeros per row) vs the dense row-major mat-vec over the same

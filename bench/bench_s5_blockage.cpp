@@ -15,12 +15,12 @@ int main() {
   t.set_header({"setting", "WL mm", "WNS ps", "total uW", "delta WL",
                 "delta pwr"});
   flow::FlowOptions with = preset(gen::Bench::kAes, tech::Node::k45nm);
-  const Cmp base = compare_cached("t4_45_AES", with);
+  const Cmp base = compare_cached(with);
   with.clock_ns = base.flat.clock_ns;
   flow::FlowOptions without = with;
   without.local_blockage_frac = 0.0;
-  const Cmp cw = compare_cached("s5_blocked", with);
-  const Cmp cn = compare_cached("s5_unblocked", without);
+  const Cmp cw = compare_cached(with);
+  const Cmp cn = compare_cached(without);
   t.add_row({"AES-3D (with blockages)",
              util::strf("%.3f", cw.tmi.total_wl_um / 1e3),
              util::strf("%+.0f", cw.tmi.wns_ps),

@@ -20,10 +20,7 @@ int main() {
       flow::FlowOptions o = preset(b, node);
       // Reuse the table 4/7 cached clock, then synthesize standalone for
       // the statistics.
-      const Cmp c = compare_cached(
-          util::strf("%s_%s", node == tech::Node::k45nm ? "t4_45" : "t7_7",
-                     gen::to_string(b)),
-          o);
+      const Cmp c = compare_cached(o);
       gen::GenOptions go;
       go.scale_shift = o.scale_shift;
       circuit::Netlist nl = gen::make_benchmark(b, go);

@@ -10,14 +10,13 @@ using namespace m3d::bench;
 
 namespace {
 
-void detail_table(const char* title, tech::Node node, const char* key_prefix) {
+void detail_table(const char* title, tech::Node node) {
   util::Table t(title);
   t.set_header({"circuit", "type", "footprint um2", "#cells", "#buffers",
                 "util %", "WL mm", "WNS ps", "total uW", "cell uW", "net uW",
                 "leak uW", "routed"});
   for (gen::Bench b : gen::all_benches()) {
-    const Cmp c = compare_cached(util::strf("%s_%s", key_prefix, gen::to_string(b)),
-                                 preset(b, node));
+    const Cmp c = compare_cached(preset(b, node));
     auto row = [&](const char* type, const flow::FlowResult& m,
                    const flow::FlowResult& base) {
       t.add_row({gen::to_string(b), type,
@@ -50,6 +49,6 @@ int main() {
   detail_table(
       "Table 13: detailed layout results, 45nm (percent-of-2D in parens;\n"
       "positive WNS = timing met).",
-      tech::Node::k45nm, "t4_45");
+      tech::Node::k45nm);
   return 0;
 }

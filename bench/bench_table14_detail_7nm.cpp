@@ -13,8 +13,7 @@ int main() {
                 "util %", "WL mm", "WNS ps", "total uW", "cell uW", "net uW",
                 "leak uW", "routed"});
   for (gen::Bench b : gen::all_benches()) {
-    const Cmp c = compare_cached(util::strf("t7_7_%s", gen::to_string(b)),
-                                 preset(b, tech::Node::k7nm));
+    const Cmp c = compare_cached(preset(b, tech::Node::k7nm));
     auto row = [&](const char* type, const flow::FlowResult& m,
                    const flow::FlowResult& base) {
       t.add_row({gen::to_string(b), type,

@@ -16,13 +16,12 @@ int main() {
                 "delta pwr"});
   for (gen::Bench b : gen::all_benches()) {
     flow::FlowOptions with = preset(b, tech::Node::k45nm);
-    const Cmp base = compare_cached(
-        util::strf("t4_45_%s", gen::to_string(b)), with);
+    const Cmp base = compare_cached(with);
     with.clock_ns = base.flat.clock_ns;
     flow::FlowOptions without = with;
     without.tmi_wlm = false;
-    const Cmp cw = compare_cached(util::strf("t15w_%s", gen::to_string(b)), with);
-    const Cmp cn = compare_cached(util::strf("t15n_%s", gen::to_string(b)), without);
+    const Cmp cw = compare_cached(with);
+    const Cmp cn = compare_cached(without);
     t.add_row({std::string(gen::to_string(b)) + "-3D",
                util::strf("%.3f", cw.tmi.total_wl_um / 1000.0),
                util::strf("%+.0f", cw.tmi.wns_ps),

@@ -15,8 +15,7 @@ int main() {
   t.set_header({"design", "wire cap pF", "pin cap pF", "wire pwr uW",
                 "pin pwr uW", "wire/pin cap"});
   for (gen::Bench b : {gen::Bench::kLdpc, gen::Bench::kDes}) {
-    const Cmp c = compare_cached(util::strf("t4_45_%s", gen::to_string(b)),
-                                 preset(b, tech::Node::k45nm));
+    const Cmp c = compare_cached(preset(b, tech::Node::k45nm));
     auto row = [&](const char* type, const flow::FlowResult& m) {
       t.add_row({std::string(gen::to_string(b)) + type,
                  util::strf("%.1f", m.wire_cap_pf),

@@ -16,10 +16,10 @@ int main() {
                 "vs T-MI"});
   for (gen::Bench b : {gen::Bench::kLdpc, gen::Bench::kM256}) {
     flow::FlowOptions o = preset(b, tech::Node::k7nm);
-    const Cmp base = compare_cached(util::strf("t7_7_%s", gen::to_string(b)), o);
+    const Cmp base = compare_cached(o);
     o.clock_ns = base.flat.clock_ns;
     o.style = tech::Style::kTMIPlusM;
-    const Cmp plus = compare_cached(util::strf("t17_%s", gen::to_string(b)), o);
+    const Cmp plus = compare_cached(o);
     auto row = [&](const char* name, const flow::FlowResult& m,
                    const flow::FlowResult* ref) {
       t.add_row({name, util::strf("%.3f", m.total_wl_um / 1000.0),

@@ -25,10 +25,9 @@ int main() {
                 "net pwr", "leakage", "clk ns", "met", "routed"});
   // All five circuits are independent experiments: fan them out across the
   // exec pool and print the rows in order afterwards.
-  std::vector<Job> jobs;
+  std::vector<flow::FlowOptions> jobs;
   for (gen::Bench b : gen::all_benches()) {
-    jobs.push_back({util::strf("t4_45_%s", gen::to_string(b)),
-                    preset(b, tech::Node::k45nm)});
+    jobs.push_back(preset(b, tech::Node::k45nm));
   }
   const std::vector<Cmp> results = compare_cached_all(jobs);
   int i = 0;

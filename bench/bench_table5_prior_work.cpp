@@ -44,9 +44,7 @@ int main() {
         {"[7]", 0.849, 0.682, 1.086, 0.923, 134.9, 130.7}}},
   };
   for (const Row& row : rows) {
-    const Cmp c =
-        compare_cached(util::strf("t4_45_%s", gen::to_string(row.bench)),
-                       preset(row.bench, tech::Node::k45nm));
+    const Cmp c = compare_cached(preset(row.bench, tech::Node::k45nm));
     t.add_row({gen::to_string(row.bench), "ours-2D",
                util::strf("%.6f", c.flat.total_wl_um * 1e-6),
                util::strf("%.3f", c.flat.longest_path_ns),

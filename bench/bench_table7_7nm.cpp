@@ -24,10 +24,9 @@ int main() {
                 "net pwr", "leakage", "clk ns", "met", "routed"});
   // All five circuits are independent experiments: fan them out across the
   // exec pool and print the rows in order afterwards.
-  std::vector<Job> jobs;
+  std::vector<flow::FlowOptions> jobs;
   for (gen::Bench b : gen::all_benches()) {
-    jobs.push_back({util::strf("t7_7_%s", gen::to_string(b)),
-                    preset(b, tech::Node::k7nm)});
+    jobs.push_back(preset(b, tech::Node::k7nm));
   }
   const std::vector<Cmp> results = compare_cached_all(jobs);
   int i = 0;

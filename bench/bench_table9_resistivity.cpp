@@ -19,7 +19,7 @@ int main() {
   for (int i = 0; i < 2; ++i) {
     flow::FlowOptions o = preset(gen::Bench::kM256, tech::Node::k7nm);
     o.resistivity_scale = scales[i];
-    const Cmp c = compare_cached(util::strf("t9_m256_m%d", i), o);
+    const Cmp c = compare_cached(o);
     auto row = [&](const char* suffix, const flow::FlowResult& m,
                    const flow::FlowResult& base, bool show) {
       t.add_row({std::string(names[i]) + suffix,

@@ -42,12 +42,12 @@ void write_run_reports(const flow::CompareResult& r) {
   }
 }
 
-Cmp compare_cached(const std::string& key, const flow::FlowOptions& base) {
+Cmp compare_cached(const flow::FlowOptions& base) {
   const liberty::Library& l2 = library(base.node, tech::Style::k2D);
   const liberty::Library& l3 = library(base.node, tech::Style::kTMI);
   const store::Store& store = *flow::characterized_libraries().store();
   const std::string store_key = flow::artifacts::compare_key(
-      key, flow::artifacts::library_fingerprint(l2),
+      base, flow::artifacts::library_fingerprint(l2),
       flow::artifacts::library_fingerprint(l3));
   Cmp cmp;
   const std::optional<std::string> stored = store.get("compare", store_key);
@@ -58,7 +58,7 @@ Cmp compare_cached(const std::string& key, const flow::FlowOptions& base) {
   write_run_reports(r);
   const std::string blob = flow::artifacts::encode_compare_blob(r);
   if (!store.put("compare", store_key, blob)) {
-    util::warn("could not store comparison " + key);
+    util::warn("could not store comparison " + store_key);
   }
   [[maybe_unused]] const bool decoded =
       flow::artifacts::decode_compare_blob(blob, &cmp);
@@ -66,17 +66,17 @@ Cmp compare_cached(const std::string& key, const flow::FlowOptions& base) {
   return cmp;
 }
 
-std::vector<Cmp> compare_cached_all(const std::vector<Job>& jobs) {
+std::vector<Cmp> compare_cached_all(const std::vector<flow::FlowOptions>& jobs) {
   // Warm the libraries before fanning out, so characterization runs on the
   // whole pool instead of inside one job while the others wait for it.
-  for (const Job& job : jobs) {
-    (void)library(job.opt.node, tech::Style::k2D);
-    (void)library(job.opt.node, tech::Style::kTMI);
+  for (const flow::FlowOptions& job : jobs) {
+    (void)library(job.node, tech::Style::k2D);
+    (void)library(job.node, tech::Style::kTMI);
   }
   std::vector<Cmp> out(jobs.size());
   exec::TaskGroup group(exec::default_pool());
   for (size_t i = 0; i < jobs.size(); ++i) {
-    group.run([&jobs, &out, i] { out[i] = compare_cached(jobs[i].key, jobs[i].opt); });
+    group.run([&jobs, &out, i] { out[i] = compare_cached(jobs[i]); });
   }
   group.wait();
   return out;

@@ -26,24 +26,19 @@ const liberty::Library& library(tech::Node node, tech::Style style);
 using Cmp = flow::CompareResult;
 
 /// Runs (or loads from the store's "compare" artifacts) an iso-performance
-/// comparison. `key` must uniquely identify the configuration; the store key
-/// adds both libraries' fingerprints (flow::artifacts::compare_key). Clear
-/// the store when flow behaviour changes. Fresh (non-cached) runs also drop
-/// one JSON run report per side under out_figs/run_<bench>_<style>.json.
-/// Fresh results go through the same codec, so a warm run returns the same
-/// bits as the cold run that stored them.
-Cmp compare_cached(const std::string& key, const flow::FlowOptions& base);
-
-/// One experiment configuration for compare_cached_all.
-struct Job {
-  std::string key;
-  flow::FlowOptions opt;
-};
+/// comparison. The store key is derived from the options and both
+/// libraries' fingerprints (flow::artifacts::compare_key); it names inputs,
+/// not code, so clear the store when flow behaviour changes. Fresh
+/// (non-cached) runs also drop one JSON run report per side under
+/// out_figs/run_<bench>_<style>.json. Fresh results go through the same
+/// codec, so a warm run returns the same bits as the cold run that stored
+/// them.
+Cmp compare_cached(const flow::FlowOptions& base);
 
 /// compare_cached for a batch of independent configurations, fanned out
 /// across the exec pool ($M3D_THREADS). Results come back in job order, so
 /// table printing is unchanged; run-report writes are serialized.
-std::vector<Cmp> compare_cached_all(const std::vector<Job>& jobs);
+std::vector<Cmp> compare_cached_all(const std::vector<flow::FlowOptions>& jobs);
 
 /// Writes the out_figs/run_<bench>_<style>.json reports for both sides of a
 /// comparison (stage timings + counters; see flow/report.hpp).

@@ -8,13 +8,16 @@
 namespace m3d::cells {
 
 std::vector<DrcViolation> check_layout(const CellLayout& layout,
-                                       const tech::Tech& tech,
-                                       const DrcOptions& opt) {
+                                       const tech::Tech& tech) {
+  // Minimum MIV spacing (~site pitch) and device pitch at 45 nm, scaled
+  // linearly to the node.
+  constexpr double kMinMivSpacingUm = 0.09;
+  constexpr double kMinDevicePitchUm = 0.13;
   std::vector<DrcViolation> out;
   const double scale =
       tech.node() == tech::Node::k7nm ? 7.0 / 45.0 : 1.0;
-  const double min_miv = opt.min_miv_spacing_um * scale;
-  const double min_pitch = opt.min_device_pitch_um * scale;
+  const double min_miv = kMinMivSpacingUm * scale;
+  const double min_pitch = kMinDevicePitchUm * scale;
 
   // Bounds: every shape inside the cell box.
   for (const auto& d : layout.devices) {

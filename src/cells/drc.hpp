@@ -17,15 +17,9 @@ struct DrcViolation {
   std::string detail;
 };
 
-struct DrcOptions {
-  double min_miv_spacing_um = 0.09;  // ~site pitch at 45nm
-  double min_device_pitch_um = 0.13;
-};
-
 /// Runs all checks; empty result = clean.
 std::vector<DrcViolation> check_layout(const CellLayout& layout,
-                                       const tech::Tech& tech,
-                                       const DrcOptions& opt = {});
+                                       const tech::Tech& tech);
 
 std::string drc_report(const std::vector<DrcViolation>& violations);
 

@@ -9,6 +9,8 @@
 namespace m3d::cts {
 namespace {
 
+constexpr int kBufferDrive = 4;  // every clock-tree buffer is a BUF_X4
+
 struct Sink {
   circuit::PinRef pin;
   geom::Pt pos;
@@ -52,12 +54,12 @@ CtsResult build_clock_tree(circuit::Netlist* nl, const liberty::Library& lib,
     node.pos = centroid;
     const circuit::NetId in = nl->new_net();
     const circuit::NetId out = nl->new_net();
-    node.buf = nl->add_gate(cells::Func::kBuf, {in}, {out}, opt.buffer_drive);
+    node.buf = nl->add_gate(cells::Func::kBuf, {in}, {out}, kBufferDrive);
     auto& binst = nl->inst(node.buf);
     binst.from_optimizer = true;
     binst.pos = centroid;
     binst.placed = true;
-    nl->resize_inst(node.buf, lib, opt.buffer_drive);
+    nl->resize_inst(node.buf, lib, kBufferDrive);
     if (opt.die != nullptr) {
       auto& bound = nl->inst(node.buf);
       bound.pos = place::snap_to_row(

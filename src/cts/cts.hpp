@@ -16,7 +16,6 @@ namespace m3d::cts {
 
 struct CtsOptions {
   int max_sinks_per_buffer = 24;
-  int buffer_drive = 4;
   /// When set, clock buffers are snapped onto the row grid inside this die
   /// (place::snap_to_row) so CTS preserves placement legality.
   const place::Die* die = nullptr;

@@ -134,19 +134,23 @@ bool decode_scalars(store::BlobReader* r, FlowResult* res) {
   return true;
 }
 
+// The design a key's artifact was computed from: the bench, or a custom
+// netlist's structural hash in its place.
+std::string design_source(const FlowOptions& opt) {
+  if (opt.custom_netlist != nullptr) {
+    return util::strf(
+        "\"netlist\":\"%s\"",
+        store::key_hex(check::netlist_hash(*opt.custom_netlist)).c_str());
+  }
+  return util::strf("\"bench\":\"%s\"", gen::to_string(opt.bench));
+}
+
 }  // namespace
 
 std::string resolved_store_dir(const std::string& opt_dir) {
   if (!opt_dir.empty()) return opt_dir;
   const char* env = std::getenv("M3D_STORE");
   return env != nullptr ? std::string(env) : std::string();
-}
-
-bool store_usable(const FlowOptions& opt) {
-  // A custom WLM has no canonical serialization in the key schema, and it
-  // changes synthesis — memoizing under a key that omits it would alias
-  // different designs. Fall back to running everything.
-  return !opt.wlm.has_value();
 }
 
 // --- library ---------------------------------------------------------------
@@ -273,8 +277,8 @@ std::string clock_key(const FlowOptions& opt, uint64_t lib_fp) {
 
 double resolved_clock_ns(const FlowOptions& opt, const store::Store* store) {
   if (opt.clock_ns > 0.0) return opt.clock_ns;
-  const bool memoizable = store != nullptr && store->enabled() &&
-                          store_usable(opt) && opt.custom_netlist == nullptr;
+  const bool memoizable =
+      store != nullptr && store->enabled() && opt.custom_netlist == nullptr;
   std::string key;
   if (memoizable) {
     key = clock_key(opt, library_fingerprint(*opt.lib));
@@ -331,23 +335,17 @@ bool decode_netlist_blob(const std::string& blob, FlowResult* res) {
 // --- placement -------------------------------------------------------------
 
 std::string place_key(const FlowOptions& opt, uint64_t lib_fp) {
-  // Everything stages gen/synth/place(+CTS) read from the options. A
-  // custom netlist replaces the bench identity with its structural hash.
-  const std::string source =
-      opt.custom_netlist != nullptr
-          ? util::strf("\"netlist\":\"%s\"",
-                       store::key_hex(check::netlist_hash(*opt.custom_netlist))
-                           .c_str())
-          : util::strf("\"bench\":\"%s\"", gen::to_string(opt.bench));
+  // Everything stages gen/synth/place(+CTS) read from the options.
   return util::strf(
       "{\"artifact\":\"place\",%s,\"node\":\"%s\",\"style\":\"%s\","
       "\"scale_shift\":%d,\"seed\":\"%llu\",\"clock_ns\":%.17g,"
       "\"target_util\":%.17g,\"tmi_wlm\":%d,\"resistivity_scale\":%.17g,"
-      "\"build_cts\":%d,\"lib\":\"%s\"}",
-      source.c_str(), tech::to_string(opt.node), tech::to_string(opt.style),
-      opt.scale_shift, static_cast<unsigned long long>(opt.seed), opt.clock_ns,
-      opt.target_util, opt.tmi_wlm ? 1 : 0, opt.resistivity_scale,
-      opt.build_cts ? 1 : 0, store::key_hex(lib_fp).c_str());
+      "\"lib\":\"%s\"}",
+      design_source(opt).c_str(), tech::to_string(opt.node),
+      tech::to_string(opt.style), opt.scale_shift,
+      static_cast<unsigned long long>(opt.seed), opt.clock_ns, opt.target_util,
+      opt.tmi_wlm ? 1 : 0, opt.resistivity_scale,
+      store::key_hex(lib_fp).c_str());
 }
 
 std::string encode_place_blob(const FlowResult& res) {
@@ -386,13 +384,26 @@ bool decode_place_blob(const std::string& blob, FlowResult* res) {
 
 // --- iso-comparison --------------------------------------------------------
 
-std::string compare_key(const std::string& config_key, uint64_t lib2d_fp,
+std::string compare_key(const FlowOptions& opt, uint64_t lib2d_fp,
                         uint64_t lib3d_fp) {
+  // Every option run_iso_comparison reads, with the 3D style resolved as it
+  // resolves it. opt.lib is not read (the two libraries replace it), and
+  // store_dir, trace and stage_observer never change a result.
+  const tech::Style style3d =
+      opt.style == tech::Style::k2D ? tech::Style::kTMI : opt.style;
   return util::strf(
-      "{\"artifact\":\"compare\",\"config\":\"%s\",\"lib2d\":\"%s\","
-      "\"lib3d\":\"%s\"}",
-      config_key.c_str(), store::key_hex(lib2d_fp).c_str(),
-      store::key_hex(lib3d_fp).c_str());
+      "{\"artifact\":\"compare\",%s,\"node\":\"%s\",\"style\":\"%s\","
+      "\"scale_shift\":%d,\"seed\":\"%llu\",\"clock_ns\":%.17g,"
+      "\"target_util\":%.17g,\"tmi_wlm\":%d,"
+      "\"local_blockage_frac\":%.17g,\"resistivity_scale\":%.17g,"
+      "\"pi_activity\":%.17g,\"seq_activity\":%.17g,\"check\":\"%s\","
+      "\"lib2d\":\"%s\",\"lib3d\":\"%s\"}",
+      design_source(opt).c_str(), tech::to_string(opt.node),
+      tech::to_string(style3d), opt.scale_shift,
+      static_cast<unsigned long long>(opt.seed), opt.clock_ns, opt.target_util,
+      opt.tmi_wlm ? 1 : 0, opt.local_blockage_frac, opt.resistivity_scale,
+      opt.pi_activity, opt.seq_activity, check::to_string(opt.check_level),
+      store::key_hex(lib2d_fp).c_str(), store::key_hex(lib3d_fp).c_str());
 }
 
 std::string encode_compare_blob(const CompareResult& cmp) {

@@ -9,16 +9,19 @@
 //   clock    <- + (bench, scale_shift, seed, target_util, library fp)
 //   netlist  <- (bench, scale_shift, seed)           [pure generator output]
 //   place    <- + (node, style, clock_ns, target_util, tmi_wlm,
-//                  resistivity_scale, build_cts, library fp)
-//   compare  <- (caller's configuration key, 2D library fp, 3D library fp)
+//                  resistivity_scale, library fp)
+//   compare  <- (bench, node, resolved 3D style, scale_shift, seed,
+//                clock_ns, target_util, tmi_wlm, local_blockage_frac,
+//                resistivity_scale, pi/seq activity, check_level,
+//                2D library fp, 3D library fp)
 //
 // The library fingerprint (FNV-1a-64 over the lossless binary encoding)
 // appears in every key whose artifact was computed *against* a library, so
 // two providers serving different cells for the same (node, style) can
-// never poison each other's clocks or placements. Custom WLMs and custom
-// netlists have no canonical serialization in the key schema; options
-// carrying them bypass the affected artifacts (store_usable /
-// netlist-hash substitution below).
+// never poison each other's clocks or placements. A custom netlist has no
+// canonical serialization in the key schema: the place and compare keys
+// carry its structural hash in place of the bench, and the netlist and
+// clock artifacts are skipped for it.
 //
 // Codecs are bit-exact (store/blob.hpp): library tables, netlist state and
 // placement coordinates round-trip as raw IEEE-754 bit patterns, never
@@ -42,10 +45,6 @@ namespace m3d::flow::artifacts {
 /// M3D_STORE environment variable, else "" (store disabled — the serial
 /// fallback: every stage simply runs).
 std::string resolved_store_dir(const std::string& opt_dir);
-
-/// True when `opt` is expressible in the key schema at all (no custom WLM;
-/// custom netlists are handled per-artifact via their structural hash).
-bool store_usable(const FlowOptions& opt);
 
 // --- library ---------------------------------------------------------------
 
@@ -104,11 +103,11 @@ bool decode_place_blob(const std::string& blob, FlowResult* res);
 
 // --- iso-comparison --------------------------------------------------------
 
-/// Key of a memoized iso-comparison: the caller's configuration key (it
-/// must tell apart every configuration the caller runs) plus the
-/// fingerprints of the 2D and 3D libraries it ran against, so a
-/// re-characterized library never serves an old result.
-std::string compare_key(const std::string& config_key, uint64_t lib2d_fp,
+/// Key of a memoized run_iso_comparison(opt, lib2d, lib3d): every option
+/// field the comparison reads, plus the fingerprints of the 2D and 3D
+/// libraries it ran against, so neither an edited preset nor a
+/// re-characterized library ever serves an old result.
+std::string compare_key(const FlowOptions& opt, uint64_t lib2d_fp,
                         uint64_t lib3d_fp);
 
 /// Blob: the scalar fields of both sides (identification, seed, the Table

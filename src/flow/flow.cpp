@@ -135,10 +135,9 @@ FlowResult run_flow(const FlowOptions& opt_in) {
   // optimization and power (1/clock), yielding NaN/inf results.
   FlowOptions opt = opt_in;
   // Content-addressed artifact store (src/store): disabled (every stage
-  // runs — the serial fallback) when no directory is configured or the
-  // options are outside the key schema (custom WLM).
+  // runs — the serial fallback) when no directory is configured.
   const store::Store store(artifacts::resolved_store_dir(opt.store_dir));
-  const bool use_store = store.enabled() && artifacts::store_usable(opt);
+  const bool use_store = store.enabled();
   if (opt.clock_ns <= 0.0) {
     opt.clock_ns =
         artifacts::resolved_clock_ns(opt, use_store ? &store : nullptr);
@@ -256,11 +255,9 @@ FlowResult run_flow(const FlowOptions& opt_in) {
   if (!place_restored) {
     // 2. Synthesis with the style's WLM.
     run_stage(&res, "synth", tracing, opt.stage_observer, [&] {
-      const synth::Wlm wlm =
-          opt.wlm.has_value() ? *opt.wlm : default_wlm(opt, nl, tch);
       synth::SynthOptions sopt;
       sopt.clock_ns = opt.clock_ns;
-      synth::synthesize(&nl, *opt.lib, wlm, sopt);
+      synth::synthesize(&nl, *opt.lib, default_wlm(opt, nl, tch), sopt);
     });
 
     // 3. Placement, plus clock tree synthesis (the tree's buffers/nets are
@@ -271,11 +268,9 @@ FlowResult run_flow(const FlowOptions& opt_in) {
       popt.target_util = opt.target_util;
       popt.seed = opt.seed;
       place::place_design(&nl, res.die, popt);
-      if (opt.build_cts) {
-        cts::CtsOptions copt;
-        copt.die = &res.die;  // keep clock buffers row-legal
-        cts::build_clock_tree(&nl, *opt.lib, copt);
-      }
+      cts::CtsOptions copt;
+      copt.die = &res.die;  // keep clock buffers row-legal
+      cts::build_clock_tree(&nl, *opt.lib, copt);
     });
     if (use_store &&
         !store.put("place", place_k, artifacts::encode_place_blob(res))) {
@@ -416,20 +411,12 @@ double auto_clock_ns(const FlowOptions& base, double tighten) {
   circuit::Netlist nl = probe.custom_netlist != nullptr
                             ? *probe.custom_netlist
                             : gen::make_benchmark(probe.bench, gopt);
-  const synth::Wlm wlm = synth::make_statistical_wlm(
-      1.0, tch);  // area refined below via default path
-  (void)wlm;
   synth::SynthOptions sopt;
   sopt.clock_ns = probe.clock_ns;
   nl.bind(*probe.lib);
-  synth::synthesize(&nl, *probe.lib,
-                    [&] {
-                      FlowOptions tmp = probe;
-                      return default_wlm(tmp, nl, tch);
-                    }(),
-                    sopt);
-  const auto par = synth::wlm_parasitics(
-      nl, default_wlm(probe, nl, tch));
+  synth::synthesize(&nl, *probe.lib, default_wlm(probe, nl, tch), sopt);
+  // Re-derived on the synthesized netlist, whose cell area has changed.
+  const auto par = synth::wlm_parasitics(nl, default_wlm(probe, nl, tch));
   sta::StaOptions sta_opt;
   sta_opt.clock_ns = probe.clock_ns;
   const auto timing = sta::run_sta(nl, par, sta_opt);

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,7 +21,6 @@
 #include "place/place.hpp"
 #include "power/power.hpp"
 #include "route/route.hpp"
-#include "synth/wlm.hpp"
 #include "tech/tech.hpp"
 
 namespace m3d::flow {
@@ -59,14 +57,13 @@ struct FlowOptions {
   double clock_ns = 0.0;      // 0: auto (see auto_clock_ns)
   double target_util = 0.8;   // paper: 0.8 (0.33 LDPC, 0.68 M256)
   const liberty::Library* lib = nullptr;  // required
-  std::optional<synth::Wlm> wlm;  // custom WLM; default: statistical (x0.75
-                                  // for T-MI styles, paper Section 3.4)
+  // Synthesis uses the statistical WLM, x0.75 for T-MI styles (paper
+  // Section 3.4).
   bool tmi_wlm = true;        // false: use the 2D WLM for T-MI (Table 15)
   double local_blockage_frac = -1.0;  // -1: default (0.03 for T-MI, 0 for 2D)
   double resistivity_scale = 1.0;     // local+intermediate derate (Table 9)
   double pi_activity = 0.2;
   double seq_activity = 0.1;
-  bool build_cts = true;  // buffered clock tree (counted in WL and power)
   uint64_t seed = 20130529;
   /// Stage-invariant checking after sign-off (src/check): kBasic runs the
   /// O(V+E) netlist/timing/power checkers on every run; kFull adds
@@ -179,10 +176,6 @@ struct CompareResult {
   double power_pct() const { return pct(tmi.total_uw, flat.total_uw); }
   double cell_power_pct() const { return pct(tmi.cell_uw, flat.cell_uw); }
   double net_power_pct() const { return pct(tmi.net_uw, flat.net_uw); }
-  double leakage_pct() const { return pct(tmi.leak_uw, flat.leak_uw); }
-  double buffer_pct() const {
-    return pct(static_cast<double>(tmi.buffers), static_cast<double>(flat.buffers));
-  }
 };
 
 /// Iso-performance comparison: runs 2D, then the 3D style, at the same

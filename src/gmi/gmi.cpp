@@ -48,7 +48,7 @@ flow::FlowResult run_gmi_flow(const flow::FlowOptions& opt, GmiExtra* extra) {
   // Tier assignment by min-cut.
   GmiExtra local;
   GmiExtra& ex = extra != nullptr ? *extra : local;
-  ex.partition = partition_tiers(nl, {});
+  ex.partition = partition_tiers(nl);
   ex.routing_mivs = ex.partition.cut_nets;
 
   // Two tiers: half the core area, interleaved half-height row lanes.

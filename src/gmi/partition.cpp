@@ -5,8 +5,6 @@
 #include <array>
 #include <queue>
 
-#include "util/rng.hpp"
-
 namespace m3d::gmi {
 namespace {
 
@@ -91,12 +89,14 @@ struct FmState {
 
 }  // namespace
 
-PartitionResult partition_tiers(const circuit::Netlist& nl,
-                                const PartitionOptions& opt) {
+PartitionResult partition_tiers(const circuit::Netlist& nl) {
+  // Allowed area imbalance between the tiers (fraction of the total), and
+  // the number of FM passes.
+  constexpr double kBalanceTolerance = 0.1;
+  constexpr int kPasses = 6;
   FmState st(nl);
   // Initial: BFS-ish fill by instance order keeps connected logic together
   // better than random; alternate once half the area is placed.
-  util::Rng rng(opt.seed);
   std::vector<int> order;
   for (int i = 0; i < nl.num_instances(); ++i) {
     if (!nl.inst(i).dead) order.push_back(i);
@@ -109,13 +109,13 @@ PartitionResult partition_tiers(const circuit::Netlist& nl,
   }
 
   const double max_tier_area =
-      st.total_area * (0.5 + opt.balance_tolerance / 2);
+      st.total_area * (0.5 + kBalanceTolerance / 2);
 
   // FM passes: repeatedly move the best-gain cell that keeps balance; lock
   // each cell once per pass; roll back to the best prefix. A lazy max-heap
   // keeps passes near-linear: popped entries whose gain went stale are
   // re-inserted with their fresh gain instead of being applied.
-  for (int pass = 0; pass < opt.passes; ++pass) {
+  for (int pass = 0; pass < kPasses; ++pass) {
     std::vector<bool> locked(static_cast<size_t>(nl.num_instances()), false);
     std::priority_queue<std::pair<int, int>> heap;  // (gain, inst)
     for (int i : order) heap.push({st.gain(i), i});

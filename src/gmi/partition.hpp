@@ -5,18 +5,11 @@
 // connect them using MIVs").
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "circuit/netlist.hpp"
 
 namespace m3d::gmi {
-
-struct PartitionOptions {
-  double balance_tolerance = 0.1;  // allowed area imbalance fraction
-  int passes = 6;
-  uint64_t seed = 1;
-};
 
 struct PartitionResult {
   std::vector<int> tier_of;  // per InstId: 0 or 1 (-1 for dead)
@@ -24,8 +17,7 @@ struct PartitionResult {
   double area_imbalance = 0.0;
 };
 
-PartitionResult partition_tiers(const circuit::Netlist& nl,
-                                const PartitionOptions& opt = {});
+PartitionResult partition_tiers(const circuit::Netlist& nl);
 
 /// Number of nets whose pins touch both tiers under `tier_of`.
 int count_cut_nets(const circuit::Netlist& nl, const std::vector<int>& tier_of);

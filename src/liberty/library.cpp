@@ -60,12 +60,6 @@ const TimingArc* LibCell::arc(const std::string& from,
   return nullptr;
 }
 
-double LibCell::worst_delay_ps(double slew, double load) const {
-  double d = 0.0;
-  for (const auto& a : arcs) d = std::max(d, a.worst_delay(slew, load));
-  return d;
-}
-
 void Library::add(LibCell cell) {
   by_name_[cell.name] = cells_.size();
   cells_.push_back(std::move(cell));

@@ -71,8 +71,6 @@ struct LibCell {
   /// Largest input pin cap — used for load estimates.
   double max_input_cap_ff() const;
   const TimingArc* arc(const std::string& from, const std::string& to) const;
-  /// Worst delay over all arcs to `to` at the given corner.
-  double worst_delay_ps(double slew, double load) const;
 };
 
 class Library {

@@ -46,7 +46,10 @@ OptReport optimize(circuit::Netlist* nl, const liberty::Library& lib,
   obs::Span opt_span(opt.allow_buffering ? "opt.preroute" : "opt.postroute");
   sta::StaOptions sta_opt;
   sta_opt.clock_ns = opt.clock_ns;
-  const double margin_ps = opt.downsize_margin_frac * opt.clock_ns * 1000.0;
+  // Power recovery only touches cells and buffers whose slack exceeds this
+  // share of the clock period.
+  constexpr double kDownsizeMarginFrac = 0.03;
+  const double margin_ps = kDownsizeMarginFrac * opt.clock_ns * 1000.0;
 
   for (int round = 0; round < opt.rounds; ++round) {
     util::count("opt.rounds");
@@ -207,40 +210,38 @@ OptReport optimize(circuit::Netlist* nl, const liberty::Library& lib,
       }
     } else {
       // --- Power recovery: downsizing and buffer removal. ------------------
-      if (opt.allow_downsizing) {
-        for (int i = 0; i < round_insts; ++i) {
-          const auto& inst = nl->inst(i);
-          if (inst.dead || inst.libcell == nullptr || inst.drive <= 1) continue;
-          const double slack = timing.inst_slack_ps[static_cast<size_t>(i)];
-          if (slack < margin_ps) continue;
-          // Next smaller variant.
-          const auto variants = lib.variants(inst.func);
-          const liberty::LibCell* smaller = nullptr;
-          for (const auto* v : variants) {
-            if (v->drive < inst.drive && (smaller == nullptr || v->drive > smaller->drive)) {
-              smaller = v;
-            }
+      for (int i = 0; i < round_insts; ++i) {
+        const auto& inst = nl->inst(i);
+        if (inst.dead || inst.libcell == nullptr || inst.drive <= 1) continue;
+        const double slack = timing.inst_slack_ps[static_cast<size_t>(i)];
+        if (slack < margin_ps) continue;
+        // Next smaller variant.
+        const auto variants = lib.variants(inst.func);
+        const liberty::LibCell* smaller = nullptr;
+        for (const auto* v : variants) {
+          if (v->drive < inst.drive && (smaller == nullptr || v->drive > smaller->drive)) {
+            smaller = v;
           }
-          if (smaller == nullptr) continue;
-          const double slew = input_slew_of(*nl, timing, i);
-          const double load = timing.load_ff[static_cast<size_t>(inst.out_nets[0])];
-          const double d_old = variant_delay_ps(inst, inst.libcell, slew, load);
-          const double d_new = variant_delay_ps(inst, smaller, slew, load);
-          // Respect the max-transition design rule (else recovery would undo
-          // the slew fixes above).
-          double slew_new = 0.0;
-          for (const auto& arc : smaller->arcs) {
-            slew_new = std::max(slew_new, arc.worst_slew(slew, load));
-          }
-          if (slew_new > opt.max_slew_ps) continue;
-          // Conservative: many gates share one path's slack, so each change
-          // may only claim a small fraction of it. The next round's STA
-          // revalidates.
-          if (d_new - d_old < slack * 0.1) {
-            nl->resize_inst(i, lib, smaller->drive);
-            ++rep.downsized;
-            ++changed;
-          }
+        }
+        if (smaller == nullptr) continue;
+        const double slew = input_slew_of(*nl, timing, i);
+        const double load = timing.load_ff[static_cast<size_t>(inst.out_nets[0])];
+        const double d_old = variant_delay_ps(inst, inst.libcell, slew, load);
+        const double d_new = variant_delay_ps(inst, smaller, slew, load);
+        // Respect the max-transition design rule (else recovery would undo
+        // the slew fixes above).
+        double slew_new = 0.0;
+        for (const auto& arc : smaller->arcs) {
+          slew_new = std::max(slew_new, arc.worst_slew(slew, load));
+        }
+        if (slew_new > opt.max_slew_ps) continue;
+        // Conservative: many gates share one path's slack, so each change
+        // may only claim a small fraction of it. The next round's STA
+        // revalidates.
+        if (d_new - d_old < slack * 0.1) {
+          nl->resize_inst(i, lib, smaller->drive);
+          ++rep.downsized;
+          ++changed;
         }
       }
       if (opt.allow_buffering) {

@@ -25,8 +25,6 @@ struct OptOptions {
   double clock_ns = 1.0;
   int rounds = 12;
   bool allow_buffering = true;     // topology changes: pre-route only
-  bool allow_downsizing = true;
-  double downsize_margin_frac = 0.03;  // of the clock period
   double buffer_net_wl_um = 80.0;      // buffer failing nets longer than this
   double max_slew_ps = 200.0;          // max-transition design rule
   /// When set, inserted buffers are snapped onto the row grid inside this

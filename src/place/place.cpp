@@ -62,16 +62,19 @@ struct Mat {
   }
 };
 
-/// Shared Jacobi-preconditioned CG (numeric::cg_solve). Convergence is
-/// relative to the initial preconditioned residual (PlaceOptions::cg_rel_tol)
-/// instead of the old absolute `rz > 1e-10` cutoff, which was scale-dependent:
-/// large designs iterated long past useful precision and tiny ones stopped
-/// on the first pass.
+/// Shared Jacobi-preconditioned CG (numeric::cg_solve), at most kCgIters
+/// iterations. Convergence is relative to the initial preconditioned
+/// residual (kCgRelTol; see numeric::CgOptions::rel_tol) instead of the old
+/// absolute `rz > 1e-10` cutoff, which was scale-dependent: large designs
+/// iterated long past useful precision and tiny ones stopped on the first
+/// pass.
 void run_cg(const numeric::Csr& a, const std::vector<double>& rhs,
-            std::vector<double>& x, const PlaceOptions& opt) {
+            std::vector<double>& x) {
+  constexpr int kCgIters = 120;
+  constexpr double kCgRelTol = 1e-6;
   numeric::CgOptions co;
-  co.max_iters = opt.cg_iters;
-  co.rel_tol = opt.cg_rel_tol;
+  co.max_iters = kCgIters;
+  co.rel_tol = kCgRelTol;
   co.precond = numeric::CgPrecond::kJacobi;
   const numeric::CgResult res = numeric::cg_solve(a, rhs, x, co);
   util::count("place.cg_iters", static_cast<double>(res.iters));
@@ -200,8 +203,8 @@ SpreadPlacement global_spread(circuit::Netlist* nl, const Die& die,
     y[static_cast<size_t>(v)] = center.y + rng.normal(0.0, die.core.height() / 8);
   }
   const numeric::Csr a = mat.to_csr();
-  run_cg(a, mat.rhs_x, x, opt);
-  run_cg(a, mat.rhs_y, y, opt);
+  run_cg(a, mat.rhs_x, x);
+  run_cg(a, mat.rhs_y, y);
   util::count("place.cg_solves", 2.0);
   quad_span.stop();
 
@@ -218,8 +221,8 @@ SpreadPlacement global_spread(circuit::Netlist* nl, const Die& die,
       rx[static_cast<size_t>(v)] += weight * x[static_cast<size_t>(v)];
       ry[static_cast<size_t>(v)] += weight * y[static_cast<size_t>(v)];
     }
-    run_cg(m2, rx, x, opt);
-    run_cg(m2, ry, y, opt);
+    run_cg(m2, rx, x);
+    run_cg(m2, ry, y);
     util::count("place.cg_solves", 2.0);
   };
 

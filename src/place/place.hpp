@@ -25,13 +25,6 @@ struct Die {
 struct PlaceOptions {
   double target_util = 0.8;  // paper: ~80% (LDPC 33%, M256 68%)
   uint64_t seed = 1;
-  int cg_iters = 120;
-  /// CG convergence, relative to the initial preconditioned residual (see
-  /// numeric::CgOptions::rel_tol). Scale-free, unlike the old absolute
-  /// rz > 1e-10 cutoff this replaced.
-  double cg_rel_tol = 1e-6;
-  int spread_iters = 60;
-  int bins = 0;  // 0: auto from instance count
 };
 
 /// Builds a near-square die sized for the netlist at the target utilization

@@ -148,10 +148,11 @@ PowerResult run_power(const circuit::Netlist& nl, const extract::Parasitics& par
       const auto& out_pins = cells::output_pins(inst.func);
       for (const auto& arc : inst.libcell->arcs) {
         if (arc.to != out_pins[o]) continue;
+        constexpr double kDefaultSlewPs = 40.0;  // no timing to read
         const double slew =
             timing != nullptr && inst.in_nets.size() > 0
                 ? timing->slew_ps[static_cast<size_t>(inst.in_nets[0])]
-                : opt.default_slew_ps;
+                : kDefaultSlewPs;
         e += arc.avg_energy(slew, load);
         ++cnt;
       }

@@ -20,7 +20,6 @@ struct PowerOptions {
   double vdd_v = 1.1;
   double pi_activity = 0.2;   // toggles per cycle on primary inputs
   double seq_activity = 0.1;  // toggles per cycle on DFF outputs
-  double default_slew_ps = 40.0;
 };
 
 struct PowerResult {

@@ -209,9 +209,8 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
   RouteResult result;
   const double die_w = die.core.width();
   const double die_h = die.core.height();
-  double gc = opt.gcell_um > 0 ? opt.gcell_um
-                               : std::max(die_w, die_h) / 96.0;
-  gc = std::max(gc, 2.0 * die.row_height_um);
+  const double gc = std::max(std::max(die_w, die_h) / 96.0,
+                             2.0 * die.row_height_um);
   const int nx = std::max(4, static_cast<int>(std::ceil(die_w / gc)));
   const int ny = std::max(4, static_cast<int>(std::ceil(die_h / gc)));
   Grid grid(nx, ny);

@@ -26,7 +26,6 @@ namespace m3d::route {
 enum Level { kLocal = 0, kIntermediate = 1, kGlobal = 2, kNumLevels = 3 };
 
 struct RouteOptions {
-  double gcell_um = 0.0;  // 0: auto (~die/96)
   int rrr_iters = 4;
   double local_blockage_frac = 0.0;  // capacity derate under cells (S5)
   uint64_t seed = 7;

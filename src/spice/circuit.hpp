@@ -53,7 +53,6 @@ class Circuit {
   /// Node "0" / "gnd" is ground (id 0).
   int node(const std::string& name);
   int num_nodes() const { return static_cast<int>(names_.size()); }
-  const std::string& node_name(int id) const { return names_.at(static_cast<size_t>(id)); }
   /// Looks up an existing node; returns -1 if absent.
   int find_node(const std::string& name) const;
 

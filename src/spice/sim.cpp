@@ -190,6 +190,11 @@ void SimContext::prepare(const Circuit& ckt) {
 
 namespace {
 
+// Newton iteration cap per implicit step, and the largest voltage update
+// (V) at which an iteration counts as converged.
+constexpr int kMaxNewtonIters = 60;
+constexpr double kNewtonVTol = 1e-6;
+
 struct Solver {
   const Circuit& ckt;
   const TranOptions& opt;
@@ -203,7 +208,7 @@ struct Solver {
   obs::vector<double> base_vals;  // linear stamps at base_dt, MOS excluded
   double base_dt = std::numeric_limits<double>::quiet_NaN();
   std::vector<double> f_, dx_, i_node_;
-  std::vector<double> jac_;  // dense path / fallback scratch
+  std::vector<double> jac_;  // dense pivot-fallback scratch
   // Per MOSFET: its evaluation cache, and its ids at the `v` of the last
   // static_currents pass, which residual() leaves for solve_linear().
   std::vector<MosCache> mos_cache_;
@@ -212,11 +217,9 @@ struct Solver {
 
   Solver(const Circuit& c, const TranOptions& o, const SimImpl& impl)
       : ckt(c), opt(o), t(impl) {
-    if (opt.solver == SolverKind::kSparse) {
-      mat = t.pattern;
-      lu = t.symbolic;
-      base_vals.assign(mat.nnz(), 0.0);
-    }
+    mat = t.pattern;
+    lu = t.symbolic;
+    base_vals.assign(mat.nnz(), 0.0);
     f_.resize(static_cast<size_t>(t.n_unknown));
     dx_.resize(static_cast<size_t>(t.n_unknown));
     i_node_.resize(static_cast<size_t>(t.num_nodes));
@@ -317,15 +320,14 @@ struct Solver {
     base_dt = dt;
   }
 
-  /// Assembles the Jacobian at `v` and solves J dx = f into dx_. Sparse
-  /// path: base values + per-iteration MOS stamps through the slot
-  /// program, numeric refactor on the shared symbolic analysis, dense
-  /// partial-pivot retry when a pivot trips the relative threshold. Must
-  /// follow residual() at the same `v`: the stamps' operating-point
-  /// currents are the ids_ it recorded.
+  /// Assembles the Jacobian at `v` and solves J dx = f into dx_: base
+  /// values + per-iteration MOS stamps through the slot program, numeric
+  /// refactor on the shared symbolic analysis, dense partial-pivot retry
+  /// when a pivot trips the relative threshold. Must follow residual() at
+  /// the same `v`: the stamps' operating-point currents are the ids_ it
+  /// recorded.
   bool solve_linear(const std::vector<double>& v, double dt) {
     const int n = t.n_unknown;
-    if (opt.solver == SolverKind::kDense) return solve_dense(v, dt);
     if (dt != base_dt) compute_base(dt);  // NaN sentinel compares unequal
     std::copy(base_vals.begin(), base_vals.end(), mat.val.begin());
 
@@ -384,71 +386,13 @@ struct Solver {
     return false;
   }
 
-  /// Retained dense baseline (TranOptions::solver == kDense): the
-  /// pre-sparse-port assembly, kept for benchmarking sparse against.
-  bool solve_dense(const std::vector<double>& v, double dt) {
-    const int n = t.n_unknown;
-    jac_.assign(static_cast<size_t>(n) * static_cast<size_t>(n), 0.0);
-    auto stamp = [&](int node_i, int node_j, double g) {
-      const int ui = t.unknown_of[static_cast<size_t>(node_i)];
-      const int uj = t.unknown_of[static_cast<size_t>(node_j)];
-      if (ui >= 0 && uj >= 0) jac_[static_cast<size_t>(ui) * n + uj] += g;
-    };
-    for (const auto& r : ckt.resistors()) {
-      const double g = 1.0 / r.r_kohm;
-      stamp(r.a, r.a, g);
-      stamp(r.b, r.b, g);
-      stamp(r.a, r.b, -g);
-      stamp(r.b, r.a, -g);
-    }
-    if (dt > 0) {
-      for (const auto& c : ckt.capacitors()) {
-        const double g = c.c_ff / dt;
-        stamp(c.a, c.a, g);
-        stamp(c.b, c.b, g);
-        stamp(c.a, c.b, -g);
-        stamp(c.b, c.a, -g);
-      }
-      for (int nd = 0; nd < t.num_nodes; ++nd) {
-        const double cg = t.dev_cap[static_cast<size_t>(nd)];
-        if (cg > 0) stamp(nd, nd, cg / dt);
-      }
-    } else {
-      for (int u = 0; u < n; ++u) {
-        jac_[static_cast<size_t>(u) * n + u] += 1e-9;
-      }
-    }
-    constexpr double kEps = 1e-5;
-    for (const auto& m : ckt.mosfets()) {
-      const double vd = v[static_cast<size_t>(m.d)];
-      const double vg = v[static_cast<size_t>(m.g)];
-      const double vs = v[static_cast<size_t>(m.s)];
-      const double i0 = m.model.ids(vd, vg, vs);
-      const double gd = (m.model.ids(vd + kEps, vg, vs) - i0) / kEps;
-      const double gg = (m.model.ids(vd, vg + kEps, vs) - i0) / kEps;
-      const double gs = (m.model.ids(vd, vg, vs + kEps) - i0) / kEps;
-      const double w = m.w_um;
-      stamp(m.d, m.d, w * gd);
-      stamp(m.d, m.g, w * gg);
-      stamp(m.d, m.s, w * gs);
-      stamp(m.s, m.d, -w * gd);
-      stamp(m.s, m.g, -w * gg);
-      stamp(m.s, m.s, -w * gs);
-    }
-    dx_ = f_;
-    const numeric::FactorStatus st = numeric::dense_lu_solve(jac_, dx_, n);
-    if (st.ok()) return true;
-    fail_reason = util::strf("linear solve failed: %s", st.to_string().c_str());
-    return false;
-  }
-
   /// Newton solve of one implicit (backward-Euler) step, or the DC problem
   /// when dt <= 0. `v` holds the full node voltages and is updated in place;
   /// `v_prev` is the converged solution of the previous step.
   bool newton_step(std::vector<double>& v, const std::vector<double>& v_prev,
                    double dt) {
     if (t.n_unknown == 0) return true;
-    for (int iter = 0; iter < opt.max_newton_iters; ++iter) {
+    for (int iter = 0; iter < kMaxNewtonIters; ++iter) {
       const double worst = residual(v, v_prev, dt);
       if (worst < 1e-9) return true;  // current residual threshold, mA
       if (!solve_linear(v, dt)) return false;
@@ -460,10 +404,10 @@ struct Solver {
         v[static_cast<size_t>(t.node_of[static_cast<size_t>(u)])] -= step;
         dv_max = std::max(dv_max, std::abs(step));
       }
-      if (dv_max < opt.v_tol) return true;
+      if (dv_max < kNewtonVTol) return true;
     }
     fail_reason = util::strf("newton iteration limit (%d) reached",
-                             opt.max_newton_iters);
+                             kMaxNewtonIters);
     return false;
   }
 };

@@ -5,8 +5,7 @@
 // MOSFET conductances change), so the solver computes a fill-reducing
 // ordering and symbolic factorization once and then only refactors numbers
 // per Newton step (numeric::SparseLu). Standard-cell MNA matrices are
-// >90% zero; the dense O(n^3)-per-step path is retained behind
-// TranOptions::solver as the benchmark baseline and as the automatic
+// >90% zero; a dense partial-pivot LU is kept only as the automatic
 // fallback when a pivot falls below the relative singularity threshold.
 //
 // Circuits with identical topology (the characterizer's whole (slew, load)
@@ -25,12 +24,6 @@
 
 namespace m3d::spice {
 
-/// Which linear solver backs the Newton iterations.
-enum class SolverKind {
-  kSparse,  // symbolic-once sparse LU; dense fallback on small pivots
-  kDense,   // dense partial-pivot LU every step (benchmark baseline)
-};
-
 /// Test/bench hook: captures the first `max_systems` assembled Newton
 /// systems (Jacobian + residual) of a run. Single-threaded use only.
 struct NewtonCapture {
@@ -43,13 +36,10 @@ struct TranOptions {
   double t_stop_ps = 1000.0;
   double dt_ps = 0.5;
   std::vector<int> probes;      // nodes whose full waveform is recorded
-  int max_newton_iters = 60;
-  double v_tol = 1e-6;
   /// When > 0, source_tail_current_ma averages over only the last
   /// `tail_ps` of the run (for leakage measurements after a settling
   /// preamble).
   double tail_ps = 0.0;
-  SolverKind solver = SolverKind::kSparse;
   NewtonCapture* capture = nullptr;  // optional, see NewtonCapture
 };
 

@@ -241,7 +241,7 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
   Graph g = compile(nl, par);
   TimingResult r;
   r.arrival_ps.assign(static_cast<size_t>(num_nets), 0.0);
-  r.slew_ps.assign(static_cast<size_t>(num_nets), opt.primary_input_slew_ps);
+  r.slew_ps.assign(static_cast<size_t>(num_nets), kInputSlewPs);
   r.required_ps.assign(static_cast<size_t>(num_nets), kInf);
   r.inst_slack_ps.assign(static_cast<size_t>(num_inst), kInf);
   r.load_ff = std::move(g.load_ff);
@@ -250,11 +250,11 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
   // each arc as the forward pass evaluated it.
   const size_t num_pins = g.pin_net.size();
   std::vector<double> arr_in(num_pins, 0.0);
-  std::vector<double> slew_in(num_pins, opt.primary_input_slew_ps);
+  std::vector<double> slew_in(num_pins, kInputSlewPs);
   std::vector<double> req_in(num_pins, kInf);
   std::vector<double> arc_delay(static_cast<size_t>(g.arc_off.back()), 0.0);
 
-  const double k2 = opt.slew_degrade_k * opt.slew_degrade_k;
+  const double k2 = kSlewDegradeK * kSlewDegradeK;
   auto propagate_net = [&](circuit::NetId n) {
     const double arr = r.arrival_ps[static_cast<size_t>(n)];
     const double sl = r.slew_ps[static_cast<size_t>(n)];
@@ -274,7 +274,7 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
     if ((kind & kSource) == 0) continue;
     r.arrival_ps[static_cast<size_t>(n)] = 0.0;
     r.slew_ps[static_cast<size_t>(n)] =
-        (kind & kClock) != 0 ? opt.clock_slew_ps : opt.primary_input_slew_ps;
+        (kind & kClock) != 0 ? kClockSlewPs : kInputSlewPs;
     propagate_net(n);
   }
   for (circuit::InstId i = 0; i < num_inst; ++i) {
@@ -284,9 +284,9 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
     const liberty::TimingArc* arc = g.cells.of(i)->ck_q;
     const double load = r.load_ff[static_cast<size_t>(q)];
     r.arrival_ps[static_cast<size_t>(q)] =
-        arc != nullptr ? arc->worst_delay(opt.clock_slew_ps, load) : 0.0;
+        arc != nullptr ? arc->worst_delay(kClockSlewPs, load) : 0.0;
     r.slew_ps[static_cast<size_t>(q)] =
-        arc != nullptr ? arc->worst_slew(opt.clock_slew_ps, load) : opt.clock_slew_ps;
+        arc != nullptr ? arc->worst_slew(kClockSlewPs, load) : kClockSlewPs;
     propagate_net(q);
   }
 
@@ -315,7 +315,7 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
             for (size_t o = 0; o < nout; ++o) {
               const circuit::NetId out = g.out_net[out0 + o];
               const double load = r.load_ff[static_cast<size_t>(out)];
-              double arr = 0.0, slew = opt.primary_input_slew_ps;
+              double arr = 0.0, slew = kInputSlewPs;
               for (size_t p = 0; p < nin; ++p) {
                 const liberty::TimingArc* arc = cell.arc(p, o);
                 if (arc == nullptr) continue;
@@ -435,8 +435,7 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
 }
 
 HoldResult run_hold_check(const circuit::Netlist& nl,
-                          const extract::Parasitics& par,
-                          const StaOptions& opt) {
+                          const extract::Parasitics& par) {
   const int num_nets = nl.num_nets();
   const int num_inst = nl.num_instances();
   const Graph g = compile(nl, par);
@@ -479,8 +478,8 @@ HoldResult run_hold_check(const circuit::Netlist& nl,
     const liberty::TimingArc* arc = g.cells.of(i)->ck_q;
     double d = 0.0;
     if (arc != nullptr) {
-      d = std::min(arc->delay[0].at(opt.clock_slew_ps, load[static_cast<size_t>(q)]),
-                   arc->delay[1].at(opt.clock_slew_ps, load[static_cast<size_t>(q)]));
+      d = std::min(arc->delay[0].at(kClockSlewPs, load[static_cast<size_t>(q)]),
+                   arc->delay[1].at(kClockSlewPs, load[static_cast<size_t>(q)]));
     }
     early[static_cast<size_t>(q)] = d;
     push(q);
@@ -500,9 +499,9 @@ HoldResult run_hold_check(const circuit::Netlist& nl,
         const liberty::TimingArc* arc = cell.arc(p, o);
         if (arc == nullptr) continue;
         const double d =
-            std::min(arc->delay[0].at(opt.primary_input_slew_ps,
+            std::min(arc->delay[0].at(kInputSlewPs,
                                       load[static_cast<size_t>(out)]),
-                     arc->delay[1].at(opt.primary_input_slew_ps,
+                     arc->delay[1].at(kInputSlewPs,
                                       load[static_cast<size_t>(out)]));
         best = std::min(best, early_in[pin0 + p] + d);
       }

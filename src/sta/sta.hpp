@@ -12,12 +12,14 @@
 
 namespace m3d::sta {
 
+/// Transition time assumed at primary inputs and at the ideal clock, ps.
+constexpr double kInputSlewPs = 20.0;
+constexpr double kClockSlewPs = 20.0;
+/// Degradation of slew across a net: slew' = sqrt(slew^2 + (k*elmore)^2).
+constexpr double kSlewDegradeK = 2.0;
+
 struct StaOptions {
   double clock_ns = 1.0;
-  double primary_input_slew_ps = 20.0;
-  double clock_slew_ps = 20.0;
-  /// Degradation of slew across a net: slew' = sqrt(slew^2 + (k*elmore)^2).
-  double slew_degrade_k = 2.0;
 };
 
 struct TimingResult {
@@ -55,8 +57,7 @@ struct HoldResult {
   int violations = 0;
 };
 HoldResult run_hold_check(const circuit::Netlist& nl,
-                          const extract::Parasitics& par,
-                          const StaOptions& opt);
+                          const extract::Parasitics& par);
 
 /// Human-readable critical path report (for examples/debugging).
 std::string report_critical_path(const circuit::Netlist& nl,

@@ -192,18 +192,6 @@ std::map<std::string, double> MetricsRegistry::counters() const {
   return counters_;
 }
 
-std::map<std::string, double> MetricsRegistry::counters_with_prefix(
-    const std::string& prefix) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, double> out;
-  for (auto it = counters_.lower_bound(prefix);
-       it != counters_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
-       ++it) {
-    out.insert(*it);
-  }
-  return out;
-}
-
 std::map<std::string, double> MetricsRegistry::gauges() const {
   std::lock_guard<std::mutex> lock(mu_);
   return gauges_;

@@ -69,10 +69,6 @@ class MetricsRegistry {
 
   /// Snapshots for reporting; histogram samples are reduced to HistStats.
   std::map<std::string, double> counters() const;
-  /// Counters whose name starts with `prefix` (e.g. "check." to collect all
-  /// invariant-checker violation counts in one call).
-  std::map<std::string, double> counters_with_prefix(
-      const std::string& prefix) const;
   std::map<std::string, double> gauges() const;
   std::map<std::string, HistStats> histograms() const;
 

@@ -57,11 +57,11 @@ std::string Table::to_string() const {
     emit(header_);
     hline();
   }
-  for (const auto& row : rows_) {
-    if (row.separator) {
+  for (size_t r = 0; r < rows_.size(); ++r) {
+    if (!rows_[r].separator) {
+      emit(rows_[r].cols);
+    } else if (r + 1 < rows_.size()) {  // the closing rule below ends it
       hline();
-    } else {
-      emit(row.cols);
     }
   }
   hline();
@@ -76,14 +76,6 @@ void Table::print() const {
 
 std::string pct(double ratio_minus_one) {
   return strf("%+.1f%%", 100.0 * ratio_minus_one);
-}
-
-std::string val_with_pct_of(double value, double base, const char* val_fmt) {
-  std::string v = strf(val_fmt, value);
-  if (base != 0.0) {
-    v += strf(" (%.1f)", 100.0 * value / base);
-  }
-  return v;
 }
 
 }  // namespace m3d::util

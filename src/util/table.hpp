@@ -16,7 +16,8 @@ class Table {
   void set_header(std::vector<std::string> cols);
   /// Adds a data row; must have the same arity as the header.
   void add_row(std::vector<std::string> cols);
-  /// Adds a horizontal separator between the rows added before/after.
+  /// Adds a horizontal separator between the rows added before/after. A
+  /// separator after the last row merges into the table's closing rule.
   void add_separator();
 
   size_t num_rows() const { return rows_.size(); }
@@ -36,7 +37,5 @@ class Table {
 
 /// Formats a percent difference like the paper's tables: "-41.7%".
 std::string pct(double ratio_minus_one);
-/// Formats "value (pct%)" where pct = 100*value/base, like Tables 13/14.
-std::string val_with_pct_of(double value, double base, const char* val_fmt);
 
 }  // namespace m3d::util

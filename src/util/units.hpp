@@ -21,20 +21,9 @@ constexpr double kNmPerUm = 1000.0;
 constexpr double um_from_nm(double nm) { return nm / kNmPerUm; }
 constexpr double nm_from_um(double um) { return um * kNmPerUm; }
 
-// Time.
-constexpr double kPsPerNs = 1000.0;
-constexpr double ns_from_ps(double ps) { return ps / kPsPerNs; }
-constexpr double ps_from_ns(double ns) { return ns * kPsPerNs; }
-
 // Derived: delay of R (kOhm) times C (fF) is R*C picoseconds.
 constexpr double ps_from_kohm_ff(double r_kohm, double c_ff) {
   return r_kohm * c_ff;
-}
-
-// Power: switching energy 0.5*C*V^2 with C in fF, V in volts is in fJ;
-// fJ * toggles-per-ns = uW.
-constexpr double uw_from_fj_per_ns(double fj, double per_ns) {
-  return fj * per_ns;
 }
 
 }  // namespace m3d::util

@@ -42,6 +42,9 @@ double sink_cap_ff(const circuit::Netlist& nl, const circuit::PinRef& s) {
   return inst.libcell->input_cap_ff(pins[static_cast<size_t>(s.pin)]);
 }
 
+using sta::kClockSlewPs;
+using sta::kInputSlewPs;
+using sta::kSlewDegradeK;
 using sta::net_delay_ps;
 
 sta::TimingResult oracle_run_sta(const circuit::Netlist& nl,
@@ -54,7 +57,7 @@ sta::TimingResult oracle_run_sta(const circuit::Netlist& nl,
 
   sta::TimingResult r;
   r.arrival_ps.assign(static_cast<size_t>(num_nets), 0.0);
-  r.slew_ps.assign(static_cast<size_t>(num_nets), opt.primary_input_slew_ps);
+  r.slew_ps.assign(static_cast<size_t>(num_nets), kInputSlewPs);
   r.required_ps.assign(static_cast<size_t>(num_nets), kInf);
   r.inst_slack_ps.assign(static_cast<size_t>(num_inst), kInf);
   r.load_ff.assign(static_cast<size_t>(num_nets), 0.0);
@@ -75,7 +78,7 @@ sta::TimingResult oracle_run_sta(const circuit::Netlist& nl,
   for (int i = 0; i < num_inst; ++i) {
     const size_t nin = nl.inst(i).in_nets.size();
     arr_in[static_cast<size_t>(i)].assign(nin, 0.0);
-    slew_in[static_cast<size_t>(i)].assign(nin, opt.primary_input_slew_ps);
+    slew_in[static_cast<size_t>(i)].assign(nin, kInputSlewPs);
   }
 
   auto propagate_net = [&](circuit::NetId n) {
@@ -90,7 +93,7 @@ sta::TimingResult oracle_run_sta(const circuit::Netlist& nl,
           r.arrival_ps[static_cast<size_t>(n)] + nd;
       const double sl = r.slew_ps[static_cast<size_t>(n)];
       slew_in[static_cast<size_t>(s.inst)][static_cast<size_t>(s.pin)] =
-          std::sqrt(sl * sl + opt.slew_degrade_k * opt.slew_degrade_k * elmore * elmore);
+          std::sqrt(sl * sl + kSlewDegradeK * kSlewDegradeK * elmore * elmore);
     }
   };
 
@@ -100,7 +103,7 @@ sta::TimingResult oracle_run_sta(const circuit::Netlist& nl,
     if (net.is_primary_input || net.is_clock) {
       r.arrival_ps[static_cast<size_t>(n)] = 0.0;
       r.slew_ps[static_cast<size_t>(n)] =
-          net.is_clock ? opt.clock_slew_ps : opt.primary_input_slew_ps;
+          net.is_clock ? kClockSlewPs : kInputSlewPs;
       propagate_net(n);
     }
   }
@@ -111,9 +114,9 @@ sta::TimingResult oracle_run_sta(const circuit::Netlist& nl,
     const liberty::TimingArc* arc = inst.libcell->arc("CK", "Q");
     const double load = r.load_ff[static_cast<size_t>(q)];
     r.arrival_ps[static_cast<size_t>(q)] =
-        arc != nullptr ? arc->worst_delay(opt.clock_slew_ps, load) : 0.0;
+        arc != nullptr ? arc->worst_delay(kClockSlewPs, load) : 0.0;
     r.slew_ps[static_cast<size_t>(q)] =
-        arc != nullptr ? arc->worst_slew(opt.clock_slew_ps, load) : opt.clock_slew_ps;
+        arc != nullptr ? arc->worst_slew(kClockSlewPs, load) : kClockSlewPs;
     propagate_net(q);
   }
 
@@ -153,7 +156,7 @@ sta::TimingResult oracle_run_sta(const circuit::Netlist& nl,
             for (size_t o = 0; o < inst.out_nets.size(); ++o) {
               const circuit::NetId out = inst.out_nets[o];
               const double load = r.load_ff[static_cast<size_t>(out)];
-              double arr = 0.0, slew = opt.primary_input_slew_ps;
+              double arr = 0.0, slew = kInputSlewPs;
               for (size_t p = 0; p < inst.in_nets.size(); ++p) {
                 const liberty::TimingArc* arc =
                     inst.libcell->arc(in_pins[p], out_pins[o]);
@@ -283,8 +286,7 @@ sta::TimingResult oracle_run_sta(const circuit::Netlist& nl,
 }
 
 sta::HoldResult oracle_run_hold_check(const circuit::Netlist& nl,
-                                      const extract::Parasitics& par,
-                                      const sta::StaOptions& opt) {
+                                      const extract::Parasitics& par) {
   const int num_nets = nl.num_nets();
   const int num_inst = nl.num_instances();
   std::vector<double> early(static_cast<size_t>(num_nets), 0.0);
@@ -330,8 +332,8 @@ sta::HoldResult oracle_run_hold_check(const circuit::Netlist& nl,
     const liberty::TimingArc* arc = inst.libcell->arc("CK", "Q");
     double d = 0.0;
     if (arc != nullptr) {
-      d = std::min(arc->delay[0].at(opt.clock_slew_ps, load[static_cast<size_t>(q)]),
-                   arc->delay[1].at(opt.clock_slew_ps, load[static_cast<size_t>(q)]));
+      d = std::min(arc->delay[0].at(kClockSlewPs, load[static_cast<size_t>(q)]),
+                   arc->delay[1].at(kClockSlewPs, load[static_cast<size_t>(q)]));
     }
     early[static_cast<size_t>(q)] = d;
     push(q);
@@ -349,9 +351,9 @@ sta::HoldResult oracle_run_hold_check(const circuit::Netlist& nl,
             inst.libcell->arc(in_pins[p], out_pins[o]);
         if (arc == nullptr) continue;
         const double d =
-            std::min(arc->delay[0].at(opt.primary_input_slew_ps,
+            std::min(arc->delay[0].at(kInputSlewPs,
                                       load[static_cast<size_t>(out)]),
-                     arc->delay[1].at(opt.primary_input_slew_ps,
+                     arc->delay[1].at(kInputSlewPs,
                                       load[static_cast<size_t>(out)]));
         best = std::min(best, early_in[static_cast<size_t>(id)][p] + d);
       }
@@ -422,12 +424,12 @@ void expect_matches_oracle(const circuit::Netlist& nl,
                            const sta::StaOptions& opt) {
   exec::set_default_threads(1);
   const sta::TimingResult want = oracle_run_sta(nl, par, opt);
-  const sta::HoldResult want_hold = oracle_run_hold_check(nl, par, opt);
+  const sta::HoldResult want_hold = oracle_run_hold_check(nl, par);
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(testing::Message() << threads << " thread(s)");
     exec::set_default_threads(threads);
     expect_same_timing(sta::run_sta(nl, par, opt), want);
-    expect_same_hold(sta::run_hold_check(nl, par, opt), want_hold);
+    expect_same_hold(sta::run_hold_check(nl, par), want_hold);
   }
   exec::set_default_threads(0);  // restore the environment-resolved pool
 }

@@ -290,9 +290,7 @@ TEST(Hold, NoViolationsOnHealthyDesign) {
   const flow::FlowResult r = flow::run_flow(o);
   const tech::Tech t(tech::Node::k45nm, tech::Style::k2D);
   const auto par = extract::extract_from_routes(r.netlist, t, r.routes);
-  sta::StaOptions so;
-  so.clock_ns = 1.5;
-  const auto h = sta::run_hold_check(r.netlist, par, so);
+  const auto h = sta::run_hold_check(r.netlist, par);
   // Fixture hold = 5 ps; even the shortest reg-to-reg path has a full
   // clk->q plus at least one gate.
   EXPECT_EQ(h.violations, 0);
@@ -319,9 +317,7 @@ TEST(Hold, DetectsArtificiallyLargeHold) {
   const flow::FlowResult r = flow::run_flow(o);
   const tech::Tech t(tech::Node::k45nm, tech::Style::k2D);
   const auto par = extract::extract_from_routes(r.netlist, t, r.routes);
-  sta::StaOptions so;
-  so.clock_ns = 1.5;
-  const auto h = sta::run_hold_check(r.netlist, par, so);
+  const auto h = sta::run_hold_check(r.netlist, par);
   EXPECT_GT(h.violations, 0);
   EXPECT_LT(h.worst_slack_ps, 0.0);
 }

@@ -546,10 +546,6 @@ TEST(Artifacts, KeysSeparateEveryInputThatChangesTheArtifact) {
   b.style = tech::Style::kTMI;
   EXPECT_NE(flow::artifacts::place_key(a, fp),
             flow::artifacts::place_key(b, fp));
-  b = a;
-  b.build_cts = false;
-  EXPECT_NE(flow::artifacts::place_key(a, fp),
-            flow::artifacts::place_key(b, fp));
   // A different library fingerprint keys a different placement.
   EXPECT_NE(flow::artifacts::place_key(a, fp),
             flow::artifacts::place_key(a, fp + 1));
@@ -564,26 +560,60 @@ TEST(Artifacts, KeysSeparateEveryInputThatChangesTheArtifact) {
             flow::artifacts::clock_key(b, fp));
   EXPECT_NE(flow::artifacts::clock_key(a, fp),
             flow::artifacts::clock_key(a, fp + 1));
-  // The auto-clock probe always runs the 2D corner without CTS, so fields it
-  // never reads must NOT fragment the memo.
+  // The auto-clock probe always runs the 2D corner, so fields it never
+  // reads must NOT fragment the memo.
   b = a;
   b.style = tech::Style::kTMI;
-  b.build_cts = false;
   EXPECT_EQ(flow::artifacts::clock_key(a, fp),
             flow::artifacts::clock_key(b, fp));
 
-  // A memoized comparison changes with the caller's configuration key and
-  // with either library: a re-characterized library never serves it.
-  const std::string cmp = flow::artifacts::compare_key("t4_45_DES", fp, fp);
-  EXPECT_NE(cmp, flow::artifacts::compare_key("t4_45_AES", fp, fp));
-  EXPECT_NE(cmp, flow::artifacts::compare_key("t4_45_DES", fp + 1, fp));
-  EXPECT_NE(cmp, flow::artifacts::compare_key("t4_45_DES", fp, fp + 1));
-
-  // Custom WLMs are outside the key schema entirely.
-  EXPECT_TRUE(flow::artifacts::store_usable(a));
+  // A memoized comparison changes with every option field the comparison
+  // reads and with either library: neither an edited preset nor a
+  // re-characterized library ever serves an old result.
+  const std::string cmp = flow::artifacts::compare_key(a, fp, fp);
+  EXPECT_NE(cmp, flow::artifacts::compare_key(a, fp + 1, fp));
+  EXPECT_NE(cmp, flow::artifacts::compare_key(a, fp, fp + 1));
+  const circuit::Netlist custom;  // any netlist keys by its hash
+  const std::vector<std::pair<const char*, void (*)(flow::FlowOptions*)>>
+      changes = {
+          {"bench", [](flow::FlowOptions* o) { o->bench = gen::Bench::kAes; }},
+          {"node", [](flow::FlowOptions* o) { o->node = tech::Node::k7nm; }},
+          {"style",
+           [](flow::FlowOptions* o) { o->style = tech::Style::kTMIPlusM; }},
+          {"scale_shift", [](flow::FlowOptions* o) { o->scale_shift = 3; }},
+          {"clock_ns", [](flow::FlowOptions* o) { o->clock_ns = 2.5; }},
+          {"target_util", [](flow::FlowOptions* o) { o->target_util = 0.33; }},
+          {"tmi_wlm", [](flow::FlowOptions* o) { o->tmi_wlm = false; }},
+          {"local_blockage_frac",
+           [](flow::FlowOptions* o) { o->local_blockage_frac = 0.0; }},
+          {"resistivity_scale",
+           [](flow::FlowOptions* o) { o->resistivity_scale = 1.4; }},
+          {"pi_activity", [](flow::FlowOptions* o) { o->pi_activity = 0.3; }},
+          {"seq_activity", [](flow::FlowOptions* o) { o->seq_activity = 0.3; }},
+          {"seed", [](flow::FlowOptions* o) { o->seed = 8; }},
+          {"check_level",
+           [](flow::FlowOptions* o) { o->check_level = check::Level::kFull; }},
+      };
+  for (const auto& [field, change] : changes) {
+    b = a;
+    change(&b);
+    EXPECT_NE(cmp, flow::artifacts::compare_key(b, fp, fp)) << field;
+  }
   b = a;
-  b.wlm = synth::Wlm{};
-  EXPECT_FALSE(flow::artifacts::store_usable(b));
+  b.custom_netlist = &custom;
+  EXPECT_NE(cmp, flow::artifacts::compare_key(b, fp, fp)) << "custom_netlist";
+  // The comparison resolves a 2D style to T-MI, replaces opt.lib with the
+  // two libraries, and never reads the store, trace or observer settings.
+  b = a;
+  b.style = tech::Style::kTMI;
+  EXPECT_EQ(cmp, flow::artifacts::compare_key(b, fp, fp));
+  const liberty::Library other = test::make_test_library(tech::Style::kTMI);
+  b = a;
+  b.lib = &other;
+  b.store_dir = "elsewhere";
+  b.trace = true;
+  b.stage_observer = [](const flow::StageReport&) {};
+  EXPECT_EQ(cmp, flow::artifacts::compare_key(b, fp, fp));
 }
 
 /// A comparison whose scalars include values a text codec would round.

@@ -105,6 +105,19 @@ TEST(Table, RendersAlignedColumns) {
   EXPECT_EQ(t.num_rows(), 2u);
 }
 
+TEST(Table, TrailingSeparatorMergesIntoTheClosingRule) {
+  Table t;
+  t.set_header({"name", "value"});
+  t.add_row({"x", "1"});
+  t.add_separator();
+  t.add_row({"y", "2"});
+  t.add_separator();
+  const std::string rule = std::string(14, '-') + "\n";
+  // Top rule, header rule, the inner separator, and one closing rule.
+  EXPECT_EQ(t.to_string(), rule + "name | value\n" + rule + "x    |     1\n" +
+                               rule + "y    |     2\n" + rule);
+}
+
 TEST(Table, PctFormatting) {
   EXPECT_EQ(pct(-0.417), "-41.7%");
   EXPECT_EQ(pct(0.042), "+4.2%");
