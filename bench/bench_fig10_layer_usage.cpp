@@ -13,7 +13,7 @@ int main() {
       "Paper: both local and intermediate heavily used; LDPC uses much more\n"
       "global metal than M256/DES.");
   t.set_header({"circuit", "style", "local mm", "intermediate mm", "global mm",
-                "local %", "inter %", "global %"});
+                "local %", "inter %", "global %", "routed"});
   for (gen::Bench b : {gen::Bench::kLdpc, gen::Bench::kM256, gen::Bench::kDes}) {
     flow::FlowOptions o = preset(b, tech::Node::k45nm);
     const Cmp base = compare_cached(o);
@@ -31,7 +31,8 @@ int main() {
                  util::strf("%.3f", wl[2] / 1000.0),
                  util::strf("%.1f", 100.0 * wl[0] / total),
                  util::strf("%.1f", 100.0 * wl[1] / total),
-                 util::strf("%.1f", 100.0 * wl[2] / total)});
+                 util::strf("%.1f", 100.0 * wl[2] / total),
+                 r.routed ? "yes" : "NO"});
     }
     t.add_separator();
   }

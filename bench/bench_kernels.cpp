@@ -25,6 +25,7 @@
 #include "place/place.hpp"
 #include "power/power.hpp"
 #include "route/route.hpp"
+#include "route/schedule.hpp"
 #include "spice/mosfet.hpp"
 #include "spice/sim.hpp"
 #include "sta/sta.hpp"
@@ -335,9 +336,11 @@ struct LdpcFixture {
   tech::Tech tch{tech::Node::k45nm, tech::Style::k2D};
   flow::FlowResult flow;
 
-  LdpcFixture() {
+  /// The preset's scale at 8.5 ns by default.
+  explicit LdpcFixture(int scale_shift = -1, double clock_ns = 8.5) {
     flow::FlowOptions o = flow::preset(gen::Bench::kLdpc, tech::Node::k45nm);
-    o.clock_ns = 8.5;
+    if (scale_shift >= 0) o.scale_shift = scale_shift;
+    o.clock_ns = clock_ns;
     o.lib = &lib;
     o.check_level = check::Level::kNone;
     flow = flow::run_flow(o);
@@ -359,6 +362,36 @@ void BM_RouteRrrLdpc(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RouteRrrLdpc)->Name("route.rrr")->Unit(benchmark::kMillisecond);
+
+// route.pack: the batch schedule of the router's first rip-up-and-reroute
+// iteration, from the preset LDPC's real overflowing two-pins.
+void BM_RoutePackLdpc(benchmark::State& state) {
+  auto& f = ldpc_fixture();
+  const std::vector<route::Window> windows =
+      route::first_rrr_windows(f.flow.netlist, f.flow.die, f.tch, {});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        route::schedule_batches(windows, f.flow.routes.nx, f.flow.routes.ny));
+  }
+  state.counters["windows"] = static_cast<double>(windows.size());
+}
+BENCHMARK(BM_RoutePackLdpc)->Name("route.pack")->Unit(benchmark::kMillisecond);
+
+// slow.route.rrr_paper: route.rrr on LDPC at the paper's full scale
+// (scale_shift 0, ~121k cells, 0.33 utilisation, 4 ns clock). Setting up
+// the fixture runs that flow once, minutes of CPU, so the CI filter leaves
+// it out; run it with --benchmark_filter=slow.
+void BM_RouteRrrLdpcPaper(benchmark::State& state) {
+  static const LdpcFixture f(/*scale_shift=*/0, /*clock_ns=*/4.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        route::global_route(f.flow.netlist, f.flow.die, f.tch, {}));
+  }
+}
+BENCHMARK(BM_RouteRrrLdpcPaper)
+    ->Name("slow.route.rrr_paper")
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(1);
 
 // extract.placement: the pre-route estimate the optimizer re-runs every
 // round (1,602 chip ports, ~27k nets).

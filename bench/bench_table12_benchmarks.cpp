@@ -15,7 +15,7 @@ int main() {
         "its own absolute targets; sizes are at our reduced default scale).",
         tech::to_string(node)));
     t.set_header({"circuit", "target clk ns", "#cells", "cell area um2",
-                  "#nets", "avg fanout", "#DFF"});
+                  "#nets", "avg fanout", "#DFF", "routed"});
     for (gen::Bench b : gen::all_benches()) {
       flow::FlowOptions o = preset(b, node);
       // Reuse the table 4/7 cached clock, then synthesize standalone for
@@ -39,7 +39,7 @@ int main() {
                  util::strf("%.1f", nl.total_cell_area_um2()),
                  util::strf("%d", nl.num_signal_nets()),
                  util::strf("%.2f", nl.average_fanout()),
-                 util::strf("%d", nl.count_sequential())});
+                 util::strf("%d", nl.count_sequential()), routed_str(c)});
     }
     t.print();
     std::printf("\n");

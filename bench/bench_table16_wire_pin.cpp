@@ -13,7 +13,7 @@ int main() {
       "LDPC wire cap 558 pF >> pin 134 pF (wire-dominated); DES wire 64 <<\n"
       "pin 127 (pin-dominated) — which is why T-MI helps LDPC far more.");
   t.set_header({"design", "wire cap pF", "pin cap pF", "wire pwr uW",
-                "pin pwr uW", "wire/pin cap"});
+                "pin pwr uW", "wire/pin cap", "routed"});
   for (gen::Bench b : {gen::Bench::kLdpc, gen::Bench::kDes}) {
     const Cmp c = compare_cached(preset(b, tech::Node::k45nm));
     auto row = [&](const char* type, const flow::FlowResult& m) {
@@ -21,7 +21,8 @@ int main() {
                  util::strf("%.1f", m.wire_cap_pf),
                  util::strf("%.1f", m.pin_cap_pf),
                  util::strf("%.1f", m.wire_uw), util::strf("%.1f", m.pin_uw),
-                 util::strf("%.2f", m.wire_cap_pf / m.pin_cap_pf)});
+                 util::strf("%.2f", m.wire_cap_pf / m.pin_cap_pf),
+                 m.routed ? "yes" : "NO"});
     };
     row("-2D", c.flat);
     row("-3D", c.tmi);

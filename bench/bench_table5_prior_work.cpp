@@ -14,17 +14,17 @@ int main() {
       "[2] CELONCEL and [7] Lee et al. ICCAD'12; power scales differ by\n"
       "design size — compare the reduction percentages, not absolutes).");
   t.set_header({"circuit", "design", "WL (m)", "longest path (ns)",
-                "total power (mW)", "power delta"});
+                "total power (mW)", "power delta", "routed"});
   struct Lit {
     const char* name;
     double wl2, wl3, d2, d3, p2, p3;
   };
   auto add_lit = [&](const Lit& l) {
     t.add_row({"", std::string(l.name) + "-2D", util::strf("%.3f", l.wl2),
-               util::strf("%.3f", l.d2), util::strf("%.1f", l.p2), "-"});
+               util::strf("%.3f", l.d2), util::strf("%.1f", l.p2), "-", "-"});
     t.add_row({"", std::string(l.name) + "-3D", util::strf("%.3f", l.wl3),
                util::strf("%.3f", l.d3), util::strf("%.1f", l.p3),
-               util::strf("%+.1f%%", 100.0 * (l.p3 / l.p2 - 1.0))});
+               util::strf("%+.1f%%", 100.0 * (l.p3 / l.p2 - 1.0)), "-"});
   };
 
   struct Row {
@@ -48,11 +48,12 @@ int main() {
     t.add_row({gen::to_string(row.bench), "ours-2D",
                util::strf("%.6f", c.flat.total_wl_um * 1e-6),
                util::strf("%.3f", c.flat.longest_path_ns),
-               util::strf("%.2f", c.flat.total_uw / 1000.0), "-"});
+               util::strf("%.2f", c.flat.total_uw / 1000.0), "-",
+               c.flat.routed ? "yes" : "NO"});
     t.add_row({"", "ours-3D", util::strf("%.6f", c.tmi.total_wl_um * 1e-6),
                util::strf("%.3f", c.tmi.longest_path_ns),
                util::strf("%.2f", c.tmi.total_uw / 1000.0),
-               pct_str(c.tmi.total_uw, c.flat.total_uw)});
+               pct_str(c.tmi.total_uw, c.flat.total_uw), c.tmi.routed ? "yes" : "NO"});
     for (const Lit& l : row.lits) add_lit(l);
     t.add_separator();
   }

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "exec/exec.hpp"
 #include "spice/mosfet.hpp"
 #include "spice/sim.hpp"
 #include "util/log.hpp"
+#include "util/metrics.hpp"
 #include "util/strf.hpp"
 
 namespace m3d::liberty {
@@ -329,8 +332,9 @@ double measure_leakage_uw(const cells::CellSpec& spec,
 }
 
 /// Replaces failed (zero) characterization points with the nearest valid
-/// neighbour so interpolation never sees holes.
-void patch_holes(NldmTable* t) {
+/// neighbour so interpolation never sees holes, and marks each point it
+/// fills in `filled` (row-major, like the table).
+void patch_holes(NldmTable* t, std::vector<bool>* filled) {
   const int ns = static_cast<int>(t->slew_ps.size());
   const int nl = static_cast<int>(t->load_ff.size());
   for (int si = 0; si < ns; ++si) {
@@ -349,6 +353,7 @@ void patch_holes(NldmTable* t) {
         }
       }
       t->cell(static_cast<size_t>(si), static_cast<size_t>(li)) = best;
+      (*filled)[static_cast<size_t>(si * nl + li)] = true;
     }
   }
 }
@@ -412,7 +417,7 @@ spice::Circuit make_cell_circuit(const cells::CellSpec& spec,
 
 LibCell characterize_cell(const cells::CellSpec& spec,
                           const cells::CellLayout& layout, double vdd_v,
-                          const CharOptions& opt) {
+                          const CharOptions& opt, std::vector<PatchedPoint>* patched) {
   LibCell cell;
   cell.name = spec.name;
   cell.func = spec.func;
@@ -501,7 +506,7 @@ LibCell characterize_cell(const cells::CellSpec& spec,
       for (int e = 0; e < 2; ++e) {
         const Measurement& m = meas[p * 2 + static_cast<size_t>(e)];
         if (!m.valid) {
-          util::warn(util::strf(
+          util::debug(util::strf(
               "char: %s CK->Q %s failed at (%.1f, %.1f)", spec.name.c_str(),
               e == static_cast<int>(Edge::kRise) ? "rise" : "fall",
               p_slew[p], p_load[p]));
@@ -570,7 +575,7 @@ LibCell characterize_cell(const cells::CellSpec& spec,
           for (bool in_rise : {false, true}) {
             const Measurement& m = meas[p * 2 + (in_rise ? 1 : 0)];
             if (!m.valid) {
-              util::warn(util::strf(
+              util::debug(util::strf(
                   "char: %s %s->%s %s failed at (%.1f, %.1f)",
                   spec.name.c_str(), inputs[ii].c_str(), outputs[oi].c_str(),
                   in_rise ? "rise" : "fall", p_slew[p], p_load[p]));
@@ -593,13 +598,28 @@ LibCell characterize_cell(const cells::CellSpec& spec,
     }
   }
 
+  size_t npatched = 0;
   for (auto& arc : cell.arcs) {
     for (int e = 0; e < 2; ++e) {
-      patch_holes(&arc.delay[e]);
-      patch_holes(&arc.out_slew[e]);
-      patch_holes(&arc.energy[e]);
+      const size_t nl = arc.delay[e].load_ff.size();
+      const size_t points = arc.delay[e].value.size();
+      std::vector<bool> delay(points, false), slew(points, false), energy(points, false);
+      patch_holes(&arc.delay[e], &delay);
+      patch_holes(&arc.out_slew[e], &slew);
+      patch_holes(&arc.energy[e], &energy);
+      for (size_t p = 0; p < points; ++p) {
+        if (!delay[p] && !slew[p] && !energy[p]) continue;
+        ++npatched;
+        if (patched != nullptr) {
+          patched->push_back({spec.name, arc.from, arc.to,
+                              e == static_cast<int>(Edge::kRise),
+                              arc.delay[e].slew_ps[p / nl], arc.delay[e].load_ff[p % nl],
+                              delay[p], slew[p], energy[p]});
+        }
+      }
     }
   }
+  if (npatched > 0) util::count("liberty.patched_points", static_cast<double>(npatched));
   cell.leakage_uw = measure_leakage_uw(spec, layout, opt.silicon, vdd_v);
   return cell;
 }
@@ -627,6 +647,7 @@ Library build_library_45nm(tech::Style style, const CharOptions& opt) {
   // then add them to the library in the original job order so the library
   // is identical to a serial build.
   std::vector<LibCell> done(jobs.size());
+  std::vector<std::vector<PatchedPoint>> patched(jobs.size());
   exec::parallel_for(
       jobs.size(),
       [&](size_t jb, size_t je) {
@@ -636,13 +657,31 @@ Library build_library_45nm(tech::Style style, const CharOptions& opt) {
           const cells::CellLayout layout = (style == tech::Style::k2D)
                                                ? cells::layout_2d(spec, tch)
                                                : cells::fold_tmi(spec, tch);
-          done[j] = characterize_cell(spec, layout, kVdd45, opt);
+          done[j] = characterize_cell(spec, layout, kVdd45, opt, &patched[j]);
           util::info(util::strf("characterized %s (%s)", spec.name.c_str(),
                                 tech::to_string(style)));
         }
       },
       /*grain=*/1);
   for (LibCell& cell : done) lib.add(std::move(cell));
+  std::string list;
+  size_t npatched = 0;
+  for (const auto& cell_points : patched) {
+    for (const PatchedPoint& p : cell_points) {
+      list += util::strf("%s%s %s->%s %s (%.1f ps, %.1f fF)%s%s%s", npatched == 0 ? "" : "; ",
+                         p.cell.c_str(), p.from.c_str(), p.to.c_str(),
+                         p.out_rise ? "rise" : "fall", p.slew_ps, p.load_ff,
+                         p.delay ? " delay" : "", p.out_slew ? " slew" : "",
+                         p.energy ? " energy" : "");
+      ++npatched;
+    }
+  }
+  if (npatched > 0) {
+    util::warn(util::strf("char: %s: %zu NLDM points held no positive value (a failed "
+                          "or non-positive measurement) and were filled from their "
+                          "nearest valid neighbour: %s",
+                          lib.name.c_str(), npatched, list.c_str()));
+  }
   return lib;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 
@@ -13,59 +14,42 @@ namespace {
 /// Per-thread maze scratch: the per-cell search records plus the open set,
 /// an indexed 4-ary min-heap with decrease-key.
 ///
-/// Cells use epoch-stamped lazy reset: one packed {dist, parent, stamp,
-/// slot} record per cell, allocated once per thread, and a cell is
-/// (re)initialized the first time an epoch touches it, so repeated maze
-/// calls do no allocation and no O(window) clearing. Each maze call is
-/// entirely thread-private — every read goes through touch(), so no state
-/// leaks across calls.
+/// One packed 16-byte {dist, parent, slot} record per window cell,
+/// allocated once per thread; begin() fills the window's records with
+/// {1e18, -1, -1}, so repeated maze calls do no allocation and every read
+/// sees only the current call's state. The fill is a few microseconds
+/// against a search of ~100 us, and it costs no stamp test per relaxation.
 ///
 /// The heap holds at most one entry per cell, and the cell's `slot` is that
 /// entry's position (-1 while the cell is not queued). It orders entries by
 /// (f, idx) — the total order in which
 /// std::priority_queue<std::pair<double, int>, ..., std::greater<>> pops —
 /// and an entry carries its cell's coordinates, which saves each pop a
-/// divide and a modulo.
+/// divide and a modulo. Entries are 16 bytes, so a node's four children
+/// fill 64 contiguous bytes.
 struct MazeScratch {
   struct Node {
     double dist;
     int parent;
-    uint32_t stamp;
     int slot;
   };
   struct Entry {
     double f;
     int idx;
-    int x, y;
+    int16_t x, y;
   };
+  static_assert(sizeof(Node) == 16 && sizeof(Entry) == 16);
   // obs::vector: the maze arrays are the router's dominant allocations, so
   // they opt into the counting allocator for the per-stage memory profile.
   obs::vector<Node> nodes;
   obs::vector<Entry> heap;
-  uint32_t epoch = 0;
 
-  /// Starts a maze over `cells` cells with an empty open set; grows the
-  /// array if needed and invalidates every previous record by bumping the
-  /// epoch.
+  /// Starts a maze over `cells` cells with an empty open set: every cell
+  /// unreached, unparented and unqueued.
   void begin(size_t cells) {
-    if (nodes.size() < cells) nodes.resize(cells, Node{0.0, -1, 0, -1});
-    if (++epoch == 0) {  // wrapped: stale stamps could alias the new epoch
-      for (Node& n : nodes) n.stamp = 0;
-      epoch = 1;
-    }
+    if (nodes.size() < cells) nodes.resize(cells);
+    std::fill_n(nodes.begin(), cells, Node{1e18, -1, -1});
     heap.clear();
-  }
-
-  /// Cell `i`'s record, lazily initialized for the current epoch.
-  Node& touch(size_t i) {
-    Node& n = nodes[i];
-    if (n.stamp != epoch) {
-      n.stamp = epoch;
-      n.dist = 1e18;
-      n.parent = -1;
-      n.slot = -1;
-    }
-    return n;
   }
 
   /// Queues `e` for its cell `n`, or moves the cell's queued entry to the
@@ -89,6 +73,11 @@ struct MazeScratch {
   }
 
   /// Removes and returns the minimum entry; its cell is no longer queued.
+  ///
+  /// A node with four children picks the smallest by two pairwise `less`
+  /// results and one select. Entries are distinct under (f, idx) — one per
+  /// cell — so the minimum is unique and any comparison order finds the
+  /// child the left-to-right scan finds.
   Entry pop() {
     const Entry top = heap.front();
     nodes[static_cast<size_t>(top.idx)].slot = -1;
@@ -96,17 +85,24 @@ struct MazeScratch {
     heap.pop_back();
     const size_t n = heap.size();
     if (n == 0) return top;
+    const Entry* h = heap.data();
     size_t i = 0;
     for (;;) {
       const size_t first = 4 * i + 1;
-      if (first >= n) break;
-      size_t best = first;
-      const size_t end = std::min(first + 4, n);
-      for (size_t c = first + 1; c < end; ++c) {
-        if (less(heap[c], heap[best])) best = c;
+      size_t best;
+      if (first + 3 < n) {
+        const size_t m01 = first + less(h[first + 1], h[first]);
+        const size_t m23 = first + 2 + less(h[first + 3], h[first + 2]);
+        best = less(h[m23], h[m01]) ? m23 : m01;
+      } else {
+        if (first >= n) break;
+        best = first;
+        for (size_t c = first + 1; c < n; ++c) {
+          if (less(h[c], h[best])) best = c;
+        }
       }
-      if (!less(heap[best], last)) break;
-      place(i, heap[best]);
+      if (!less(h[best], last)) break;
+      place(i, h[best]);
       i = best;
     }
     place(i, last);
@@ -114,8 +110,10 @@ struct MazeScratch {
   }
 
  private:
-  static bool less(const Entry& a, const Entry& b) {
-    return a.f < b.f || (a.f == b.f && a.idx < b.idx);
+  /// (f, idx) order without short-circuit branches.
+  static size_t less(const Entry& a, const Entry& b) {
+    return static_cast<size_t>(a.f < b.f) |
+           (static_cast<size_t>(a.f == b.f) & static_cast<size_t>(a.idx < b.idx));
   }
   void place(size_t i, const Entry& e) {
     heap[i] = e;
@@ -125,8 +123,27 @@ struct MazeScratch {
 
 }  // namespace
 
+double path_cost(const CostView& view, const std::vector<Cell>& path) {
+  double cost = 0.0;
+  for (size_t k = 0; k + 1 < path.size(); ++k) {
+    const Cell& p = path[k];
+    const Cell& q = path[k + 1];
+    if (p.y == q.y) {
+      cost += view.cost_h[view.h_idx(std::min(p.x, q.x), p.y)];
+    } else {
+      cost += view.cost_v[view.v_idx(p.x, std::min(p.y, q.y))];
+    }
+  }
+  return cost;
+}
+
+double maze_f_limit(double reject_at) {
+  return reject_at + 1e-9 * (1.0 + std::abs(reject_at));
+}
+
 std::vector<Cell> maze_route(const CostView& view, const Cell& a, const Cell& b,
-                             int margin) {
+                             int margin, double f_limit) {
+  assert(view.nx <= INT16_MAX && view.ny <= INT16_MAX);
   const int xlo = std::max(0, std::min(a.x, b.x) - margin);
   const int xhi = std::min(view.nx - 1, std::max(a.x, b.x) + margin);
   const int ylo = std::max(0, std::min(a.y, b.y) - margin);
@@ -137,17 +154,20 @@ std::vector<Cell> maze_route(const CostView& view, const Cell& a, const Cell& b,
   scratch.begin(static_cast<size_t>(w * h));
   const double* cost_h = view.cost_h;
   const double* cost_v = view.cost_v;
-  MazeScratch::Node& start = scratch.touch(idx(a.x, a.y));
+  const int target = static_cast<int>(idx(b.x, b.y));
+  MazeScratch::Node& start = scratch.nodes[idx(a.x, a.y)];
   start.dist = 0.0;
   scratch.push_or_decrease({std::abs(a.x - b.x) + std::abs(a.y - b.y) * 1.0,
-                            static_cast<int>(idx(a.x, a.y)), a.x, a.y},
+                            static_cast<int>(idx(a.x, a.y)), static_cast<int16_t>(a.x),
+                            static_cast<int16_t>(a.y)},
                            start);
   while (!scratch.heap.empty()) {
     const MazeScratch::Entry top = scratch.pop();
+    if (top.f > f_limit) return {};
     const int ci = top.idx;
+    if (ci == target) break;
     const int cx = top.x;
     const int cy = top.y;
-    if (cx == b.x && cy == b.y) break;
     const double d = scratch.nodes[static_cast<size_t>(ci)].dist;
     // Every queued entry is live, but past dist ~2^24 rounding in f = dist
     // + h can exceed 1e-9, and the lazy-deletion kernel this one replaced
@@ -155,27 +175,28 @@ std::vector<Cell> maze_route(const CostView& view, const Cell& a, const Cell& b,
     // identical to that kernel's.
     if (top.f - (std::abs(cx - b.x) + std::abs(cy - b.y)) > d + 1e-9) continue;
     // Neighbours in the fixed order +x, -x, +y, -y; `ec` is the cached cost
-    // of the edge between the current cell and (nx2, ny2).
-    auto relax = [&](int nx2, int ny2, double ec) {
+    // of the edge between the current cell and (nx2, ny2), whose window
+    // index is `nidx`.
+    auto relax = [&](int nidx, int nx2, int ny2, double ec) {
       const double nd = d + ec;
-      const size_t nidx = idx(nx2, ny2);
-      MazeScratch::Node& n = scratch.touch(nidx);
+      MazeScratch::Node& n = scratch.nodes[static_cast<size_t>(nidx)];
       if (nd < n.dist - 1e-12) {
         n.dist = nd;
         n.parent = ci;
         scratch.push_or_decrease({nd + std::abs(nx2 - b.x) + std::abs(ny2 - b.y),
-                                  static_cast<int>(nidx), nx2, ny2},
+                                  nidx, static_cast<int16_t>(nx2),
+                                  static_cast<int16_t>(ny2)},
                                  n);
       }
     };
-    if (cx < xhi) relax(cx + 1, cy, cost_h[view.h_idx(cx, cy)]);
-    if (cx > xlo) relax(cx - 1, cy, cost_h[view.h_idx(cx - 1, cy)]);
-    if (cy < yhi) relax(cx, cy + 1, cost_v[view.v_idx(cx, cy)]);
-    if (cy > ylo) relax(cx, cy - 1, cost_v[view.v_idx(cx, cy - 1)]);
+    if (cx < xhi) relax(ci + 1, cx + 1, cy, cost_h[view.h_idx(cx, cy)]);
+    if (cx > xlo) relax(ci - 1, cx - 1, cy, cost_h[view.h_idx(cx - 1, cy)]);
+    if (cy < yhi) relax(ci + w, cx, cy + 1, cost_v[view.v_idx(cx, cy)]);
+    if (cy > ylo) relax(ci - w, cx, cy - 1, cost_v[view.v_idx(cx, cy - 1)]);
   }
-  if (scratch.touch(idx(b.x, b.y)).dist >= 1e17) return {};
+  if (scratch.nodes[static_cast<size_t>(target)].dist >= 1e17) return {};
   std::vector<Cell> path;
-  int ci = static_cast<int>(idx(b.x, b.y));
+  int ci = target;
   while (ci >= 0) {
     path.push_back({xlo + ci % w, ylo + ci / w});
     ci = scratch.nodes[static_cast<size_t>(ci)].parent;

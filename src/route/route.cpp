@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "circuit/index.hpp"
 #include "exec/exec.hpp"
 #include "obs/trace.hpp"
 #include "route/maze.hpp"
+#include "route/schedule.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -72,10 +74,6 @@ class Grid {
   /// Read-only view of level `l`'s cached maze costs, indexed like h_idx /
   /// v_idx.
   CostView costs(int l) const { return {nx_, ny_, cost_h_[l].data(), cost_v_[l].data()}; }
-
-  double edge_cost(int l, bool horizontal, int i, int j) const {
-    return horizontal ? cost_h_[l][h_idx(i, j)] : cost_v_[l][v_idx(i, j)];
-  }
 
   void add_path(int l, const std::vector<Cell>& path, double delta) {
     for (size_t k = 0; k + 1 < path.size(); ++k) {
@@ -188,32 +186,38 @@ std::vector<Cell> l_path(const Cell& a, const Cell& b, bool x_first) {
   return path;
 }
 
-double path_cost(const Grid& grid, int level, const std::vector<Cell>& path) {
-  double cost = 0.0;
-  for (size_t k = 0; k + 1 < path.size(); ++k) {
-    const Cell& p = path[k];
-    const Cell& q = path[k + 1];
-    if (p.y == q.y) {
-      cost += grid.edge_cost(level, true, std::min(p.x, q.x), p.y);
-    } else {
-      cost += grid.edge_cost(level, false, p.x, std::min(p.y, q.y));
-    }
-  }
-  return cost;
-}
+/// A net's pins: [0] is the driver.
+struct NetPins {
+  std::vector<geom::Pt> pts;
+  std::vector<int> sink_of_pin;  // pin index -> sink index (-1 for driver/pad)
+};
 
-}  // namespace
+/// The router's state once every two-pin has its pattern route.
+struct Routing {
+  Routing(double gcell_um, int cols, int rows)
+      : gc(gcell_um), nx(cols), ny(rows), grid(cols, rows) {}
 
-RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
-                         const tech::Tech& tech, const RouteOptions& opt) {
-  RouteResult result;
+  double gc;
+  int nx, ny;
+  Grid grid;
+  std::vector<TwoPin> twopins;
+  std::vector<int> order;                   // two-pin indices, shortest first
+  std::vector<NetPins> net_pins;            // per net
+  std::vector<std::vector<int>> parent_of;  // per net: MST parent of pin k
+};
+
+/// Sizes the gcell grid and its capacities, splits every net into MST
+/// two-pins and pattern-routes them, short connections first.
+Routing pattern_route(const circuit::Netlist& nl, const place::Die& die,
+                      const tech::Tech& tech, const RouteOptions& opt) {
   const double die_w = die.core.width();
   const double die_h = die.core.height();
   const double gc = std::max(std::max(die_w, die_h) / 96.0,
                              2.0 * die.row_height_um);
   const int nx = std::max(4, static_cast<int>(std::ceil(die_w / gc)));
   const int ny = std::max(4, static_cast<int>(std::ceil(die_h / gc)));
-  Grid grid(nx, ny);
+  Routing r(gc, nx, ny);
+  Grid& grid = r.grid;
 
   // Edge capacities from the metal stack.
   double cap_h[kNumLevels] = {0, 0, 0};
@@ -248,22 +252,16 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
 
   obs::Span build_span("route.build_topology");
   const circuit::NetlistIndex net_index(nl);
-  result.nets.assign(static_cast<size_t>(nl.num_nets()), NetRoute{});
-  std::vector<TwoPin> twopins;
-  std::vector<std::vector<int>> net_pin_parent;  // per net: MST parent of pin k
+  std::vector<TwoPin>& twopins = r.twopins;
 
   // Build per-net pin lists and MST topology.
-  struct NetPins {
-    std::vector<geom::Pt> pts;      // [0] = driver
-    std::vector<int> sink_of_pin;   // pin index -> sink index (-1 for driver/pad)
-  };
-  std::vector<NetPins> net_pins(static_cast<size_t>(nl.num_nets()));
-  std::vector<std::vector<int>> parent_of(static_cast<size_t>(nl.num_nets()));
+  r.net_pins.resize(static_cast<size_t>(nl.num_nets()));
+  r.parent_of.resize(static_cast<size_t>(nl.num_nets()));
 
   for (circuit::NetId n = 0; n < nl.num_nets(); ++n) {
     const circuit::Net& net = nl.net(n);
     if (net.is_clock || net.sinks.empty()) continue;
-    NetPins& np = net_pins[static_cast<size_t>(n)];
+    NetPins& np = r.net_pins[static_cast<size_t>(n)];
     // Driver pin.
     geom::Pt drv;
     if (net.driver.inst != circuit::kInvalid) {
@@ -296,7 +294,7 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
     const int p = static_cast<int>(np.pts.size());
     if (p < 2) continue;
     // Prim MST rooted at the driver.
-    std::vector<int>& parent = parent_of[static_cast<size_t>(n)];
+    std::vector<int>& parent = r.parent_of[static_cast<size_t>(n)];
     parent.assign(static_cast<size_t>(p), -1);
     std::vector<bool> in_tree(static_cast<size_t>(p), false);
     std::vector<double> best(static_cast<size_t>(p), 1e18);
@@ -346,7 +344,8 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
 
   // Initial pattern routing, short connections first.
   obs::Span pattern_span("route.pattern");
-  std::vector<int> order(twopins.size());
+  std::vector<int>& order = r.order;
+  order.resize(twopins.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
   std::sort(order.begin(), order.end(), [&](int a, int b) {
     const auto& ta = twopins[static_cast<size_t>(a)];
@@ -358,34 +357,69 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
     TwoPin& tp = twopins[static_cast<size_t>(ti)];
     const auto p1 = l_path(tp.a, tp.b, true);
     const auto p2 = l_path(tp.a, tp.b, false);
-    tp.path = (path_cost(grid, tp.level, p1) <= path_cost(grid, tp.level, p2)) ? p1 : p2;
+    const CostView costs = grid.costs(tp.level);
+    tp.path = (path_cost(costs, p1) <= path_cost(costs, p2)) ? p1 : p2;
     grid.add_path(tp.level, tp.path, 1.0);
   }
   pattern_span.stop();
+  return r;
+}
+
+/// The maze window of a two-pin: its pins' bbox inflated by kMazeMargin and
+/// clipped to the nx x ny grid. It depends on the pins alone.
+Window window_of(const TwoPin& tp, int nx, int ny) {
+  return Window{std::max(0, std::min(tp.a.x, tp.b.x) - kMazeMargin),
+                std::min(nx - 1, std::max(tp.a.x, tp.b.x) + kMazeMargin),
+                std::max(0, std::min(tp.a.y, tp.b.y) - kMazeMargin),
+                std::min(ny - 1, std::max(tp.a.y, tp.b.y) + kMazeMargin)};
+}
+
+/// The two-pins whose committed path overflows, shortest first: one
+/// rip-up-and-reroute iteration's work list.
+std::vector<int> overflowing(const Routing& r) {
+  std::vector<int> todo;
+  for (int ti : r.order) {
+    const TwoPin& tp = r.twopins[static_cast<size_t>(ti)];
+    if (r.grid.path_overflows(tp.level, tp.path)) todo.push_back(ti);
+  }
+  return todo;
+}
+
+}  // namespace
+
+std::vector<Window> first_rrr_windows(const circuit::Netlist& nl, const place::Die& die,
+                                      const tech::Tech& tech, const RouteOptions& opt) {
+  const Routing r = pattern_route(nl, die, tech, opt);
+  std::vector<Window> windows;
+  if (opt.rrr_iters <= 0 || r.grid.count_overflow(nullptr) == 0) return windows;
+  for (int ti : overflowing(r)) {
+    windows.push_back(window_of(r.twopins[static_cast<size_t>(ti)], r.nx, r.ny));
+  }
+  return windows;
+}
+
+RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
+                         const tech::Tech& tech, const RouteOptions& opt) {
+  Routing r = pattern_route(nl, die, tech, opt);
+  Grid& grid = r.grid;
+  std::vector<TwoPin>& twopins = r.twopins;
+  const int nx = r.nx, ny = r.ny;
+  const double gc = r.gc;
+  RouteResult result;
+  result.nets.assign(static_cast<size_t>(nl.num_nets()), NetRoute{});
 
   // Rip-up and reroute, in batches of spatially disjoint two-pins. Each
   // iteration collects the overflowing two-pins (shortest first, like the
-  // pattern pass), greedily packs them into batches whose inflated maze
-  // windows don't overlap, and then for each batch: rips every member,
-  // reroutes every member against the frozen batch-start grid — this is
-  // the parallel section; the grid is read-only while the mazes run — and
-  // commits the results in order. Batch formation and every maze see only
-  // deterministic grid states, so the routing is bit-identical at any
-  // thread count (the batched schedule itself, not the thread count, is
-  // what differs from a one-at-a-time sweep).
+  // pattern pass) and schedules them up front into batches whose inflated
+  // maze windows don't overlap (first fit in order, schedule.hpp). Then for
+  // each batch it rips every member, reroutes every member against the
+  // frozen batch-start grid — this is the parallel section; the grid is
+  // read-only while the mazes run — and commits the results in order. The
+  // schedule and every maze see only deterministic grid states, so the
+  // routing is bit-identical at any thread count (the batched schedule
+  // itself, not the thread count, is what differs from a one-at-a-time
+  // sweep).
   obs::Span rrr_span("route.rrr");
-  struct Window {
-    int xlo, xhi, ylo, yhi;
-  };
-  auto window_of = [&](const TwoPin& tp) {
-    return Window{std::max(0, std::min(tp.a.x, tp.b.x) - kMazeMargin),
-                  std::min(nx - 1, std::max(tp.a.x, tp.b.x) + kMazeMargin),
-                  std::max(0, std::min(tp.a.y, tp.b.y) - kMazeMargin),
-                  std::min(ny - 1, std::max(tp.a.y, tp.b.y) + kMazeMargin)};
-  };
-  auto overlaps = [](const Window& a, const Window& b) {
-    return a.xlo <= b.xhi && b.xlo <= a.xhi && a.ylo <= b.yhi && b.ylo <= a.yhi;
-  };
   struct Reroute {
     int level = 0;
     std::vector<Cell> path;
@@ -398,31 +432,21 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
     if (over == 0) break;
     util::count("route.rrr_iters");
     grid.add_history();
-    std::vector<int> todo;
-    for (int ti : order) {
-      const TwoPin& tp = twopins[static_cast<size_t>(ti)];
-      if (grid.path_overflows(tp.level, tp.path)) todo.push_back(ti);
-    }
-    while (!todo.empty()) {
-      // Greedy maximal prefix-respecting independent set: a two-pin joins
-      // the batch unless its window overlaps an earlier member's.
-      std::vector<int> batch, deferred;
-      std::vector<Window> windows;
-      for (int ti : todo) {
-        const Window w = window_of(twopins[static_cast<size_t>(ti)]);
-        bool clash = false;
-        for (const Window& bw : windows) {
-          if (overlaps(w, bw)) {
-            clash = true;
-            break;
-          }
-        }
-        if (clash) {
-          deferred.push_back(ti);
-        } else {
-          batch.push_back(ti);
-          windows.push_back(w);
-        }
+    obs::Span pack_span("route.pack");
+    const std::vector<int> todo = overflowing(r);
+    std::vector<Window> windows;
+    windows.reserve(todo.size());
+    for (int ti : todo) windows.push_back(window_of(twopins[static_cast<size_t>(ti)], nx, ny));
+    const Schedule schedule = schedule_batches(windows, nx, ny);
+    pack_span.stop();
+    obs::Span reroute_span("route.reroute");
+    std::vector<int> batch;
+    std::vector<Reroute> rerouted;
+    for (int k = 0; k < schedule.batches(); ++k) {
+      batch.clear();
+      for (int m = schedule.start[static_cast<size_t>(k)];
+           m < schedule.start[static_cast<size_t>(k) + 1]; ++m) {
+        batch.push_back(todo[static_cast<size_t>(schedule.members[static_cast<size_t>(m)])]);
       }
       util::count("route.maze_batches");
       util::count("route.overflow_retries", static_cast<double>(batch.size()));
@@ -432,7 +456,7 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
         TwoPin& tp = twopins[static_cast<size_t>(ti)];
         grid.add_path(tp.level, tp.path, -1.0);
       }
-      std::vector<Reroute> rerouted(batch.size());
+      rerouted.assign(batch.size(), Reroute{});
       exec::parallel_for(
           batch.size(),
           [&](size_t bb, size_t be) {
@@ -447,11 +471,18 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
               for (int l : {tp.level, tp.level + 1, tp.level - 1}) {
                 if (l < kLocal || l > kGlobal) continue;
                 ++rerouted[bi].maze_calls;
-                auto path = maze_route(grid.costs(l), tp.a, tp.b, kMazeMargin);
-                if (path.empty()) continue;
                 // Level changes cost vias; bias toward the preferred level.
-                const double cost =
-                    path_cost(grid, l, path) + 4.0 * std::abs(l - tp.level);
+                const double via_cost = 4.0 * std::abs(l - tp.level);
+                // Once a path is in hand, a search on another level is
+                // wanted only if its path costs less than best_cost -
+                // via_cost, so it may stop as soon as it proves it cannot
+                // find one. It then fails like a search that found no path.
+                const double f_limit = best_path.empty()
+                                           ? std::numeric_limits<double>::infinity()
+                                           : maze_f_limit(best_cost - via_cost);
+                auto path = maze_route(grid.costs(l), tp.a, tp.b, kMazeMargin, f_limit);
+                if (path.empty()) continue;
+                const double cost = path_cost(grid.costs(l), path) + via_cost;
                 if (cost < best_cost) {
                   best_cost = cost;
                   best_path = std::move(path);
@@ -476,7 +507,6 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
         grid.add_path(tp.level, tp.path, 1.0);
       }
       util::count("route.maze_calls", maze_calls);
-      todo = std::move(deferred);
     }
   }
   rrr_span.stop();
@@ -516,8 +546,8 @@ RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
     if (net.is_clock || net.sinks.empty()) continue;
     NetRoute& nr = result.nets[static_cast<size_t>(n)];
     nr.sink_path_wl.assign(net.sinks.size(), {});
-    const auto& parent = parent_of[static_cast<size_t>(n)];
-    const auto& np = net_pins[static_cast<size_t>(n)];
+    const auto& parent = r.parent_of[static_cast<size_t>(n)];
+    const auto& np = r.net_pins[static_cast<size_t>(n)];
     if (parent.empty()) continue;
     // Edge data per child pin.
     std::vector<std::array<double, kNumLevels>> edge_wl(parent.size(),

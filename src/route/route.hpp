@@ -19,6 +19,7 @@
 
 #include "circuit/netlist.hpp"
 #include "place/place.hpp"
+#include "route/schedule.hpp"
 #include "tech/tech.hpp"
 
 namespace m3d::route {
@@ -60,5 +61,12 @@ struct RouteResult {
 
 RouteResult global_route(const circuit::Netlist& nl, const place::Die& die,
                          const tech::Tech& tech, const RouteOptions& opt);
+
+/// The maze windows global_route schedules in its first rip-up-and-reroute
+/// iteration, in its order: one per two-pin whose pattern route overflows.
+/// Empty when nothing overflows. Lets tests and benches drive
+/// schedule_batches with a real design's work list.
+std::vector<Window> first_rrr_windows(const circuit::Netlist& nl, const place::Die& die,
+                                      const tech::Tech& tech, const RouteOptions& opt);
 
 }  // namespace m3d::route

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "liberty/characterize.hpp"
 #include "liberty/library.hpp"
 #include "liberty/liberty_writer.hpp"
 #include "store/blob.hpp"
 #include "test_fixtures.hpp"
+#include "util/metrics.hpp"
+#include "util/strf.hpp"
 
 namespace m3d::liberty {
 namespace {
@@ -167,6 +171,57 @@ TEST(Characterize, MeasuredSetupIsPlausible) {
       characterize_cell(dff, cells::layout_2d(dff, tch), 1.1, opt);
   EXPECT_GE(cell.setup_ps, 0.0);
   EXPECT_LT(cell.setup_ps, 200.0);
+}
+
+// The NLDM points of FA_X1 and OR4_X1 that characterize_cell fills from a
+// neighbour today, all at the largest load: six input-rise sweeps fail to
+// measure, and ten more measure a switching energy <= 0. This pins them as
+// they stand (the same in both 45 nm styles): a fix to the characterizer
+// will shrink the list, and a regression will grow it.
+TEST(Characterize, PatchedPointsOfFaAndOr4ArePinned) {
+  for (tech::Style style : {tech::Style::k2D, tech::Style::kTMI}) {
+    const tech::Tech tch(tech::Node::k45nm, style);
+    std::vector<std::string> got;
+    util::MetricsRegistry reg;
+    {
+      const util::ScopedMetricsSink sink(reg);
+      for (cells::Func func : {cells::Func::kFa, cells::Func::kOr4}) {
+        const cells::CellSpec spec = cells::make_spec(func, 1);
+        const cells::CellLayout layout = style == tech::Style::k2D
+                                             ? cells::layout_2d(spec, tch)
+                                             : cells::fold_tmi(spec, tch);
+        std::vector<PatchedPoint> patched;
+        characterize_cell(spec, layout, 1.1, {}, &patched);
+        for (const PatchedPoint& p : patched) {
+          got.push_back(util::strf("%s %s->%s %s (%.1f, %.1f)%s%s%s", p.cell.c_str(),
+                                   p.from.c_str(), p.to.c_str(),
+                                   p.out_rise ? "rise" : "fall", p.slew_ps, p.load_ff,
+                                   p.delay ? " delay" : "", p.out_slew ? " slew" : "",
+                                   p.energy ? " energy" : ""));
+        }
+      }
+    }
+    const std::vector<std::string> want = {
+        "FA_X1 A->S rise (7.5, 12.8) delay slew energy",
+        "FA_X1 B->S rise (7.5, 12.8) energy",
+        "FA_X1 B->S rise (37.5, 12.8) energy",
+        "FA_X1 CI->S rise (7.5, 12.8) energy",
+        "FA_X1 CI->S rise (37.5, 12.8) energy",
+        "FA_X1 A->CO rise (7.5, 12.8) delay slew energy",
+        "FA_X1 B->CO rise (7.5, 12.8) delay slew energy",
+        "FA_X1 CI->CO rise (7.5, 12.8) delay slew energy",
+        "OR4_X1 A->Z rise (7.5, 12.8) delay slew energy",
+        "OR4_X1 A->Z rise (37.5, 12.8) energy",
+        "OR4_X1 B->Z rise (7.5, 12.8) delay slew energy",
+        "OR4_X1 B->Z rise (37.5, 12.8) energy",
+        "OR4_X1 C->Z rise (7.5, 12.8) energy",
+        "OR4_X1 C->Z rise (37.5, 12.8) energy",
+        "OR4_X1 D->Z rise (7.5, 12.8) energy",
+        "OR4_X1 D->Z rise (37.5, 12.8) energy",
+    };
+    EXPECT_EQ(got, want) << tech::to_string(style);
+    EXPECT_EQ(reg.counter("liberty.patched_points"), static_cast<double>(got.size()));
+  }
 }
 
 }  // namespace
