@@ -260,43 +260,6 @@ std::string library_key(const std::string& provider_id, tech::Node node,
       provider_id.c_str(), tech::to_string(node), tech::to_string(style));
 }
 
-// --- auto-clock ------------------------------------------------------------
-
-std::string clock_key(const FlowOptions& opt, uint64_t lib_fp) {
-  // auto_clock_ns always probes the 2D corner of opt.node with opt.lib, a
-  // pure function of exactly these fields (style, WLM knobs and routing
-  // knobs never reach the probe).
-  return util::strf(
-      "{\"artifact\":\"clock\",\"bench\":\"%s\",\"node\":\"%s\","
-      "\"scale_shift\":%d,\"seed\":\"%llu\",\"target_util\":%.17g,"
-      "\"lib\":\"%s\"}",
-      gen::to_string(opt.bench), tech::to_string(opt.node), opt.scale_shift,
-      static_cast<unsigned long long>(opt.seed), opt.target_util,
-      store::key_hex(lib_fp).c_str());
-}
-
-double resolved_clock_ns(const FlowOptions& opt, const store::Store* store) {
-  if (opt.clock_ns > 0.0) return opt.clock_ns;
-  const bool memoizable =
-      store != nullptr && store->enabled() && opt.custom_netlist == nullptr;
-  std::string key;
-  if (memoizable) {
-    key = clock_key(opt, library_fingerprint(*opt.lib));
-    if (const std::optional<std::string> blob = store->get("clock", key)) {
-      store::BlobReader r(*blob);
-      double clock = 0.0;
-      if (r.f64(&clock) && r.at_end() && clock > 0.0) return clock;
-    }
-  }
-  const double clock = auto_clock_ns(opt);
-  if (memoizable) {
-    store::BlobWriter w;
-    w.f64(clock);
-    store->put("clock", key, w.bytes());
-  }
-  return clock;
-}
-
 // --- generated netlist -----------------------------------------------------
 
 std::string netlist_key(const FlowOptions& opt) {

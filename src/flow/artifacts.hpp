@@ -6,7 +6,6 @@
 // determines it, serialized as fixed-order compact JSON —
 //
 //   library  <- (provider, node, style)
-//   clock    <- + (bench, scale_shift, seed, target_util, library fp)
 //   netlist  <- (bench, scale_shift, seed)           [pure generator output]
 //   place    <- + (node, style, clock_ns, target_util, tmi_wlm,
 //                  resistivity_scale, library fp)
@@ -18,10 +17,10 @@
 // The library fingerprint (FNV-1a-64 over the lossless binary encoding)
 // appears in every key whose artifact was computed *against* a library, so
 // two providers serving different cells for the same (node, style) can
-// never poison each other's clocks or placements. A custom netlist has no
-// canonical serialization in the key schema: the place and compare keys
-// carry its structural hash in place of the bench, and the netlist and
-// clock artifacts are skipped for it.
+// never poison each other's placements. A custom netlist has no canonical
+// serialization in the key schema: the place and compare keys carry its
+// structural hash in place of the bench, and the netlist artifact is
+// skipped for it.
 //
 // Codecs are bit-exact (store/blob.hpp): library tables, netlist state and
 // placement coordinates round-trip as raw IEEE-754 bit patterns, never
@@ -36,7 +35,6 @@
 
 #include "flow/flow.hpp"
 #include "liberty/library.hpp"
-#include "store/store.hpp"
 #include "tech/tech.hpp"
 
 namespace m3d::flow::artifacts {
@@ -62,18 +60,6 @@ uint64_t library_fingerprint(const liberty::Library& lib);
 /// must never share library entries.
 std::string library_key(const std::string& provider_id, tech::Node node,
                         tech::Style style);
-
-// --- auto-clock ------------------------------------------------------------
-
-/// Key of the memoized auto_clock_ns probe result for `opt` (requires
-/// opt.custom_netlist == nullptr). `lib_fp` fingerprints the library the
-/// probe runs against (opt.lib).
-std::string clock_key(const FlowOptions& opt, uint64_t lib_fp);
-
-/// opt.clock_ns when positive; else the store-memoized probe (get, or run
-/// auto_clock_ns and put). `store` may be null or disabled — then always a
-/// fresh probe. opt.lib must be set.
-double resolved_clock_ns(const FlowOptions& opt, const store::Store* store);
 
 // --- generated netlist -----------------------------------------------------
 

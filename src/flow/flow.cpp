@@ -138,10 +138,7 @@ FlowResult run_flow(const FlowOptions& opt_in) {
   // runs — the serial fallback) when no directory is configured.
   const store::Store store(artifacts::resolved_store_dir(opt.store_dir));
   const bool use_store = store.enabled();
-  if (opt.clock_ns <= 0.0) {
-    opt.clock_ns =
-        artifacts::resolved_clock_ns(opt, use_store ? &store : nullptr);
-  }
+  if (opt.clock_ns <= 0.0) opt.clock_ns = auto_clock_ns(opt);
   tech::Tech tch(opt.node, opt.style);
   if (opt.resistivity_scale != 1.0) {
     tch.scale_resistivity(tech::LayerLevel::kLocal, opt.resistivity_scale);

@@ -554,25 +554,21 @@ std::string normalize(std::string_view path) {
 }
 
 /// Everything one file contributes to a lint run: the scrubbed stream and
-/// symbol index (always built — the whole-program passes need every file)
-/// plus the per-file rule diagnostics (built only for files the
-/// changed-files fast path selects).
+/// symbol index (the whole-program passes need every file) plus the
+/// per-file rule diagnostics.
 struct FileAnalysis {
   std::string file;        // normalized path
   Scrubbed scrubbed;
   FileIndex index;
   std::vector<Diagnostic> diags;  // per-file rules, pre-suppression
-  bool rules_ran = false;
 };
 
-void analyze_file(const SourceFile& sf, const Options& opts, bool run_rules,
+void analyze_file(const SourceFile& sf, const Options& opts,
                   FileAnalysis& out) {
   out.file = normalize(sf.path);
   out.scrubbed = scrub(sf.text, out.file);
   const LineIndex lines(out.scrubbed.clean);
   out.index = build_file_index(out.file, out.scrubbed.clean, lines);
-  if (!run_rules) return;
-  out.rules_ran = true;
   if (rule_enabled(opts, "L001")) {
     rule_l001(out.file, out.scrubbed.clean, lines, opts, out.diags);
   }
@@ -592,50 +588,6 @@ void analyze_file(const SourceFile& sf, const Options& opts, bool run_rules,
   if (rule_enabled(opts, "L006")) {
     rule_l006(out.file, sf.text, out.scrubbed.clean, lines, out.diags);
   }
-}
-
-/// Files whose transitive call-graph neighborhood (callers AND callees)
-/// touches Options::changed. Changed files themselves are always included.
-std::set<std::string> affected_files(const ProjectIndex& idx,
-                                     const std::vector<FileAnalysis>& analyses,
-                                     const Options& opts) {
-  std::set<std::string> out;
-  const size_t n = idx.functions.size();
-  std::vector<std::vector<int>> callers(n);
-  for (size_t f = 0; f < n; ++f) {
-    for (int callee : idx.callees[f]) {
-      callers[callee].push_back(static_cast<int>(f));
-    }
-  }
-  std::vector<char> seen(n, 0);
-  std::vector<int> work;
-  for (size_t f = 0; f < n; ++f) {
-    if (path_matches(idx.functions[f].file, opts.changed)) {
-      seen[f] = 1;
-      work.push_back(static_cast<int>(f));
-    }
-  }
-  // Forward (callees) and backward (callers) closure in one worklist: a
-  // file is affected when any of its functions can reach, or be reached
-  // from, a function in a changed file.
-  while (!work.empty()) {
-    const int f = work.back();
-    work.pop_back();
-    out.insert(idx.functions[f].file);
-    for (const auto& adj : {idx.callees[f], callers[f]}) {
-      for (int g : adj) {
-        if (seen[g] == 0) {
-          seen[g] = 1;
-          work.push_back(g);
-        }
-      }
-    }
-  }
-  // Changed files with no indexed functions (pure data headers) still count.
-  for (const auto& a : analyses) {
-    if (path_matches(a.file, opts.changed)) out.insert(a.file);
-  }
-  return out;
 }
 
 bool covered_by_suppressions(
@@ -709,25 +661,19 @@ const std::vector<RuleInfo>& rule_table() {
 }
 
 std::vector<Diagnostic> lint_sources(const std::vector<SourceFile>& files,
-                                     const Options& opts,
-                                     size_t* files_analyzed) {
+                                     const Options& opts) {
   const size_t n = files.size();
   std::vector<FileAnalysis> analyses(n);
 
-  // Stage 1: scrub + index every file (shared by all rules and passes).
-  // Without a changed-files restriction the per-file rules run in the same
-  // parallel sweep; with one they wait for the call graph (stage 3).
-  const bool fast_path = !opts.changed.empty();
-  auto stage1 = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      analyze_file(files[i], opts, /*run_rules=*/!fast_path, analyses[i]);
-    }
-  };
-  if (opts.jobs == 1 || n < 2) {
-    stage1(0, n);
-  } else {
-    exec::parallel_for(n, stage1, /*grain=*/1);
-  }
+  // Stage 1: scrub + index + per-file rules, one file per pool task.
+  exec::parallel_for(
+      n,
+      [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          analyze_file(files[i], opts, analyses[i]);
+        }
+      },
+      /*grain=*/1);
 
   // Stage 2: whole-program view.
   std::vector<FileIndex> indexes;
@@ -735,31 +681,7 @@ std::vector<Diagnostic> lint_sources(const std::vector<SourceFile>& files,
   for (const auto& a : analyses) indexes.push_back(a.index);
   const ProjectIndex project = build_project_index(indexes);
 
-  // Stage 3 (fast path only): per-file rules on the affected neighborhood.
-  std::set<std::string> affected;
-  if (fast_path) {
-    affected = affected_files(project, analyses, opts);
-    auto stage3 = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        if (affected.count(analyses[i].file) != 0) {
-          analyze_file(files[i], opts, /*run_rules=*/true, analyses[i]);
-        }
-      }
-    };
-    if (opts.jobs == 1 || n < 2) {
-      stage3(0, n);
-    } else {
-      exec::parallel_for(n, stage3, /*grain=*/1);
-    }
-  }
-  if (files_analyzed != nullptr) {
-    size_t ran = 0;
-    for (const auto& a : analyses) ran += a.rules_ran ? 1 : 0;
-    *files_analyzed = ran;
-  }
-
-  // Stage 4: whole-program passes (always over the full index — a taint
-  // path or lock cycle can span unchanged files).
+  // Stage 3: whole-program passes.
   std::vector<Diagnostic> project_diags;
   taint_pass(project, opts, project_diags);
   lock_pass(project, opts, project_diags);
@@ -779,18 +701,9 @@ std::vector<Diagnostic> lint_sources(const std::vector<SourceFile>& files,
         kept.push_back(std::move(d));
       }
     }
-    if (a.rules_ran) {
-      for (auto& d : a.scrubbed.directive_errors) kept.push_back(std::move(d));
-    }
+    for (auto& d : a.scrubbed.directive_errors) kept.push_back(std::move(d));
   }
   for (auto& d : project_diags) {
-    if (fast_path) {
-      bool touches = affected.count(d.file) != 0;
-      for (const auto& r : d.related) {
-        touches = touches || affected.count(r.file) != 0;
-      }
-      if (!touches) continue;
-    }
     bool suppressed =
         covered_by_suppressions(sups_by_file, d.file, d.rule, d.line);
     for (const auto& r : d.related) {

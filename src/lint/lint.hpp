@@ -162,19 +162,6 @@ struct Options {
       "send",         "flock",           "system",
   };
 
-  /// Changed-files fast path: when non-empty, per-file rules run only on
-  /// the files whose transitive call-graph neighborhood (callers AND
-  /// callees) intersects these paths (substring match, like every other
-  /// path list); indexing and the whole-program passes still see every
-  /// file, and path-shaped diagnostics are kept when either end touches
-  /// the affected set.
-  std::vector<std::string> changed;
-
-  /// Per-file analysis parallelism: 1 = serial, anything else analyzes
-  /// files on the exec default pool (width = $M3D_THREADS or hardware).
-  /// Diagnostics are deterministic and identical in both modes.
-  int jobs = 1;
-
   /// Directory-name fragments lint_tree skips entirely.
   std::vector<std::string> skip_dirs = {"build", ".git", "lint_fixtures",
                                         "out_figs"};
@@ -187,15 +174,12 @@ struct SourceFile {
 };
 
 /// Lints a set of translation units as ONE program: per-file rules run per
-/// file (each file scrubbed and indexed exactly once), then the
-/// whole-program passes run over the combined symbol index. This is the
+/// file (each file scrubbed and indexed exactly once, spread over the exec
+/// default pool), then the whole-program passes run over the combined
+/// symbol index. Diagnostics are identical at any pool width. This is the
 /// core entry point; lint_source/lint_file/lint_tree wrap it.
-/// `files_analyzed`, when non-null, receives the number of files the
-/// per-file rules ran on (smaller than files.size() only under the
-/// changed-files fast path).
 std::vector<Diagnostic> lint_sources(const std::vector<SourceFile>& files,
-                                     const Options& opts = {},
-                                     size_t* files_analyzed = nullptr);
+                                     const Options& opts = {});
 
 /// Lints one in-memory translation unit. `path` is used only for rule
 /// scoping and for the `file` field of diagnostics — fixture tests feed

@@ -1,23 +1,19 @@
 // m3d_lint CLI: lints the given files/directories against the project's
 // determinism/concurrency rules (see lint/lint.hpp for the rule set).
 //
-//   m3d_lint [--rules=L001,L004] [--json] [--sarif[=path]] [--jobs=N]
-//            [--changed=a.cpp,b.hpp] [--list-rules] paths...
+//   m3d_lint [--rules=L001,L004] [--json] [--sarif[=path]] [--list-rules]
+//            paths...
 //
 //   --sarif      emit a SARIF 2.1.0 log (to stdout, or to `path`) for
 //                GitHub code scanning instead of the line-oriented report.
-//   --jobs=N     per-file analysis parallelism (0 = exec default pool,
-//                1 = serial). The CLI defaults to the pool; diagnostics
-//                are identical either way.
-//   --changed    fast path for PR runs: per-file rules only on the listed
-//                files and their transitive callers/callees; the
-//                whole-program passes still see every file.
+//
+// Per-file analysis runs on the exec default pool ($M3D_THREADS wide;
+// M3D_THREADS=1 is serial); diagnostics are identical at any width.
 //
 // Exit codes: 0 clean, 1 unsuppressed diagnostics, 2 usage error. This is
 // what the `lint.tree` tier-1 ctest runs over src/, tests/ and tools/.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -30,8 +26,7 @@ namespace {
 void print_usage() {
   std::fprintf(stderr,
                "usage: m3d_lint [--rules=L001,L002,...] [--json] "
-               "[--sarif[=path]] [--jobs=N] [--changed=f1,f2,...] "
-               "[--list-rules] <path>...\n");
+               "[--sarif[=path]] [--list-rules] <path>...\n");
 }
 
 void list_rules() {
@@ -74,7 +69,6 @@ std::vector<std::string> split_commas(const std::string& list) {
 
 int main(int argc, char** argv) {
   m3d::lint::Options opts;
-  opts.jobs = 0;  // CLI default: the exec pool (the library default stays 1)
   std::vector<std::string> roots;
   bool json = false;
   bool sarif = false;
@@ -93,12 +87,8 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--sarif=", 0) == 0) {
       sarif = true;
       sarif_path = arg.substr(8);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      opts.jobs = std::atoi(arg.c_str() + 7);
     } else if (arg.rfind("--rules=", 0) == 0) {
       opts.only_rules = split_commas(arg.substr(8));
-    } else if (arg.rfind("--changed=", 0) == 0) {
-      opts.changed = split_commas(arg.substr(10));
     } else if (arg.rfind("--", 0) == 0) {
       print_usage();
       return 2;

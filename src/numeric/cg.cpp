@@ -8,95 +8,6 @@
 #include "obs/mem.hpp"
 
 namespace m3d::numeric {
-namespace {
-
-/// Zero-fill incomplete Cholesky factor (lower triangle of A's pattern,
-/// diagonal last within each row). Returns false on breakdown (pivot
-/// <= 0), in which case the caller falls back to Jacobi.
-struct Ic0 {
-  int n = 0;
-  std::vector<int> row_ptr;  // lower-triangle pattern, ascending cols
-  std::vector<int> col;      // diag is the last entry of each row
-  obs::vector<double> val;
-
-  bool build(const Csr& a) {
-    n = a.rows;
-    row_ptr.assign(static_cast<size_t>(n) + 1, 0);
-    col.clear();
-    val.clear();
-    for (int i = 0; i < n; ++i) {
-      bool has_diag = false;
-      for (int k = a.row_ptr[static_cast<size_t>(i)];
-           k < a.row_ptr[static_cast<size_t>(i) + 1]; ++k) {
-        const int j = a.col[static_cast<size_t>(k)];
-        if (j > i) break;  // ascending cols: upper part starts here
-        col.push_back(j);
-        val.push_back(a.val[static_cast<size_t>(k)]);
-        if (j == i) has_diag = true;
-      }
-      if (!has_diag) return false;  // structurally missing pivot
-      row_ptr[static_cast<size_t>(i) + 1] = static_cast<int>(col.size());
-    }
-    // Row-wise factorization; two-pointer pattern intersections keep the
-    // accumulation order fixed (ascending shared columns).
-    for (int i = 0; i < n; ++i) {
-      const int ib = row_ptr[static_cast<size_t>(i)];
-      const int ie = row_ptr[static_cast<size_t>(i) + 1];
-      for (int k = ib; k < ie; ++k) {
-        const int j = col[static_cast<size_t>(k)];
-        double sum = val[static_cast<size_t>(k)];
-        const int jb = row_ptr[static_cast<size_t>(j)];
-        const int je = row_ptr[static_cast<size_t>(j) + 1] - 1;  // excl diag
-        int pi = ib, pj = jb;
-        while (pi < k && pj < je) {
-          const int ci = col[static_cast<size_t>(pi)];
-          const int cj = col[static_cast<size_t>(pj)];
-          if (ci == cj) {
-            sum -= val[static_cast<size_t>(pi)] * val[static_cast<size_t>(pj)];
-            ++pi;
-            ++pj;
-          } else if (ci < cj) {
-            ++pi;
-          } else {
-            ++pj;
-          }
-        }
-        if (j == i) {
-          if (sum <= 0.0) return false;  // breakdown
-          val[static_cast<size_t>(k)] = std::sqrt(sum);
-        } else {
-          const double d = val[static_cast<size_t>(je)];  // diag of row j
-          val[static_cast<size_t>(k)] = sum / d;
-        }
-      }
-    }
-    return true;
-  }
-
-  /// z = (L L')^-1 r.
-  void apply(const double* r, double* z) const {
-    for (int i = 0; i < n; ++i) {
-      double sum = r[i];
-      const int ib = row_ptr[static_cast<size_t>(i)];
-      const int ie = row_ptr[static_cast<size_t>(i) + 1] - 1;
-      for (int k = ib; k < ie; ++k) {
-        sum -= val[static_cast<size_t>(k)] * z[col[static_cast<size_t>(k)]];
-      }
-      z[i] = sum / val[static_cast<size_t>(ie)];
-    }
-    for (int i = n - 1; i >= 0; --i) {
-      const int ie = row_ptr[static_cast<size_t>(i) + 1] - 1;
-      const double zi = z[i] / val[static_cast<size_t>(ie)];
-      z[i] = zi;
-      const int ib = row_ptr[static_cast<size_t>(i)];
-      for (int k = ib; k < ie; ++k) {
-        z[col[static_cast<size_t>(k)]] -= val[static_cast<size_t>(k)] * zi;
-      }
-    }
-  }
-};
-
-}  // namespace
 
 CgResult cg_solve(const Csr& a, const std::vector<double>& rhs,
                   std::vector<double>& x, const CgOptions& opt) {
@@ -110,27 +21,14 @@ CgResult cg_solve(const Csr& a, const std::vector<double>& rhs,
     return res;
   }
 
-  Ic0 ic;
-  bool use_ic = opt.precond == CgPrecond::kIc0;
-  if (use_ic && !ic.build(a)) {
-    use_ic = false;
-    res.precond_fallback = true;
-  }
-  obs::vector<double> inv_diag;
-  if (!use_ic) {
-    inv_diag.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      const int slot = a.diag_slot[i];
-      const double d = slot >= 0 ? a.val[static_cast<size_t>(slot)] : 0.0;
-      inv_diag[i] = 1.0 / std::max(d, opt.diag_floor);
-    }
+  obs::vector<double> inv_diag(n);
+  for (size_t i = 0; i < n; ++i) {
+    const int slot = a.diag_slot[i];
+    const double d = slot >= 0 ? a.val[static_cast<size_t>(slot)] : 0.0;
+    inv_diag[i] = 1.0 / std::max(d, opt.diag_floor);
   }
   auto precondition = [&](const obs::vector<double>& r, obs::vector<double>& z) {
-    if (use_ic) {
-      ic.apply(r.data(), z.data());
-    } else {
-      for (size_t i = 0; i < n; ++i) z[i] = r[i] * inv_diag[i];
-    }
+    for (size_t i = 0; i < n; ++i) z[i] = r[i] * inv_diag[i];
   };
 
   obs::vector<double> r(n), z(n), p(n), ap(n);
@@ -141,8 +39,7 @@ CgResult cg_solve(const Csr& a, const std::vector<double>& rhs,
   double rz = 0.0;
   for (size_t i = 0; i < n; ++i) rz += r[i] * z[i];
   const double rz0 = rz;
-  const double threshold =
-      std::max(opt.rel_tol * opt.rel_tol * rz0, opt.abs_floor);
+  const double threshold = opt.rel_tol * opt.rel_tol * rz0;
 
   int it = 0;
   for (; it < opt.max_iters && rz > threshold; ++it) {

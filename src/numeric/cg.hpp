@@ -1,4 +1,4 @@
-// Preconditioned conjugate gradient on numeric::Csr, shared by every
+// Jacobi-preconditioned conjugate gradient on numeric::Csr, shared by every
 // quadratic-solve call site (the placer's global solve today; any SPD
 // system tomorrow).
 //
@@ -7,10 +7,10 @@
 // and the converged x — is bit-identical run to run for a given matrix.
 //
 // Convergence is *relative*: the solver stops when the preconditioned
-// residual norm-squared r'M⁻¹r falls below rel_tol² of its initial value
-// (plus an optional absolute floor). The legacy placer used a bare
-// `rz > 1e-10`, an absolute test that silently tightens or loosens with
-// problem size and coordinate scale; relative-to-start is scale-free.
+// residual norm-squared r'M⁻¹r falls below rel_tol² of its initial value.
+// The legacy placer used a bare `rz > 1e-10`, an absolute test that
+// silently tightens or loosens with problem size and coordinate scale;
+// relative-to-start is scale-free.
 #pragma once
 
 #include <vector>
@@ -19,30 +19,19 @@
 
 namespace m3d::numeric {
 
-enum class CgPrecond {
-  kJacobi,  // M = diag(A), floored at CgOptions::diag_floor
-  kIc0,     // incomplete Cholesky, zero fill; falls back to Jacobi on
-            // breakdown (non-positive pivot)
-};
-
 struct CgOptions {
   int max_iters = 100;
   /// Stop when rz <= rel_tol^2 * rz0 (rz = r'M⁻¹r, rz0 its initial value).
   double rel_tol = 1e-6;
-  /// Additional absolute stop threshold on rz (0 disables). The legacy
-  /// placer behaviour is rel_tol = 0, abs_floor = 1e-10.
-  double abs_floor = 0.0;
-  /// Jacobi: diagonal entries are clamped up to this before dividing, so
-  /// empty/zero rows cannot produce infinities.
+  /// The preconditioner is M = diag(A). Diagonal entries are clamped up to
+  /// this before dividing, so empty/zero rows cannot produce infinities.
   double diag_floor = 1e-12;
-  CgPrecond precond = CgPrecond::kJacobi;
 };
 
 struct CgResult {
   int iters = 0;              // iterations actually run
   double rel_residual = 0.0;  // sqrt(rz / rz0); 0 when rz0 == 0
   bool converged = false;     // hit the tolerance (vs the iteration cap)
-  bool precond_fallback = false;  // IC(0) broke down, Jacobi was used
 };
 
 /// Solves A x = rhs for symmetric positive (semi-)definite A, starting

@@ -75,7 +75,6 @@ void run_cg(const numeric::Csr& a, const std::vector<double>& rhs,
   numeric::CgOptions co;
   co.max_iters = kCgIters;
   co.rel_tol = kCgRelTol;
-  co.precond = numeric::CgPrecond::kJacobi;
   const numeric::CgResult res = numeric::cg_solve(a, rhs, x, co);
   util::count("place.cg_iters", static_cast<double>(res.iters));
   util::set_gauge("place.cg_residual", res.rel_residual);

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/exec.hpp"
 #include "lint/index.hpp"
 #include "lint/lint.hpp"
 #include "lint/sarif.hpp"
@@ -526,39 +527,23 @@ TEST(Lint, SarifExportHasSchemaRuleTableAndRelatedLocations) {
   }
 }
 
-// --- Parallel analysis and the changed-files fast path -------------------
+// --- Parallel analysis ----------------------------------------------------
 
 TEST(Lint, ParallelAndSerialRunsProduceIdenticalDiagnostics) {
   const auto files = fixture_project(
       {"l001_positive.cpp", "l003_positive.cpp", "l010_taint_positive.cpp",
        "l014_cycle_positive.cpp", "l015_blocking_positive.cpp",
        "l016_discard_positive.cpp", "suppression.cpp"});
-  lint::Options serial;
-  serial.jobs = 1;
-  lint::Options pooled;
-  pooled.jobs = 0;  // exec default pool, whatever its width
-  const auto a = lint::lint_sources(files, serial);
-  const auto b = lint::lint_sources(files, pooled);
+  exec::set_default_threads(1);
+  const auto a = lint::lint_sources(files);
+  exec::set_default_threads(4);
+  const auto b = lint::lint_sources(files);
+  exec::set_default_threads(0);  // restore the environment-resolved pool
   ASSERT_FALSE(a.empty());
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(lint::format(a[i]), lint::format(b[i]));
   }
-}
-
-TEST(Lint, ChangedFilesFastPathAnalyzesOnlyTheAffectedNeighborhood) {
-  const auto files =
-      fixture_project({"l010_taint_positive.cpp", "l001_positive.cpp"});
-  lint::Options opts;
-  opts.changed = {"l010_taint_positive"};
-  size_t analyzed = 0;
-  const auto diags = lint::lint_sources(files, opts, &analyzed);
-  EXPECT_EQ(analyzed, 1u)
-      << "the l001 fixture shares no call edges with the changed file";
-  EXPECT_EQ(count_rule(diags, "L010"), 1)
-      << "whole-program passes still see the full index";
-  EXPECT_EQ(count_rule(diags, "L001"), 0)
-      << "per-file rules must not run outside the neighborhood";
 }
 
 // --- L003 allow-rule audit for the trace subsystem (src/obs) -------------

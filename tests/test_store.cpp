@@ -554,18 +554,6 @@ TEST(Artifacts, KeysSeparateEveryInputThatChangesTheArtifact) {
                                          tech::Style::k2D),
             flow::artifacts::library_key("other", tech::Node::k45nm,
                                          tech::Style::k2D));
-  b = a;
-  b.seed = 8;
-  EXPECT_NE(flow::artifacts::clock_key(a, fp),
-            flow::artifacts::clock_key(b, fp));
-  EXPECT_NE(flow::artifacts::clock_key(a, fp),
-            flow::artifacts::clock_key(a, fp + 1));
-  // The auto-clock probe always runs the 2D corner, so fields it never
-  // reads must NOT fragment the memo.
-  b = a;
-  b.style = tech::Style::kTMI;
-  EXPECT_EQ(flow::artifacts::clock_key(a, fp),
-            flow::artifacts::clock_key(b, fp));
 
   // A memoized comparison changes with every option field the comparison
   // reads and with either library: neither an edited preset nor a
@@ -794,7 +782,7 @@ TEST(FlowStore, NetlistArtifactAloneServesADifferentCorner) {
   EXPECT_EQ(tmi.bench_name, cold.bench_name);
 }
 
-TEST(FlowStore, AutoClockProbeIsMemoizedAcrossRuns) {
+TEST(FlowStore, AutoClockRunsAgreeBitForBit) {
   const TempDir dir("flow_clock");
   flow::FlowOptions o = store_flow_opts(dir.path);
   o.clock_ns = 0.0;  // force the probe
@@ -802,15 +790,8 @@ TEST(FlowStore, AutoClockProbeIsMemoizedAcrossRuns) {
   const flow::FlowResult first = flow::run_flow(o);
   ASSERT_GT(first.clock_ns, 0.0);
 
-  const store::Store st(dir.path);
-  bool saw_clock = false;
-  for (const store::EntryInfo& e : st.list()) {
-    saw_clock = saw_clock || e.stage == "clock";
-  }
-  EXPECT_TRUE(saw_clock);
-
-  // A second run resolves the identical clock from the store (the reports
-  // must agree bit-for-bit, clock included).
+  // A second run probes again and lands on the identical clock (the
+  // reports must agree bit-for-bit, clock included).
   const flow::FlowResult second = flow::run_flow(o);
   EXPECT_EQ(second.clock_ns, first.clock_ns);
   EXPECT_EQ(report::to_canonical_json(second).dump(-1),
