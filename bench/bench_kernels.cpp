@@ -31,6 +31,7 @@
 #include "sta/sta.hpp"
 #include "synth/synth.hpp"
 #include "util/json.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 using namespace m3d;
@@ -584,6 +585,37 @@ void BM_CharArcSweepRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CharArcSweepRebuild)
     ->Name("char.arc_sweep_rebuild")->Unit(benchmark::kMillisecond);
+
+// --- Observability overhead. ----------------------------------------------
+
+// util.count: one util::count bump — the registry's mutex plus a lookup in
+// its string-keyed map — from each of Arg threads of a pool at once, into
+// a private registry that already holds 32 counters, as a flow's does.
+// time_per_bump is the wall time each thread spends per bump, contention
+// included; multiply by a run's bumps (e.g. its exec.tasks) for the cost.
+void BM_UtilCount(benchmark::State& state) {
+  constexpr int kBumps = 1 << 16;
+  const int threads = static_cast<int>(state.range(0));
+  util::MetricsRegistry reg;
+  for (int i = 0; i < 31; ++i) reg.add_counter("bench.pad." + std::to_string(i));
+  const util::ScopedMetricsSink sink(reg);
+  exec::ExecOptions opt;
+  opt.num_threads = threads;
+  opt.name = "bench";
+  exec::ThreadPool pool(opt);
+  for (auto _ : state) {
+    pool.parallel_for(static_cast<size_t>(threads), 1, [](size_t b, size_t e) {
+      for (size_t t = b; t < e; ++t) {
+        for (int i = 0; i < kBumps; ++i) util::count("exec.tasks");
+      }
+    });
+  }
+  state.counters["time_per_bump"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kBumps,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_UtilCount)->Name("util.count")->Arg(1)->Arg(4)->UseRealTime()->Unit(
+    benchmark::kMillisecond);
 
 // --- Parallel kernel variants (Arg = exec pool thread count). ------------
 //

@@ -1,6 +1,8 @@
 #include "route/maze.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -11,8 +13,7 @@
 namespace m3d::route {
 namespace {
 
-/// Per-thread maze scratch: the per-cell search records plus the open set,
-/// an indexed 4-ary min-heap with decrease-key.
+/// Per-thread maze scratch: the per-cell search records plus the open set.
 ///
 /// One packed 16-byte {dist, parent, slot} record per window cell,
 /// allocated once per thread; begin() fills the window's records with
@@ -20,12 +21,25 @@ namespace {
 /// sees only the current call's state. The fill is a few microseconds
 /// against a search of ~100 us, and it costs no stamp test per relaxation.
 ///
-/// The heap holds at most one entry per cell, and the cell's `slot` is that
-/// entry's position (-1 while the cell is not queued). It orders entries by
-/// (f, idx) — the total order in which
-/// std::priority_queue<std::pair<double, int>, ..., std::greater<>> pops —
-/// and an entry carries its cell's coordinates, which saves each pop a
-/// divide and a modulo. Entries are 16 bytes, so a node's four children
+/// The open set holds at most one entry per cell and pops them in (f, idx)
+/// order — the total order in which
+/// std::priority_queue<std::pair<double, int>, ..., std::greater<>> pops.
+/// It has two levels. An entry whose band(f) is at most `cur` sits in an
+/// indexed 4-ary min-heap with decrease-key; a later one waits, unordered,
+/// in ring bucket band & (kMazeRingBands - 1). band() is monotone in f, so
+/// every heap entry has a smaller f than every bucketed entry: the heap
+/// minimum is the global minimum, and entries pop in exactly the order a
+/// single heap over all of them pops. When the heap runs dry, refill()
+/// advances `cur` to the lowest bucketed band and moves that band's
+/// entries into the heap.
+///
+/// A cell's `slot` says where its entry is: its heap position (>= 0), -1
+/// while the cell is not queued, or -2 - k while it waits in bucket record
+/// k. A bucket is a doubly linked list of records drawn from one pooled
+/// array, so filing, moving and unfiling an entry is O(1); freed records
+/// are reused, and the pool grows only to the most entries ever bucketed
+/// at once. Entries are 16 bytes and carry their cell's coordinates,
+/// which saves each pop a divide and a modulo; a heap node's four children
 /// fill 64 contiguous bytes.
 struct MazeScratch {
   struct Node {
@@ -38,53 +52,105 @@ struct MazeScratch {
     int idx;
     int16_t x, y;
   };
-  static_assert(sizeof(Node) == 16 && sizeof(Entry) == 16);
+  /// A bucketed entry and its neighbours in its bucket's list: `next` is
+  /// the next record or -1; `prev` is the previous record, or -1 - r at the
+  /// head of bucket r. A free record's `next` links the free list.
+  struct Record {
+    Entry e;
+    int next, prev;
+  };
+  static_assert(sizeof(Node) == 16 && sizeof(Entry) == 16 && sizeof(Record) == 24);
+  static constexpr int kRing = kMazeRingBands;
+  static constexpr int kWords = kRing / 64;
+  static_assert(kRing % 64 == 0 && (kRing & (kRing - 1)) == 0);
+  /// Bands are clamped to +-kBandCap, which keeps them monotone and leaves
+  /// room for `cur + 1` and `cur - 1` without overflow.
+  static constexpr int64_t kBandCap = int64_t{1} << 62;
+
   // obs::vector: the maze arrays are the router's dominant allocations, so
   // they opt into the counting allocator for the per-stage memory profile.
   obs::vector<Node> nodes;
   obs::vector<Entry> heap;
+  obs::vector<Record> records;
+  int free_record = -1;                     // head of the free list
+  std::array<uint64_t, kWords> occupied{};  // bit r set iff bucket r is non-empty
+  std::array<int, kRing> head{};            // bucket r's first record, while bit r is set
+  int64_t cur = 0;                          // highest band the heap may hold
+  size_t bucketed = 0;                      // entries in the ring
 
-  /// Starts a maze over `cells` cells with an empty open set: every cell
-  /// unreached, unparented and unqueued.
-  void begin(size_t cells) {
+  /// The band of key f: trunc(f * kMazeBandsPerUnit), clamped. A rounded
+  /// product by a positive constant, truncation and clamping are each
+  /// monotone, so f <= g implies band(f) <= band(g).
+  static int64_t band(double f) {
+    const double s = f * kMazeBandsPerUnit;
+    if (!(s < static_cast<double>(kBandCap))) return kBandCap;
+    if (s <= -static_cast<double>(kBandCap)) return -kBandCap;
+    return static_cast<int64_t>(s);
+  }
+
+  /// Starts a maze over `cells` cells with an empty open set whose first
+  /// entry has key `f0`: every cell unreached, unparented and unqueued.
+  void begin(size_t cells, double f0) {
     if (nodes.size() < cells) nodes.resize(cells);
     std::fill_n(nodes.begin(), cells, Node{1e18, -1, -1});
     heap.clear();
+    records.clear();
+    free_record = -1;
+    occupied.fill(0);
+    bucketed = 0;
+    cur = band(f0);
   }
 
   /// Queues `e` for its cell `n`, or moves the cell's queued entry to the
   /// new key. A queued cell's f only falls: the caller lowers `dist` before
-  /// requeueing, and f = dist + h with a fixed h per cell.
+  /// requeueing, and f = dist + h with a fixed h per cell. So a heap entry
+  /// keeps a band of at most `cur` and moves up in place; a bucketed entry
+  /// moves to its new band's bucket, or into the heap once that band is
+  /// `cur` or lower.
   void push_or_decrease(const Entry& e, Node& n) {
-    size_t i = heap.size();
-    if (n.slot < 0) {
+    if (n.slot >= 0) {
+      assert(!less(heap[static_cast<size_t>(n.slot)], e));
+      sift_up(static_cast<size_t>(n.slot), e);
+      return;
+    }
+    const int64_t b = band(e.f);
+    if (n.slot < -1) {
+      const int k = -2 - n.slot;
+      Record& rec = records[static_cast<size_t>(k)];
+      if (b > cur && ring(b) == ring(band(rec.e.f))) {
+        rec.e.f = e.f;
+        return;
+      }
+      unfile(k);
+      release(k);
+      n.slot = -1;
+    }
+    if (b <= cur) {
       heap.push_back(e);
+      sift_up(heap.size() - 1, e);
     } else {
-      i = static_cast<size_t>(n.slot);
-      assert(!less(heap[i], e));
+      const int k = acquire();
+      records[static_cast<size_t>(k)].e = e;
+      file(k, ring(b));
+      n.slot = -2 - k;
     }
-    while (i > 0) {
-      const size_t up = (i - 1) / 4;
-      if (!less(e, heap[up])) break;
-      place(i, heap[up]);
-      i = up;
-    }
-    place(i, e);
   }
 
-  /// Removes and returns the minimum entry; its cell is no longer queued.
+  /// Removes the minimum entry into `top` and returns true, or returns
+  /// false when the open set is empty. The popped cell is no longer queued.
   ///
   /// A node with four children picks the smallest by two pairwise `less`
   /// results and one select. Entries are distinct under (f, idx) — one per
   /// cell — so the minimum is unique and any comparison order finds the
   /// child the left-to-right scan finds.
-  Entry pop() {
-    const Entry top = heap.front();
+  bool pop(Entry& top) {
+    if (heap.empty() && !refill()) return false;
+    top = heap.front();
     nodes[static_cast<size_t>(top.idx)].slot = -1;
     const Entry last = heap.back();
     heap.pop_back();
     const size_t n = heap.size();
-    if (n == 0) return top;
+    if (n == 0) return true;
     const Entry* h = heap.data();
     size_t i = 0;
     for (;;) {
@@ -106,7 +172,7 @@ struct MazeScratch {
       i = best;
     }
     place(i, last);
-    return top;
+    return true;
   }
 
  private:
@@ -115,9 +181,119 @@ struct MazeScratch {
     return static_cast<size_t>(a.f < b.f) |
            (static_cast<size_t>(a.f == b.f) & static_cast<size_t>(a.idx < b.idx));
   }
+  static int ring(int64_t b) { return static_cast<int>(static_cast<uint64_t>(b) & (kRing - 1)); }
   void place(size_t i, const Entry& e) {
     heap[i] = e;
     nodes[static_cast<size_t>(e.idx)].slot = static_cast<int>(i);
+  }
+  /// Moves `e`, at heap position i, toward the root to its place.
+  void sift_up(size_t i, const Entry& e) {
+    while (i > 0) {
+      const size_t up = (i - 1) / 4;
+      if (!less(e, heap[up])) break;
+      place(i, heap[up]);
+      i = up;
+    }
+    place(i, e);
+  }
+
+  int acquire() {
+    if (free_record < 0) {
+      records.emplace_back();
+      return static_cast<int>(records.size() - 1);
+    }
+    const int k = free_record;
+    free_record = records[static_cast<size_t>(k)].next;
+    return k;
+  }
+  void release(int k) {
+    records[static_cast<size_t>(k)].next = free_record;
+    free_record = k;
+  }
+  /// Links record k at the front of bucket r.
+  void file(int k, int r) {
+    uint64_t& word = occupied[static_cast<size_t>(r >> 6)];
+    const uint64_t bit = uint64_t{1} << (r & 63);
+    Record& rec = records[static_cast<size_t>(k)];
+    rec.prev = -1 - r;
+    rec.next = (word & bit) != 0 ? head[static_cast<size_t>(r)] : -1;
+    if (rec.next >= 0) records[static_cast<size_t>(rec.next)].prev = k;
+    word |= bit;
+    head[static_cast<size_t>(r)] = k;
+    ++bucketed;
+  }
+  /// Unlinks record k from its bucket.
+  void unfile(int k) {
+    const Record& rec = records[static_cast<size_t>(k)];
+    if (rec.prev >= 0) {
+      records[static_cast<size_t>(rec.prev)].next = rec.next;
+    } else {
+      const int r = -1 - rec.prev;
+      head[static_cast<size_t>(r)] = rec.next;
+      if (rec.next < 0) occupied[static_cast<size_t>(r >> 6)] &= ~(uint64_t{1} << (r & 63));
+    }
+    if (rec.next >= 0) records[static_cast<size_t>(rec.next)].prev = rec.prev;
+    --bucketed;
+  }
+
+  /// The first non-empty bucket at or after ring position r, wrapping
+  /// (at least one bucket must be non-empty).
+  int next_occupied(int r) const {
+    size_t k = static_cast<size_t>(r >> 6);
+    uint64_t bits = occupied[k] & (~uint64_t{0} << (r & 63));
+    while (bits == 0) {
+      k = (k + 1) % kWords;
+      bits = occupied[k];
+    }
+    return static_cast<int>(k * 64) + std::countr_zero(bits);
+  }
+
+  /// Refills the empty heap with the lowest bucketed band, which becomes
+  /// `cur`; returns false when the ring is empty too.
+  ///
+  /// Bands cur + 1, cur + 2, ... map to consecutive buckets, so the first
+  /// non-empty bucket from ring(cur + 1) stands for the lowest band `want`
+  /// that can be bucketed. Its entries of band `want` move to the heap;
+  /// any other entry there is a whole lap of the ring or more ahead and is
+  /// filed back. If the bucket held no entry of band `want`, every
+  /// bucketed entry is more than a lap ahead: one pass over the ring finds
+  /// the lowest band, and the next try starts just below it.
+  bool refill() {
+    if (bucketed == 0) return false;
+    for (;;) {
+      const int from = ring(cur + 1);
+      const int r = next_occupied(from);
+      const int64_t want = cur + 1 + ((r - from) & (kRing - 1));
+      int k = head[static_cast<size_t>(r)];
+      occupied[static_cast<size_t>(r >> 6)] &= ~(uint64_t{1} << (r & 63));
+      while (k >= 0) {
+        const Record& rec = records[static_cast<size_t>(k)];
+        const int next = rec.next;
+        --bucketed;
+        if (band(rec.e.f) == want) {
+          heap.push_back(rec.e);
+          sift_up(heap.size() - 1, rec.e);
+          release(k);
+        } else {
+          file(k, r);
+        }
+        k = next;
+      }
+      if (!heap.empty()) {
+        cur = want;
+        return true;
+      }
+      int64_t lowest = kBandCap;
+      for (size_t word = 0; word < kWords; ++word) {
+        for (uint64_t bits = occupied[word]; bits != 0; bits &= bits - 1) {
+          const size_t q = word * 64 + static_cast<size_t>(std::countr_zero(bits));
+          for (int j = head[q]; j >= 0; j = records[static_cast<size_t>(j)].next) {
+            lowest = std::min(lowest, band(records[static_cast<size_t>(j)].e.f));
+          }
+        }
+      }
+      cur = lowest - 1;
+    }
   }
 };
 
@@ -150,19 +326,19 @@ std::vector<Cell> maze_route(const CostView& view, const Cell& a, const Cell& b,
   const int yhi = std::min(view.ny - 1, std::max(a.y, b.y) + margin);
   const int w = xhi - xlo + 1, h = yhi - ylo + 1;
   auto idx = [&](int x, int y) { return static_cast<size_t>((y - ylo) * w + (x - xlo)); };
+  const double start_f = std::abs(a.x - b.x) + std::abs(a.y - b.y) * 1.0;
   thread_local MazeScratch scratch;
-  scratch.begin(static_cast<size_t>(w * h));
+  scratch.begin(static_cast<size_t>(w * h), start_f);
   const double* cost_h = view.cost_h;
   const double* cost_v = view.cost_v;
   const int target = static_cast<int>(idx(b.x, b.y));
   MazeScratch::Node& start = scratch.nodes[idx(a.x, a.y)];
   start.dist = 0.0;
-  scratch.push_or_decrease({std::abs(a.x - b.x) + std::abs(a.y - b.y) * 1.0,
-                            static_cast<int>(idx(a.x, a.y)), static_cast<int16_t>(a.x),
-                            static_cast<int16_t>(a.y)},
+  scratch.push_or_decrease({start_f, static_cast<int>(idx(a.x, a.y)),
+                            static_cast<int16_t>(a.x), static_cast<int16_t>(a.y)},
                            start);
-  while (!scratch.heap.empty()) {
-    const MazeScratch::Entry top = scratch.pop();
+  MazeScratch::Entry top;
+  while (scratch.pop(top)) {
     if (top.f > f_limit) return {};
     const int ci = top.idx;
     if (ci == target) break;

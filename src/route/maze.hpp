@@ -29,6 +29,19 @@ struct CostView {
   size_t v_idx(int i, int j) const { return static_cast<size_t>(j * nx + i); }
 };
 
+/// The search's open set files an entry of key f in band
+/// trunc(f * kMazeBandsPerUnit): bands at or below the band being expanded
+/// sit in an exact (f, idx) heap, later ones in a ring of kMazeRingBands
+/// unordered buckets. Truncation is monotone in f, so every heap entry has
+/// a smaller f than every bucketed one and the heap minimum is the global
+/// minimum: the open set pops in exactly the (f, idx) order of one heap.
+/// Constants, not options: 8 bands per cost unit beat 2 and 4 and tied 16 in
+/// paired `bench_kernels route.rrr` runs. A band more than a ring lap (64
+/// cost units) ahead of the current one shares its bucket with nearer
+/// bands and waits there for its turn.
+inline constexpr double kMazeBandsPerUnit = 8.0;
+inline constexpr int kMazeRingBands = 512;
+
 /// Sum of the edge costs along `path`, from its first cell to its last.
 double path_cost(const CostView& view, const std::vector<Cell>& path);
 

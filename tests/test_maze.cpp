@@ -24,7 +24,20 @@ using route::CostView;
 struct OracleStats {
   long stale_skipped = 0;     // pops dropped by the 1e-9 stale test
   long stale_reexpanded = 0;  // pops of an out-of-date entry that expanded
+  // Where the kernel's open set changes hands, by band(f) = trunc(f * K):
+  long edge_pops = 0;     // expanded pops whose f * K is a whole number
+  long near_edge_pops = 0;  // expanded pops one ulp from such an f
+  long lap_pushes = 0;    // pushes a ring lap or more past the popped band
+  long dry_plateau = 0;   // pops of the popped f again after its band ran dry
+  long lap_jumps = 0;     // pops more than a ring lap past the last one's band
 };
+
+/// The maze kernel's band of key f (see route::kMazeBandsPerUnit).
+double band_of(double f) { return std::trunc(f * route::kMazeBandsPerUnit); }
+
+bool on_band_edge(double f) {
+  return f * route::kMazeBandsPerUnit == band_of(f);
+}
 
 /// The lazy-deletion kernel: every successful relax pushes a fresh entry,
 /// and a pop whose f is more than 1e-9 above its cell's current dist + h is
@@ -47,6 +60,9 @@ std::vector<Cell> lazy_maze_route(const CostView& view, const Cell& a, const Cel
   dist[idx(a.x, a.y)] = 0.0;
   live_f[idx(a.x, a.y)] = std::abs(a.x - b.x) + std::abs(a.y - b.y) * 1.0;
   pq.push({live_f[idx(a.x, a.y)], static_cast<int>(idx(a.x, a.y))});
+  // The f of the last expanded pop when no queued entry shared its band.
+  double dry_f = -1.0;
+  double last_f = live_f[idx(a.x, a.y)];
   while (!pq.empty()) {
     const auto [f, ci] = pq.top();
     pq.pop();
@@ -60,6 +76,15 @@ std::vector<Cell> lazy_maze_route(const CostView& view, const Cell& a, const Cel
       continue;
     }
     if (stale) ++stats->stale_reexpanded;
+    if (on_band_edge(f)) ++stats->edge_pops;
+    if (!on_band_edge(f) &&
+        (on_band_edge(std::nextafter(f, -1e18)) || on_band_edge(std::nextafter(f, 1e18)))) {
+      ++stats->near_edge_pops;
+    }
+    if (f == dry_f) ++stats->dry_plateau;
+    dry_f = pq.empty() || band_of(pq.top().first) > band_of(f) ? f : -1.0;
+    if (band_of(f) > band_of(last_f) + route::kMazeRingBands) ++stats->lap_jumps;
+    last_f = f;
     auto relax = [&](int nx2, int ny2, double ec) {
       const double nd = d + ec;
       const size_t nidx = idx(nx2, ny2);
@@ -68,6 +93,7 @@ std::vector<Cell> lazy_maze_route(const CostView& view, const Cell& a, const Cel
         parent[nidx] = ci;
         live_f[nidx] = nd + std::abs(nx2 - b.x) + std::abs(ny2 - b.y);
         pq.push({live_f[nidx], static_cast<int>(nidx)});
+        if (band_of(live_f[nidx]) >= band_of(f) + route::kMazeRingBands) ++stats->lap_pushes;
       }
     };
     if (cx < xhi) relax(cx + 1, cy, view.cost_h[view.h_idx(cx, cy)]);
@@ -200,6 +226,80 @@ TEST(Maze, MatchesLazyOracleWhenRoundingSkipsALiveEntry) {
   OracleStats stats;
   EXPECT_TRUE(lazy_maze_route(grid.view(), {0, 0}, {2, 0}, 0, &stats).empty());
   EXPECT_TRUE(route::maze_route(grid.view(), {0, 0}, {2, 0}, 0).empty());
+}
+
+/// Costs that put f on and around the open set's band edges and past its
+/// ring: unit edges, for long plateaus of equal f; whole multiples of the
+/// band width q, which land f on an edge; such multiples nudged either way
+/// by the ulp of a double in [2^k, 2^(k+1)) for k in [0, 9], which land
+/// an f of that binade one ulp off an edge; and edges of about a ring lap
+/// (kMazeRingBands * q) or several laps, whose far side files into a
+/// bucket that nearer bands share.
+Costs band_edge_costs(util::Rng& rng, int nx, int ny) {
+  const double q = 1.0 / route::kMazeBandsPerUnit;
+  const double lap = route::kMazeRingBands * q;
+  Costs c{nx, ny, {}, {}};
+  auto draw = [&] {
+    const double edge = q * static_cast<double>(rng.range(4, 12));
+    const double ulp = std::ldexp(1.0, static_cast<int>(rng.range(-52, -43)));
+    switch (rng.below(10)) {
+      case 0: case 1: case 2: case 3: return 1.0;
+      case 4: case 5: return edge;
+      case 6: return edge - ulp;
+      case 7: return edge + ulp;
+      case 8: return lap + edge * static_cast<double>(rng.range(-1, 1));
+      default: return lap * static_cast<double>(rng.range(1, 4)) + rng.uniform(0.0, lap);
+    }
+  };
+  c.h.resize(static_cast<size_t>((nx - 1) * ny));
+  c.v.resize(static_cast<size_t>(nx * (ny - 1)));
+  for (double& e : c.h) e = draw();
+  for (double& e : c.v) e = draw();
+  return c;
+}
+
+TEST(Maze, MatchesLazyOracleAcrossBandEdges) {
+  // Router-scale grids (up to 96 x 96, margin 12) with band_edge_costs.
+  // Every fourth two-pin runs along a row of unit edges walled by two-lap
+  // ones: each pop there queues one successor of the same f beside
+  // entries two laps ahead, so the heap runs dry in the middle of the
+  // plateau. Every fourth other one starts inside such a wall, so all of
+  // the first pop's successors are more than a lap ahead.
+  const double wall = 2.0 * route::kMazeRingBands / route::kMazeBandsPerUnit;
+  util::Rng rng(909);
+  OracleStats stats;
+  for (int t = 0; t < 300; ++t) {
+    const int nx = static_cast<int>(rng.range(2, 96));
+    const int ny = static_cast<int>(rng.range(2, 96));
+    Costs c = band_edge_costs(rng, nx, ny);
+    const Cell a = random_cell(rng, nx, ny);
+    Cell b = random_cell(rng, nx, ny);
+    if (t % 4 == 0) {
+      b.y = a.y;
+      for (int x = std::min(a.x, b.x); x <= std::max(a.x, b.x); ++x) {
+        if (x < std::max(a.x, b.x)) c.h[c.view().h_idx(x, a.y)] = 1.0;
+        if (a.y + 1 < ny) c.v[c.view().v_idx(x, a.y)] = wall;
+        if (a.y > 0) c.v[c.view().v_idx(x, a.y - 1)] = wall;
+      }
+    } else if (t % 4 == 1) {
+      const CostView v = c.view();
+      if (a.x + 1 < nx) c.h[v.h_idx(a.x, a.y)] = wall + 1.0;
+      if (a.x > 0) c.h[v.h_idx(a.x - 1, a.y)] = wall + 0.25;
+      if (a.y + 1 < ny) c.v[v.v_idx(a.x, a.y)] = wall + 0.5;
+      if (a.y > 0) c.v[v.v_idx(a.x, a.y - 1)] = wall;
+    }
+    const auto want = lazy_maze_route(c.view(), a, b, 12, &stats);
+    const auto got = route::maze_route(c.view(), a, b, 12);
+    ASSERT_FALSE(want.empty());
+    EXPECT_TRUE(same_path(got, want))
+        << "trial " << t << ": " << nx << "x" << ny << " (" << a.x << "," << a.y << ")->("
+        << b.x << "," << b.y << ")";
+  }
+  EXPECT_GT(stats.edge_pops, 0);
+  EXPECT_GT(stats.near_edge_pops, 0);
+  EXPECT_GT(stats.lap_pushes, 0);
+  EXPECT_GT(stats.dry_plateau, 0);
+  EXPECT_GT(stats.lap_jumps, 0);
 }
 
 /// Router-like costs: every edge costs at least 1 (the bound's
