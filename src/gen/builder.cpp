@@ -228,6 +228,36 @@ std::vector<NetId> Gb::fast_add(const std::vector<NetId>& a,
   return sum;
 }
 
+NetId Gb::csa_row(const std::vector<NetId>& a, NetId b_bit, std::vector<NetId>* sum,
+                  std::vector<NetId>* carry) {
+  const NetId none = circuit::kInvalid;
+  const size_t w = a.size();
+  assert(sum->size() == w && carry->size() == w);
+  std::vector<NetId> digit(w, none);
+  std::vector<NetId> cnext(w + 1, none);  // cnext[j+1]: carry into col j+1
+  for (size_t j = 0; j < w; ++j) {
+    const NetId pp = and2(a[j], b_bit);
+    std::vector<NetId> xs;
+    if ((*sum)[j] != none) xs.push_back((*sum)[j]);
+    if ((*carry)[j] != none) xs.push_back((*carry)[j]);
+    xs.push_back(pp);
+    if (xs.size() == 1) {
+      digit[j] = xs[0];
+      continue;
+    }
+    const auto [s, co] =
+        xs.size() == 2 ? half_add(xs[0], xs[1]) : full_add(xs[0], xs[1], xs[2]);
+    digit[j] = s;
+    cnext[j + 1] = co;
+  }
+  // Shift the window right: old column j+1 becomes new column j.
+  for (size_t j = 0; j < w; ++j) {
+    (*sum)[j] = j + 1 < w ? digit[j + 1] : none;
+    (*carry)[j] = cnext[j + 1];
+  }
+  return digit[0];
+}
+
 // --- BDD-based LUT synthesis -------------------------------------------------
 
 int Gb::bdd_mk(int var, int lo, int hi) {

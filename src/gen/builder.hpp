@@ -72,6 +72,15 @@ class Gb {
                               const std::vector<NetId>& b, NetId cin,
                               NetId* cout = nullptr, int block = 8);
 
+  /// One row of a carry-save array multiplier: adds the partial product
+  /// a & b_bit into the redundant window `sum`/`carry` (a.size() columns
+  /// each, kInvalid where a column holds nothing). Per column an FA, or an
+  /// HA when only two operands are present, compresses {sum, carry, pp} into
+  /// a digit plus a carry into the next column; the window then shifts right
+  /// one column. Returns the column-0 digit, a finished product bit.
+  NetId csa_row(const std::vector<NetId>& a, NetId b_bit, std::vector<NetId>* sum,
+                std::vector<NetId>* carry);
+
   /// Multi-output LUT: values has 2^inputs.size() entries; bit o of
   /// values[m] is output o at input minterm m (inputs[0] = LSB). Synthesized
   /// as a reduced BDD mapped to gates; identical sub-functions (within and

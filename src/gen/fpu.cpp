@@ -124,39 +124,13 @@ circuit::Netlist make_fpu(const GenOptions& opt) {
   const auto eout = g.fast_add(g.dff_bus(ebig), lz_ext, cout, nullptr, 4);
 
   // ---- Multiplier path ------------------------------------------------------
-  // Carry-save array over the mantissas (structure shared with M256 but
-  // unpipelined: the FPU pipelines around it).
+  // Carry-save array over the mantissas: the same rows as M256
+  // (Gb::csa_row), with a pipeline cut every 16 rows.
   const NetId none = circuit::kInvalid;
   std::vector<NetId> sum(static_cast<size_t>(man), none), carry(static_cast<size_t>(man), none);
   std::vector<NetId> plo;
   for (int i = 0; i < man; ++i) {
-    std::vector<NetId> digit(static_cast<size_t>(man), none);
-    std::vector<NetId> cnext(static_cast<size_t>(man) + 1, none);
-    for (int j = 0; j < man; ++j) {
-      const size_t jz = static_cast<size_t>(j);
-      const NetId pp = g.and2(ma[jz], mb[static_cast<size_t>(i)]);
-      std::vector<NetId> xs;
-      if (sum[jz] != none) xs.push_back(sum[jz]);
-      if (carry[jz] != none) xs.push_back(carry[jz]);
-      xs.push_back(pp);
-      if (xs.size() == 1) {
-        digit[jz] = xs[0];
-      } else if (xs.size() == 2) {
-        auto [s, co] = g.half_add(xs[0], xs[1]);
-        digit[jz] = s;
-        cnext[jz + 1] = co;
-      } else {
-        auto [s, co] = g.full_add(xs[0], xs[1], xs[2]);
-        digit[jz] = s;
-        cnext[jz + 1] = co;
-      }
-    }
-    plo.push_back(digit[0]);
-    for (int j = 0; j < man; ++j) {
-      const size_t jz = static_cast<size_t>(j);
-      sum[jz] = (j + 1 < man) ? digit[jz + 1] : none;
-      carry[jz] = cnext[jz + 1];
-    }
+    plo.push_back(g.csa_row(ma, mb[static_cast<size_t>(i)], &sum, &carry));
     if ((i + 1) % 16 == 0 && i + 1 < man) {
       for (auto& s : sum) {
         if (s != none) s = g.dff(s);

@@ -4,7 +4,8 @@
 // Row i adds the partial product a*b_i into a redundant (sum, carry) window
 // holding the running result shifted right by i: per column a FA compresses
 // {sum, carry, pp} into a new digit plus a carry into the next column; the
-// column-0 digit is the finished product bit i, and the window shifts right.
+// column-0 digit is the finished product bit i, and the window shifts right
+// (Gb::csa_row, which the FPU's mantissa multiplier shares).
 #include "gen/builder.hpp"
 #include "gen/gen.hpp"
 
@@ -28,35 +29,8 @@ circuit::Netlist make_m256(const GenOptions& opt) {
   std::vector<NetId> low_bits;         // finished product bits [0..w-1]
 
   for (int i = 0; i < w; ++i) {
-    std::vector<NetId> digit(wz, none);
-    std::vector<NetId> cnext(wz + 1, none);  // cnext[j+1]: carry into col j+1
-    for (int j = 0; j < w; ++j) {
-      const size_t jz = static_cast<size_t>(j);
-      const NetId pp = g.and2(a[jz], b[static_cast<size_t>(i)]);
-      std::vector<NetId> xs;
-      if (sum[jz] != none) xs.push_back(sum[jz]);
-      if (carry[jz] != none) xs.push_back(carry[jz]);
-      xs.push_back(pp);
-      if (xs.size() == 1) {
-        digit[jz] = xs[0];
-      } else if (xs.size() == 2) {
-        auto [s, co] = g.half_add(xs[0], xs[1]);
-        digit[jz] = s;
-        cnext[jz + 1] = co;
-      } else {
-        auto [s, co] = g.full_add(xs[0], xs[1], xs[2]);
-        digit[jz] = s;
-        cnext[jz + 1] = co;
-      }
-    }
     // Column 0 is final: carries only travel upward.
-    low_bits.push_back(g.dff(digit[0]));
-    // Shift the window right: old column j+1 becomes new column j.
-    for (int j = 0; j < w; ++j) {
-      const size_t jz = static_cast<size_t>(j);
-      sum[jz] = (j + 1 < w) ? digit[jz + 1] : none;
-      carry[jz] = cnext[jz + 1];
-    }
+    low_bits.push_back(g.dff(g.csa_row(a, b[static_cast<size_t>(i)], &sum, &carry)));
 
     // Pipeline cut every few rows keeps the stage depth near the paper's
     // 2.4 ns target.

@@ -57,10 +57,13 @@ flow::FlowResult run_gmi_flow(const flow::FlowOptions& opt, GmiExtra* extra) {
   place::PlaceOptions popt;
   popt.seed = opt.seed;
   place::place_design(&nl, res.die, popt);
-  cts::build_clock_tree(&nl, *opt.lib);
+  cts::CtsOptions copt;
+  copt.die = &res.die;  // keep clock buffers row-legal
+  cts::build_clock_tree(&nl, *opt.lib, copt);
 
   opt::OptOptions oopt;
   oopt.clock_ns = opt.clock_ns;
+  oopt.die = &res.die;  // keep inserted buffers row-legal
   opt::optimize(&nl, *opt.lib,
                 [&](const circuit::Netlist& n) {
                   return extract::extract_from_placement(n, route_tech);

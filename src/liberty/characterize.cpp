@@ -1,6 +1,7 @@
 #include "liberty/characterize.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <string>
@@ -17,6 +18,14 @@ namespace m3d::liberty {
 namespace {
 
 constexpr double kVdd45 = 1.1;
+
+/// Fixed characterization settings: the DFF's input-slew axis (in place of
+/// CharOptions::slews_ps), its setup and hold constants, and the silicon
+/// model of the cell nets' capacitance.
+constexpr std::array<double, 3> kDffSlewsPs = {5.0, 28.1, 112.5};
+constexpr double kSetupPs = 40.0;
+constexpr double kHoldPs = 5.0;
+constexpr cells::SiliconModel kSilicon = cells::SiliconModel::kDielectric;
 
 /// Per-terminal series resistance: half the net's lumped R (a simple
 /// distributed-RC approximation).
@@ -81,11 +90,10 @@ struct SweepTemplate {
 /// a DC supply, and one placeholder source per input (src_idx follows
 /// spec.inputs() order).
 SweepTemplate make_comb_template(const cells::CellSpec& spec,
-                                 const cells::CellLayout& layout,
-                                 cells::SiliconModel silicon, double vdd,
+                                 const cells::CellLayout& layout, double vdd,
                                  const std::string& output) {
   SweepTemplate st;
-  st.cc = build(spec, layout, silicon);
+  st.cc = build(spec, layout, kSilicon);
   auto& ckt = st.cc.ckt;
   st.load_idx = ckt.capacitors().size();
   ckt.add_capacitor(st.cc.net_node.at(output), 0, 1.0);
@@ -101,10 +109,9 @@ SweepTemplate make_comb_template(const cells::CellSpec& spec,
 /// Template for DFF measurements: load cap on Q, supply, and placeholder
 /// D / CK sources (src_idx = {D, CK}).
 SweepTemplate make_dff_template(const cells::CellSpec& spec,
-                                const cells::CellLayout& layout,
-                                cells::SiliconModel silicon, double vdd) {
+                                const cells::CellLayout& layout, double vdd) {
   SweepTemplate st;
-  st.cc = build(spec, layout, silicon);
+  st.cc = build(spec, layout, kSilicon);
   auto& ckt = st.cc.ckt;
   st.load_idx = ckt.capacitors().size();
   ckt.add_capacitor(st.cc.net_node.at("Q"), 0, 1.0);
@@ -275,8 +282,7 @@ Measurement run_dff_point(const SweepTemplate& st, double vdd, bool q_rise,
 }
 
 double measure_leakage_uw(const cells::CellSpec& spec,
-                          const cells::CellLayout& layout,
-                          cells::SiliconModel silicon, double vdd) {
+                          const cells::CellLayout& layout, double vdd) {
   const auto inputs = spec.inputs();
   const int n = static_cast<int>(inputs.size());
   const bool seq = spec.sequential();
@@ -284,7 +290,7 @@ double measure_leakage_uw(const cells::CellSpec& spec,
   // Template + shared context prepared once; every minterm circuit is a
   // value-rewritten clone with identical topology.
   SweepTemplate st;
-  st.cc = build(spec, layout, silicon);
+  st.cc = build(spec, layout, kSilicon);
   st.cc.ckt.add_source(st.cc.vdd_node, spice::Pwl::dc(vdd));
   for (int i = 0; i < n; ++i) {
     st.src_idx.push_back(st.cc.ckt.sources().size());
@@ -358,55 +364,6 @@ void patch_holes(NldmTable* t, std::vector<bool>* filled) {
   }
 }
 
-/// Measures DFF setup time: bisect the D-to-CK separation until the flop
-/// fails to capture or its clk->q delay degrades more than 10% over the
-/// comfortable-setup baseline (the standard characterization criterion).
-double measure_setup_ps(const cells::CellSpec& spec,
-                        const cells::CellLayout& layout,
-                        cells::SiliconModel silicon, double vdd) {
-  const double slew = 20.0, load = 3.2;
-  // All bisection probes share one template/context: only the D waveform
-  // moves between iterations.
-  SweepTemplate st = make_dff_template(spec, layout, silicon, vdd);
-  st.cc.ckt.set_capacitor_ff(st.load_idx, load);
-  const int q = st.cc.net_node.at("Q");
-  auto q_delay = [&](double separation_ps) {
-    const double t_edge = 400.0;
-    spice::Circuit ckt = st.cc.ckt;
-    // Preamble loads 0; D rises `separation_ps` before the edge.
-    ckt.set_source_wave(st.src_idx[0],
-                        spice::Pwl{{{0.0, 0.0},
-                                    {t_edge - separation_ps, 0.0},
-                                    {t_edge - separation_ps + 10.0, vdd}}});
-    spice::Pwl ck;
-    ck.points = {{0.0, 0.0},     {60.0, 0.0}, {70.0, vdd},
-                 {170.0, vdd},   {180.0, 0.0}, {t_edge, 0.0},
-                 {t_edge + slew, vdd}};
-    ckt.set_source_wave(st.src_idx[1], ck);
-    spice::TranOptions topt;
-    topt.t_stop_ps = t_edge + 500.0;
-    topt.dt_ps = 0.25;
-    topt.probes = {q};
-    const spice::TranResult r = spice::simulate(ckt, topt, &st.ctx);
-    const double t_q =
-        spice::cross_time(r.time_ps, r.waveform(q), vdd / 2, t_edge, true);
-    return t_q < 0 ? -1.0 : t_q - (t_edge + slew / 2);
-  };
-  const double base = q_delay(200.0);
-  if (base <= 0) return 40.0;  // measurement failed: fall back
-  double lo = 0.0, hi = 200.0;
-  for (int iter = 0; iter < 8; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    const double d = q_delay(mid);
-    if (d < 0 || d > 1.1 * base) {
-      lo = mid;  // fails or degrades: need more setup
-    } else {
-      hi = mid;
-    }
-  }
-  return hi;
-}
-
 }  // namespace
 
 spice::Circuit make_cell_circuit(const cells::CellSpec& spec,
@@ -425,13 +382,8 @@ LibCell characterize_cell(const cells::CellSpec& spec,
   cell.width_um = layout.width_um;
   cell.height_um = layout.height_um;
   cell.sequential = spec.sequential();
-  cell.setup_ps = 0.0;
-  if (cell.sequential) {
-    cell.setup_ps = opt.measure_setup
-                        ? measure_setup_ps(spec, layout, opt.silicon, vdd_v)
-                        : opt.setup_ps;
-  }
-  cell.hold_ps = cell.sequential ? opt.hold_ps : 0.0;
+  cell.setup_ps = cell.sequential ? kSetupPs : 0.0;
+  cell.hold_ps = cell.sequential ? kHoldPs : 0.0;
 
   // Pin caps: gate caps of the transistors driven by the pin + the pin net's
   // wire capacitance.
@@ -444,11 +396,13 @@ LibCell characterize_cell(const cells::CellSpec& spec,
       }
     }
     const auto it = layout.nets.find(pin);
-    if (it != layout.nets.end()) cap += it->second.c_ff(opt.silicon);
+    if (it != layout.nets.end()) cap += it->second.c_ff(kSilicon);
     cell.pin_cap_ff[pin] = cap;
   }
 
-  const auto& slews = cell.sequential ? opt.dff_slews_ps : opt.slews_ps;
+  const std::vector<double> slews =
+      cell.sequential ? std::vector<double>(kDffSlewsPs.begin(), kDffSlewsPs.end())
+                      : opt.slews_ps;
   auto blank_table = [&] {
     NldmTable t;
     t.slew_ps = slews;
@@ -475,8 +429,7 @@ LibCell characterize_cell(const cells::CellSpec& spec,
     // last-write-wins order as a serial sweep). One task per point, each
     // writing only its own result slots, so the sweep parallelizes
     // bit-identically at any thread count.
-    const SweepTemplate st =
-        make_dff_template(spec, layout, opt.silicon, vdd_v);
+    const SweepTemplate st = make_dff_template(spec, layout, vdd_v);
     const size_t nl = opt.loads_ff.size();
     const size_t np = slews.size() * nl;
     std::vector<double> p_slew(np), p_load(np), p_tstop(np), p_dt(np);
@@ -537,8 +490,7 @@ LibCell characterize_cell(const cells::CellSpec& spec,
       // One template + SimContext per output: the load cap location is the
       // only structural difference between arcs, so every input arc into
       // this output shares the same symbolic factorization.
-      const SweepTemplate st =
-          make_comb_template(spec, layout, opt.silicon, vdd_v, outputs[oi]);
+      const SweepTemplate st = make_comb_template(spec, layout, vdd_v, outputs[oi]);
       for (size_t ii = 0; ii < inputs.size(); ++ii) {
         const int base = find_sensitization(spec.func, static_cast<int>(ii),
                                             static_cast<int>(oi));
@@ -620,11 +572,11 @@ LibCell characterize_cell(const cells::CellSpec& spec,
     }
   }
   if (npatched > 0) util::count("liberty.patched_points", static_cast<double>(npatched));
-  cell.leakage_uw = measure_leakage_uw(spec, layout, opt.silicon, vdd_v);
+  cell.leakage_uw = measure_leakage_uw(spec, layout, vdd_v);
   return cell;
 }
 
-Library build_library_45nm(tech::Style style, const CharOptions& opt) {
+Library build_library_45nm(tech::Style style) {
   const tech::Tech tch(tech::Node::k45nm, style);
   Library lib;
   lib.name = util::strf("nangatelite_%s_45nm", tech::to_string(style));
@@ -657,7 +609,7 @@ Library build_library_45nm(tech::Style style, const CharOptions& opt) {
           const cells::CellLayout layout = (style == tech::Style::k2D)
                                                ? cells::layout_2d(spec, tch)
                                                : cells::fold_tmi(spec, tch);
-          done[j] = characterize_cell(spec, layout, kVdd45, opt, &patched[j]);
+          done[j] = characterize_cell(spec, layout, kVdd45, {}, &patched[j]);
           util::info(util::strf("characterized %s (%s)", spec.name.c_str(),
                                 tech::to_string(style)));
         }

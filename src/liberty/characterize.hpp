@@ -14,19 +14,13 @@
 
 namespace m3d::liberty {
 
+/// The NLDM grid: the combinational cells' input slews and every cell's
+/// output loads. The DFF's slew axis, its setup and hold times and the
+/// silicon model are constants of characterize.cpp.
 struct CharOptions {
   // Grid anchors chosen to hit the paper's Table 2 corners exactly.
   std::vector<double> slews_ps = {7.5, 37.5, 150.0};
   std::vector<double> loads_ff = {0.8, 3.2, 12.8};
-  std::vector<double> dff_slews_ps = {5.0, 28.1, 112.5};
-  cells::SiliconModel silicon = cells::SiliconModel::kDielectric;
-  /// When true, the DFF setup time is measured by bisection (the D->CK
-  /// separation below which clk->q degrades >10% or capture fails);
-  /// otherwise the setup_ps constant is used. Off by default: the constant
-  /// matches the shipped library caches. Hold always uses the constant.
-  bool measure_setup = false;
-  double setup_ps = 40.0;
-  double hold_ps = 5.0;
 };
 
 /// Builds the characterization circuit (transistors + per-net lumped RC).
@@ -58,6 +52,6 @@ LibCell characterize_cell(const cells::CellSpec& spec,
 /// Characterizes the full 66-cell NangateLite library for the given style at
 /// 45nm (folded layouts for T-MI styles). Use scale_to_7nm() for 7nm. Logs
 /// one warning listing every patched point, when there are any.
-Library build_library_45nm(tech::Style style, const CharOptions& opt = {});
+Library build_library_45nm(tech::Style style);
 
 }  // namespace m3d::liberty

@@ -12,15 +12,13 @@
 namespace m3d::opt {
 namespace {
 
-/// Worst cell delay of `inst` at its present load, for a candidate variant.
-double variant_delay_ps(const circuit::Instance& inst,
-                        const liberty::LibCell* variant, double slew,
-                        double load) {
+/// Worst arc delay of a candidate cell variant at the given input slew and
+/// load.
+double variant_delay_ps(const liberty::LibCell* variant, double slew, double load) {
   double d = 0.0;
   for (const auto& arc : variant->arcs) {
     d = std::max(d, arc.worst_delay(slew, load));
   }
-  (void)inst;
   return d;
 }
 
@@ -142,8 +140,8 @@ OptReport optimize(circuit::Netlist* nl, const liberty::Library& lib,
         if (bigger == nullptr || bigger->drive <= inst.drive) continue;
         const double slew = input_slew_of(*nl, timing, id);
         const double load = timing.load_ff[static_cast<size_t>(inst.out_nets[0])];
-        const double d_old = variant_delay_ps(inst, inst.libcell, slew, load);
-        const double d_new = variant_delay_ps(inst, bigger, slew, load);
+        const double d_old = variant_delay_ps(inst.libcell, slew, load);
+        const double d_new = variant_delay_ps(bigger, slew, load);
         if (d_new < d_old) {
           nl->resize_inst(id, lib, bigger->drive);
           ++rep.upsized;
@@ -172,10 +170,10 @@ OptReport optimize(circuit::Netlist* nl, const liberty::Library& lib,
             const liberty::LibCell* bufcell = lib.pick(cells::Func::kBuf, 4);
             if (bufcell == nullptr) continue;
             const double gain =
-                variant_delay_ps(drv0, drv0.libcell, slew0, load0) -
-                variant_delay_ps(drv0, drv0.libcell, slew0, load0 * 0.55);
+                variant_delay_ps(drv0.libcell, slew0, load0) -
+                variant_delay_ps(drv0.libcell, slew0, load0 * 0.55);
             const double cost =
-                variant_delay_ps(drv0, bufcell, slew0, load0 * 0.5);
+                variant_delay_ps(bufcell, slew0, load0 * 0.5);
             if (gain < 1.2 * cost) continue;
           }
           // Move the far half of the sinks behind a buffer at their centroid.
@@ -226,8 +224,8 @@ OptReport optimize(circuit::Netlist* nl, const liberty::Library& lib,
         if (smaller == nullptr) continue;
         const double slew = input_slew_of(*nl, timing, i);
         const double load = timing.load_ff[static_cast<size_t>(inst.out_nets[0])];
-        const double d_old = variant_delay_ps(inst, inst.libcell, slew, load);
-        const double d_new = variant_delay_ps(inst, smaller, slew, load);
+        const double d_old = variant_delay_ps(inst.libcell, slew, load);
+        const double d_new = variant_delay_ps(smaller, slew, load);
         // Respect the max-transition design rule (else recovery would undo
         // the slew fixes above).
         double slew_new = 0.0;
@@ -255,7 +253,7 @@ OptReport optimize(circuit::Netlist* nl, const liberty::Library& lib,
           const double slack = timing.inst_slack_ps[static_cast<size_t>(i)];
           const double slew = input_slew_of(*nl, timing, i);
           const double load = timing.load_ff[static_cast<size_t>(inst.out_nets[0])];
-          const double d_buf = variant_delay_ps(inst, inst.libcell, slew, load);
+          const double d_buf = variant_delay_ps(inst.libcell, slew, load);
           // Electrical guard: removal must not recreate an overloaded net.
           // Skip buffers touching nets created earlier this round (e.g. by
           // the slew fixer above): their loads are unknown until the next STA.
@@ -295,8 +293,8 @@ OptReport optimize(circuit::Netlist* nl, const liberty::Library& lib,
       if (bigger == nullptr || bigger->drive <= inst.drive) continue;
       const double slew = input_slew_of(*nl, timing, i);
       const double load = timing.load_ff[static_cast<size_t>(inst.out_nets[0])];
-      if (variant_delay_ps(inst, bigger, slew, load) <
-          variant_delay_ps(inst, inst.libcell, slew, load)) {
+      if (variant_delay_ps(bigger, slew, load) <
+          variant_delay_ps(inst.libcell, slew, load)) {
         nl->resize_inst(i, lib, bigger->drive);
         ++rep.upsized;
         ++changed;

@@ -11,7 +11,6 @@
 #include "route/schedule.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
-#include "util/rng.hpp"
 #include "util/strf.hpp"
 
 namespace m3d::route {

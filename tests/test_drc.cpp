@@ -1,76 +1,13 @@
-// Tests for path reports, slack histograms, the DRC checker, and the
-// random-logic generator.
+// Tests for the DRC checker and the random-logic generator.
 #include <gtest/gtest.h>
 
 #include "cells/drc.hpp"
-#include "extract/extract.hpp"
 #include "flow/flow.hpp"
 #include "gen/gen.hpp"
-#include "sta/paths.hpp"
 #include "test_fixtures.hpp"
 
 namespace m3d {
 namespace {
-
-TEST(Paths, WorstPathsAreSortedAndConsistent) {
-  const auto lib = test::make_test_library();
-  flow::FlowOptions o;
-  o.bench = gen::Bench::kDes;
-  o.scale_shift = 4;
-  o.clock_ns = 1.2;
-  o.lib = &lib;
-  const flow::FlowResult r = flow::run_flow(o);
-  const tech::Tech t(tech::Node::k45nm, tech::Style::k2D);
-  const auto par = extract::extract_from_routes(r.netlist, t, r.routes);
-  sta::StaOptions so;
-  so.clock_ns = o.clock_ns;
-  const auto timing = sta::run_sta(r.netlist, par, so);
-  const auto paths = sta::worst_paths(r.netlist, par, timing, so, 5);
-  ASSERT_EQ(paths.size(), 5u);
-  for (size_t i = 1; i < paths.size(); ++i) {
-    EXPECT_LE(paths[i - 1].slack_ps, paths[i].slack_ps + 1e-6);
-  }
-  // The worst path's slack matches the STA WNS (same endpoint definition).
-  EXPECT_NEAR(paths[0].slack_ps, timing.wns_ps, 2.0);
-  for (const auto& p : paths) {
-    EXPECT_GE(p.steps.size(), 2u);
-    // Arrivals decrease walking back toward the source.
-    for (size_t s = 1; s < p.steps.size(); ++s) {
-      EXPECT_LE(p.steps[s].arrival_ps, p.steps[s - 1].arrival_ps + 1e-6);
-    }
-    // Cell+net breakdown roughly accounts for the endpoint arrival.
-    EXPECT_NEAR(p.total_cell_delay() + p.total_net_delay(),
-                p.steps.front().arrival_ps - p.steps.back().arrival_ps, 50.0);
-  }
-  const std::string report = sta::report_paths(r.netlist, paths);
-  EXPECT_NE(report.find("Path 1"), std::string::npos);
-  EXPECT_NE(report.find("slack"), std::string::npos);
-}
-
-TEST(Paths, SlackHistogramCoversAllEndpoints) {
-  const auto lib = test::make_test_library();
-  flow::FlowOptions o;
-  o.bench = gen::Bench::kDes;
-  o.scale_shift = 4;
-  o.clock_ns = 2.0;
-  o.lib = &lib;
-  const flow::FlowResult r = flow::run_flow(o);
-  const tech::Tech t(tech::Node::k45nm, tech::Style::k2D);
-  const auto par = extract::extract_from_routes(r.netlist, t, r.routes);
-  sta::StaOptions so;
-  so.clock_ns = o.clock_ns;
-  const auto timing = sta::run_sta(r.netlist, par, so);
-  const auto h = sta::slack_histogram(r.netlist, timing, 8);
-  EXPECT_EQ(h.counts.size(), 8u);
-  EXPECT_EQ(h.edges_ps.size(), 9u);
-  int total = 0;
-  for (int c : h.counts) total += c;
-  EXPECT_EQ(total, h.endpoints);
-  EXPECT_EQ(h.endpoints, r.netlist.count_sequential());
-  for (size_t e = 1; e < h.edges_ps.size(); ++e) {
-    EXPECT_GT(h.edges_ps[e], h.edges_ps[e - 1]);
-  }
-}
 
 TEST(Drc, CleanOnGeneratedLibrary) {
   const tech::Tech t2(tech::Node::k45nm, tech::Style::k2D);

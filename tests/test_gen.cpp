@@ -2,8 +2,10 @@
 
 #include <array>
 
+#include "check/check.hpp"
 #include "gen/builder.hpp"
 #include "gen/gen.hpp"
+#include "store/blob.hpp"
 #include "test_fixtures.hpp"
 #include "util/rng.hpp"
 
@@ -57,6 +59,30 @@ TEST(Gen, ScaleShiftShrinks) {
     EXPECT_GT(make_benchmark(b, big).num_instances(),
               make_benchmark(b, small).num_instances())
         << to_string(b);
+  }
+}
+
+// The FPU's mantissa multiplier and M256 share the carry-save row builder
+// (Gb::csa_row); their netlists, gate emission order included, are pinned
+// at every scale the benches and tests use.
+TEST(Gen, MultiplierNetlistsArePinned) {
+  struct Pin {
+    Bench bench;
+    int scale_shift;
+    uint64_t hash;
+  };
+  const std::vector<Pin> pins = {
+      {Bench::kFpu, 1, 0xecfb2f1053db2cf2ull},  {Bench::kFpu, 2, 0x4603c339f3537da6ull},
+      {Bench::kFpu, 3, 0xc070718fe3e044a6ull},  {Bench::kFpu, 4, 0x889602f9a561eb23ull},
+      {Bench::kM256, 1, 0xd68959b60ae8f1e6ull}, {Bench::kM256, 2, 0xbebbf79b80fb2a16ull},
+      {Bench::kM256, 3, 0xfd1e2e5ca38277f8ull}, {Bench::kM256, 4, 0x1702fb59b2b745e3ull},
+  };
+  for (const Pin& pin : pins) {
+    GenOptions o;
+    o.scale_shift = pin.scale_shift;
+    const uint64_t h = check::netlist_hash(make_benchmark(pin.bench, o));
+    EXPECT_EQ(h, pin.hash) << to_string(pin.bench) << " scale_shift " << pin.scale_shift
+                           << ": 0x" << store::key_hex(h);
   }
 }
 
@@ -126,6 +152,44 @@ TEST(Builder, FastAddMatchesArithmetic) {
       }
       if (sim[cout]) got |= (uint64_t{1} << w);
       EXPECT_EQ(got, av + bv) << "w=" << w;
+    }
+  }
+}
+
+// A combinational array of csa_row rows resolved by a ripple add computes
+// the product.
+TEST(Builder, CsaRowsMultiply) {
+  constexpr int w = 6;
+  circuit::Netlist nl;
+  Gb g(&nl);
+  const auto a = g.input_bus("a", w);
+  const auto b = g.input_bus("b", w);
+  std::vector<circuit::NetId> sum(w, circuit::kInvalid), carry(w, circuit::kInvalid);
+  std::vector<circuit::NetId> low;
+  for (int i = 0; i < w; ++i) low.push_back(g.csa_row(a, b[static_cast<size_t>(i)], &sum, &carry));
+  for (auto* v : {&sum, &carry}) {
+    for (auto& n : *v) {
+      if (n == circuit::kInvalid) n = g.zero();
+    }
+  }
+  circuit::NetId cout = circuit::kInvalid;
+  const auto high = g.ripple_add(sum, carry, g.zero(), &cout);
+  for (uint64_t av = 0; av < (1u << w); av += 5) {
+    for (uint64_t bv = 0; bv < (1u << w); bv += 3) {
+      std::map<circuit::NetId, bool> sim;
+      for (int i = 0; i < w; ++i) {
+        sim[a[static_cast<size_t>(i)]] = (av >> i) & 1u;
+        sim[b[static_cast<size_t>(i)]] = (bv >> i) & 1u;
+      }
+      for (circuit::NetId nid = 0; nid < nl.num_nets(); ++nid) sim.emplace(nid, false);
+      test::eval_netlist(nl, &sim);
+      uint64_t got = 0;
+      for (int i = 0; i < w; ++i) {
+        if (sim[low[static_cast<size_t>(i)]]) got |= uint64_t{1} << i;
+        if (sim[high[static_cast<size_t>(i)]]) got |= uint64_t{1} << (w + i);
+      }
+      EXPECT_FALSE(sim[cout]);
+      EXPECT_EQ(got, av * bv) << av << " * " << bv;
     }
   }
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "check/check.hpp"
 #include "gmi/gmi.hpp"
 #include "gmi/partition.hpp"
 #include "test_fixtures.hpp"
@@ -59,6 +60,23 @@ TEST(Gmi, FlowHalvesFootprintVsTwoD) {
   EXPECT_NEAR(gmi.footprint_um2 / flat.footprint_um2, 0.5, 0.1);
   EXPECT_LT(gmi.total_wl_um, flat.total_wl_um);
   EXPECT_GT(extra.routing_mivs, 0);
+}
+
+// CTS and both opt passes snap the buffers they insert onto the G-MI die's
+// half-height row lanes, as run_flow does on its die.
+TEST(Gmi, PlacementIsRowLegal) {
+  const auto lib2d = test::make_test_library(tech::Style::k2D);
+  for (gen::Bench bench : {gen::Bench::kAes, gen::Bench::kDes}) {
+    flow::FlowOptions o;
+    o.bench = bench;
+    o.scale_shift = 3;
+    o.lib = &lib2d;
+    o.clock_ns = 3.0;
+    const flow::FlowResult gmi = run_gmi_flow(o);
+    EXPECT_GT(gmi.buffers, 0) << gmi.bench_name;
+    const check::CheckResult cr = check::check_placement(gmi.netlist, gmi.die);
+    EXPECT_EQ(cr.errors(), 0) << gmi.bench_name << "\n" << cr.summary();
+  }
 }
 
 }  // namespace

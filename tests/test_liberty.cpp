@@ -158,21 +158,6 @@ TEST(Characterize, LibertyTextOfCharacterizedCellsIsPinned) {
   }
 }
 
-TEST(Characterize, MeasuredSetupIsPlausible) {
-  const cells::CellSpec dff = cells::make_spec(cells::Func::kDff, 1);
-  const tech::Tech tch(tech::Node::k45nm, tech::Style::k2D);
-  CharOptions opt;
-  opt.measure_setup = true;
-  // Shrink the grid: we only need the setup measurement here.
-  opt.slews_ps = {20.0};
-  opt.dff_slews_ps = {20.0};
-  opt.loads_ff = {3.2};
-  const LibCell cell =
-      characterize_cell(dff, cells::layout_2d(dff, tch), 1.1, opt);
-  EXPECT_GE(cell.setup_ps, 0.0);
-  EXPECT_LT(cell.setup_ps, 200.0);
-}
-
 // The NLDM points of FA_X1 and OR4_X1 that characterize_cell fills from a
 // neighbour today, all at the largest load: six input-rise sweeps fail to
 // measure, and ten more measure a switching energy <= 0. This pins them as

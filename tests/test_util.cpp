@@ -5,7 +5,6 @@
 #include "util/rng.hpp"
 #include "util/strf.hpp"
 #include "util/table.hpp"
-#include "util/units.hpp"
 
 namespace m3d::util {
 namespace {
@@ -121,12 +120,6 @@ TEST(Table, TrailingSeparatorMergesIntoTheClosingRule) {
 TEST(Table, PctFormatting) {
   EXPECT_EQ(pct(-0.417), "-41.7%");
   EXPECT_EQ(pct(0.042), "+4.2%");
-}
-
-TEST(Units, Conversions) {
-  EXPECT_DOUBLE_EQ(um_from_nm(1400.0), 1.4);
-  EXPECT_DOUBLE_EQ(nm_from_um(0.07), 70.0);
-  EXPECT_DOUBLE_EQ(ps_from_kohm_ff(2.0, 3.0), 6.0);
 }
 
 }  // namespace
