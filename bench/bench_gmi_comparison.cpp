@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "gmi/gmi.hpp"
 
 using namespace m3d;
 using namespace m3d::bench;
@@ -24,9 +23,11 @@ int main() {
     const Cmp base = compare_cached(o);
     o.clock_ns = base.flat.clock_ns;
 
-    gmi::GmiExtra extra;
-    o.lib = &library(tech::Node::k45nm, tech::Style::k2D);
-    const flow::FlowResult gmi_res = gmi::run_gmi_flow(o, &extra);
+    o.style = tech::Style::kGMI;
+    o.lib = &library(o.node, o.style);
+    const flow::FlowResult gmi_res = flow::run_flow(o);
+    const double mivs =
+        gmi_res.stage("opt_preroute")->counter("gmi.cut_nets");
 
     auto row = [&](const char* style, double fp, double wl, double pwr,
                    const std::string& mivs, bool met) {
@@ -38,7 +39,7 @@ int main() {
     row("2D", base.flat.footprint_um2, base.flat.total_wl_um,
         base.flat.total_uw, "0", base.flat.timing_met);
     row("G-MI", gmi_res.footprint_um2, gmi_res.total_wl_um, gmi_res.total_uw,
-        util::strf("%d", extra.routing_mivs), gmi_res.timing_met);
+        util::strf("%.0f", mivs), gmi_res.timing_met);
     row("T-MI", base.tmi.footprint_um2, base.tmi.total_wl_um,
         base.tmi.total_uw, "in-cell", base.tmi.timing_met);
     t.add_separator();

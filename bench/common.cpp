@@ -23,8 +23,7 @@ std::mutex g_report_mu;
 }  // namespace
 
 const liberty::Library& library(tech::Node node, tech::Style style) {
-  return flow::characterized_libraries().library(
-      node, style == tech::Style::k2D ? tech::Style::k2D : tech::Style::kTMI);
+  return flow::characterized_libraries().library(node, tech::cell_style(style));
 }
 
 void write_run_reports(const flow::CompareResult& r) {

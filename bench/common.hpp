@@ -16,8 +16,8 @@
 namespace m3d::bench {
 
 /// The characterized library of a corner (45nm measured, 7nm ITRS-scaled)
-/// from flow::characterized_libraries(). Both T-MI styles share the folded
-/// library.
+/// from flow::characterized_libraries(), one per tech::cell_style: both
+/// T-MI styles share the folded library, 2D and G-MI the planar one.
 const liberty::Library& library(tech::Node node, tech::Style style);
 
 /// A comparison as the benches see it: the scalar fields of both sides,

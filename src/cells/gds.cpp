@@ -169,7 +169,9 @@ bool write_library_gds(const std::string& path, const tech::Tech& tech) {
   auto emit = [&](Func f, int d) {
     const CellSpec spec = make_spec(f, d);
     const CellLayout layout =
-        tech.is_3d() ? fold_tmi(spec, tech) : layout_2d(spec, tech);
+        tech::cell_style(tech.style()) == tech::Style::k2D
+            ? layout_2d(spec, tech)
+            : fold_tmi(spec, tech);
     gds.add_cell(spec, layout);
   };
   for (Func f : all_comb_funcs()) {

@@ -9,6 +9,7 @@
 #include "exec/exec.hpp"
 #include "extract/extract.hpp"
 #include "flow/artifacts.hpp"
+#include "gmi/partition.hpp"
 #include "obs/export.hpp"
 #include "obs/mem.hpp"
 #include "obs/trace.hpp"
@@ -85,6 +86,11 @@ synth::Wlm default_wlm(const FlowOptions& opt, const circuit::Netlist& nl,
     if (c != nullptr) cell_area += c->area_um2();
   }
   const double core = cell_area / std::max(0.2, opt.target_util);
+  if (opt.style == tech::Style::kGMI) {
+    // Planar cells on two tiers: the 2D WLM of half the core area.
+    return synth::make_statistical_wlm(
+        core / 2.0, tech::Tech(opt.node, tech::Style::k2D));
+  }
   synth::Wlm wlm = synth::make_statistical_wlm(core, tch);
   if (tch.is_3d() && opt.tmi_wlm) {
     // T-MI wires are ~25% shorter (paper Section 3.4); the T-MI WLM reflects
@@ -144,6 +150,9 @@ FlowResult run_flow(const FlowOptions& opt_in) {
     tch.scale_resistivity(tech::LayerLevel::kLocal, opt.resistivity_scale);
     tch.scale_resistivity(tech::LayerLevel::kIntermediate, opt.resistivity_scale);
   }
+  // G-MI's two device tiers share the XY plane: its die holds the cells at
+  // twice the utilization, on the style's half-height row lanes.
+  const double tier_count = opt.style == tech::Style::kGMI ? 2.0 : 1.0;
 
   FlowResult res;
   res.style = opt.style;
@@ -260,7 +269,8 @@ FlowResult run_flow(const FlowOptions& opt_in) {
     // 3. Placement, plus clock tree synthesis (the tree's buffers/nets are
     // ordinary objects: routed, extracted and powered like everything else).
     run_stage(&res, "place", tracing, opt.stage_observer, [&] {
-      res.die = place::make_die(&nl, opt.target_util, tch.row_height_um());
+      res.die = place::make_die(&nl, opt.target_util * tier_count,
+                                tch.row_height_um());
       place::PlaceOptions popt;
       popt.target_util = opt.target_util;
       popt.seed = opt.seed;
@@ -275,9 +285,16 @@ FlowResult run_flow(const FlowOptions& opt_in) {
     }
   }
 
-  // 4. Pre-route optimization on placement estimates.
+  // 4. Pre-route optimization on placement estimates. G-MI first assigns
+  // tiers by min-cut on the placed design with its clock tree; doing it
+  // here, after a place-stage store restore, keeps warm runs equal to cold.
   opt::OptOptions oopt;
+  gmi::PartitionResult tiers;
   run_stage(&res, "opt_preroute", tracing, opt.stage_observer, [&] {
+    if (opt.style == tech::Style::kGMI) {
+      tiers = gmi::partition_tiers(nl);
+      util::count("gmi.cut_nets", tiers.cut_nets);
+    }
     oopt.clock_ns = opt.clock_ns;
     oopt.die = &res.die;  // keep inserted buffers row-legal
     oopt.allow_buffering = true;
@@ -294,26 +311,34 @@ FlowResult run_flow(const FlowOptions& opt_in) {
   run_stage(&res, "route", tracing, opt.stage_observer, [&] {
     route::RouteOptions ropt;
     ropt.seed = opt.seed;
+    // The default derate models the MB1/MIV blockage inside folded cells;
+    // planar cells (2D, G-MI) have none.
     ropt.local_blockage_frac =
-        opt.local_blockage_frac >= 0.0 ? opt.local_blockage_frac
-                                       : (tch.is_3d() ? 0.03 : 0.0);
+        opt.local_blockage_frac >= 0.0
+            ? opt.local_blockage_frac
+            : (tech::cell_style(opt.style) == tech::Style::kTMI ? 0.03 : 0.0);
     res.routes = route::global_route(nl, res.die, tch, ropt);
   });
+
+  // Routed parasitics; in G-MI every tier-crossing net adds one MIV.
+  const auto routed_parasitics = [&](const circuit::Netlist& n) {
+    extract::Parasitics par = extract::extract_from_routes(n, tch, res.routes);
+    if (opt.style == tech::Style::kGMI) {
+      gmi::add_cut_mivs(n, tiers.tier_of, tch, &par);
+    }
+    return par;
+  };
 
   // 6. Post-route optimization: sizing only, routes preserved (paper S5).
   run_stage(&res, "opt_postroute", tracing, opt.stage_observer, [&] {
     opt::OptOptions oopt2 = oopt;
     oopt2.allow_buffering = false;
-    opt::optimize(&nl, *opt.lib,
-                  [&](const circuit::Netlist& n) {
-                    return extract::extract_from_routes(n, tch, res.routes);
-                  },
-                  oopt2);
+    opt::optimize(&nl, *opt.lib, routed_parasitics, oopt2);
   });
 
   // 7. Sign-off timing and power.
   run_stage(&res, "sta_power", tracing, opt.stage_observer, [&] {
-    const auto par = extract::extract_from_routes(nl, tch, res.routes);
+    const auto par = routed_parasitics(nl);
     sta::StaOptions sta_opt;
     sta_opt.clock_ns = opt.clock_ns;
     timing = sta::run_sta(nl, par, sta_opt);
@@ -374,7 +399,7 @@ FlowResult run_flow(const FlowOptions& opt_in) {
     if (!nl.inst(i).dead) ++res.cells;
   }
   res.buffers = nl.count_buffers();
-  res.utilization = place::utilization(nl, res.die);
+  res.utilization = place::utilization(nl, res.die) / tier_count;  // per tier
   res.total_wl_um = res.routes.total_wl_um;
   res.wns_ps = timing.wns_ps;
   res.timing_met = timing.met();

@@ -52,15 +52,20 @@ struct StageReport {
 struct FlowOptions {
   gen::Bench bench = gen::Bench::kAes;
   tech::Node node = tech::Node::k45nm;
+  /// kGMI runs gate-level monolithic 3D on the same stages: planar cells
+  /// (lib is the 2D library) on two tiers, FM min-cut tier assignment
+  /// before pre-route opt, one routing MIV per cut net in routed
+  /// extraction, and the T-MI metal stack for routing.
   tech::Style style = tech::Style::k2D;
   int scale_shift = 3;        // benchmark size knob (see gen::GenOptions)
   double clock_ns = 0.0;      // 0: auto (see auto_clock_ns)
   double target_util = 0.8;   // paper: 0.8 (0.33 LDPC, 0.68 M256)
   const liberty::Library* lib = nullptr;  // required
   // Synthesis uses the statistical WLM, x0.75 for T-MI styles (paper
-  // Section 3.4).
+  // Section 3.4); G-MI uses the 2D WLM of half the core area.
   bool tmi_wlm = true;        // false: use the 2D WLM for T-MI (Table 15)
-  double local_blockage_frac = -1.0;  // -1: default (0.03 for T-MI, 0 for 2D)
+  // -1: default (0.03 for T-MI styles, 0 for 2D and G-MI)
+  double local_blockage_frac = -1.0;
   double resistivity_scale = 1.0;     // local+intermediate derate (Table 9)
   double pi_activity = 0.2;
   double seq_activity = 0.1;
@@ -110,7 +115,7 @@ struct FlowResult {
   double footprint_um2 = 0.0;
   int cells = 0;
   int buffers = 0;
-  double utilization = 0.0;
+  double utilization = 0.0;  // per tier in G-MI
   double total_wl_um = 0.0;
   double wns_ps = 0.0;
   bool timing_met = false;

@@ -162,21 +162,42 @@ PartitionResult partition_tiers(const circuit::Netlist& nl) {
   return res;
 }
 
+bool is_cut_net(const circuit::Netlist& nl, circuit::NetId n,
+                const std::vector<int>& tier_of) {
+  const circuit::Net& net = nl.net(n);
+  if (net.is_clock || net.sinks.empty()) return false;
+  bool on[2] = {false, false};
+  const auto mark = [&](circuit::InstId i) {
+    if (i == circuit::kInvalid || i >= static_cast<int>(tier_of.size())) {
+      return;
+    }
+    const int t = tier_of[static_cast<size_t>(i)];
+    if (t == 0 || t == 1) on[t] = true;
+  };
+  mark(net.driver.inst);
+  for (const auto& s : net.sinks) mark(s.inst);
+  return on[0] && on[1];
+}
+
 int count_cut_nets(const circuit::Netlist& nl, const std::vector<int>& tier_of) {
   int cut = 0;
   for (circuit::NetId nid = 0; nid < nl.num_nets(); ++nid) {
-    const auto& net = nl.net(nid);
-    if (net.is_clock || net.sinks.empty()) continue;
-    bool t0 = false, t1 = false;
-    auto mark = [&](circuit::InstId i) {
-      if (i == circuit::kInvalid) return;
-      (tier_of[static_cast<size_t>(i)] == 0 ? t0 : t1) = true;
-    };
-    mark(net.driver.inst);
-    for (const auto& s : net.sinks) mark(s.inst);
-    cut += (t0 && t1) ? 1 : 0;
+    cut += is_cut_net(nl, nid, tier_of) ? 1 : 0;
   }
   return cut;
+}
+
+int add_cut_mivs(const circuit::Netlist& nl, const std::vector<int>& tier_of,
+                 const tech::Tech& tch, extract::Parasitics* par) {
+  const tech::CutLayer& miv = tch.cut(tch.miv_cut_index());
+  int stamped = 0;
+  for (circuit::NetId nid = 0; nid < nl.num_nets(); ++nid) {
+    if (!is_cut_net(nl, nid, tier_of)) continue;
+    (*par)[static_cast<size_t>(nid)].wire_cap_ff += miv.c_ff;
+    (*par)[static_cast<size_t>(nid)].wire_res_kohm += miv.r_kohm;
+    ++stamped;
+  }
+  return stamped;
 }
 
 }  // namespace m3d::gmi

@@ -11,9 +11,9 @@ Library analytic_library(tech::Style style) {
   Library lib;
   lib.name = "testlib";
   lib.node = tech::Node::k45nm;
-  lib.style = style;
+  lib.style = tech::cell_style(style);
   lib.vdd_v = 1.1;
-  const bool folded = style != tech::Style::k2D;
+  const bool folded = lib.style == tech::Style::kTMI;
   const double height = folded ? 0.84 : 1.4;
 
   auto table = [](double v00, double slew_k, double load_k) {

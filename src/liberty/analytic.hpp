@@ -10,8 +10,9 @@
 
 namespace m3d::liberty {
 
-/// Builds an analytic library: delay = base/drive-ish + k*load/drive,
-/// matching the shape (not the values) of the characterized one.
+/// Builds the analytic library of `style`'s cells (tech::cell_style):
+/// delay = base/drive-ish + k*load/drive, matching the shape (not the
+/// values) of the characterized one.
 Library analytic_library(tech::Style style = tech::Style::k2D);
 
 }  // namespace m3d::liberty

@@ -576,7 +576,8 @@ LibCell characterize_cell(const cells::CellSpec& spec,
   return cell;
 }
 
-Library build_library_45nm(tech::Style style) {
+Library build_library_45nm(tech::Style flow_style) {
+  const tech::Style style = tech::cell_style(flow_style);
   const tech::Tech tch(tech::Node::k45nm, style);
   Library lib;
   lib.name = util::strf("nangatelite_%s_45nm", tech::to_string(style));

@@ -49,9 +49,10 @@ LibCell characterize_cell(const cells::CellSpec& spec,
                           const CharOptions& opt = {},
                           std::vector<PatchedPoint>* patched = nullptr);
 
-/// Characterizes the full 66-cell NangateLite library for the given style at
-/// 45nm (folded layouts for T-MI styles). Use scale_to_7nm() for 7nm. Logs
-/// one warning listing every patched point, when there are any.
-Library build_library_45nm(tech::Style style);
+/// Characterizes the full 66-cell NangateLite library of `flow_style`'s
+/// cells (tech::cell_style: folded for T-MI styles, planar for 2D and G-MI)
+/// at 45nm. Use scale_to_7nm() for 7nm. Logs one warning listing every
+/// patched point, when there are any.
+Library build_library_45nm(tech::Style flow_style);
 
 }  // namespace m3d::liberty

@@ -3,6 +3,7 @@
 // 2D      : M1 | local M2-3 | intermediate M4-6 | global M7-8
 // T-MI    : MB1, M1 | local M2-6 | intermediate M7-9 | global M10-11
 // T-MI+M  : MB1, M1 | local M2-5 | intermediate M6-10 | global M11-12
+// G-MI    : the T-MI stack (stand-in for each tier's own local metal)
 //
 // MB1 lives on the bottom tier; the MIV connects MB1 to M1 through the
 // inter-layer dielectric and the top-tier silicon.
@@ -19,10 +20,17 @@ const char* to_string(LayerLevel level);
 
 /// Integration style. k2D = conventional planar; kTMI = transistor-level
 /// monolithic 3D (the paper's contribution); kTMIPlusM = the modified metal
-/// stack of supplement S9 (2 extra local + 2 extra intermediate layers).
-enum class Style { k2D, kTMI, kTMIPlusM };
+/// stack of supplement S9 (2 extra local + 2 extra intermediate layers);
+/// kGMI = gate-level monolithic 3D, the style the paper's Section 1
+/// contrasts with T-MI: planar cells on two device tiers, inter-tier nets
+/// through routing MIVs.
+enum class Style { k2D, kTMI, kTMIPlusM, kGMI };
 
 const char* to_string(Style style);
+
+/// The cell library a flow style uses: planar cells (k2D) for 2D and G-MI,
+/// folded cells (kTMI) for both T-MI stacks.
+Style cell_style(Style style);
 
 struct MetalLayer {
   std::string name;            // "MB1", "M1", "M2", ...

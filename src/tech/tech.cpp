@@ -21,8 +21,14 @@ const char* to_string(Style style) {
     case Style::k2D: return "2D";
     case Style::kTMI: return "T-MI";
     case Style::kTMIPlusM: return "T-MI+M";
+    case Style::kGMI: return "G-MI";
   }
   return "?";
+}
+
+Style cell_style(Style style) {
+  return style == Style::k2D || style == Style::kGMI ? Style::k2D
+                                                     : Style::kTMI;
 }
 
 const char* to_string(Node node) {
@@ -149,6 +155,7 @@ MetalStack build_stack(const NodeParams& params, Style style) {
               {LayerLevel::kGlobal, 2}};        // M7-8
       break;
     case Style::kTMI:
+    case Style::kGMI:
       plan = {{LayerLevel::kM1, 1},
               {LayerLevel::kLocal, 5},          // M2-6
               {LayerLevel::kIntermediate, 3},   // M7-9

@@ -48,8 +48,11 @@ class Tech {
   const MetalStack& stack() const { return stack_; }
 
   bool is_3d() const { return stack_.style != Style::k2D; }
-  /// Active standard-cell row height for this style.
+  /// Placement row pitch for this style: the folded T-MI cell height, the
+  /// planar one in 2D, and half the planar one in G-MI, whose two tiers of
+  /// planar rows interleave as half-height lanes in the XY plane.
   double row_height_um() const {
+    if (stack_.style == Style::kGMI) return params_.cell_height_um / 2.0;
     return is_3d() ? params_.tmi_cell_height_um : params_.cell_height_um;
   }
 

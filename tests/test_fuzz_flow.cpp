@@ -1,13 +1,14 @@
 // Seeded circuit fuzzer (the m3d_fuzz target). Pushes a deterministic sweep
 // of random Rent's-rule circuits (gen/random_logic) through the complete
-// flow in both styles with the full invariant battery (src/check) enabled,
-// plus three differential oracles:
+// flow in three styles (2D, T-MI, G-MI) with the full invariant battery
+// (src/check) enabled, plus three differential oracles:
 //
 //   * serial vs M3D_THREADS=4 — canonical run reports must be byte-identical
 //     (the exec subsystem's bit-identity contract, exercised end to end);
-//   * 2D vs folded T-MI — same logical structure must survive both styles
-//     (same live logic-cell count, same sequential count, smaller footprint,
-//     wirelength within tolerance of 2D);
+//   * 2D vs folded T-MI and G-MI — same logical structure must survive
+//     every style (same live logic-cell count, same sequential count;
+//     for T-MI also a smaller footprint and wirelength within tolerance
+//     of 2D);
 //   * cross-process — gen/random_logic must hash identically in two fresh
 //     processes (guards against unordered-container or ASLR-dependent
 //     iteration sneaking into the generators).
@@ -70,7 +71,7 @@ std::vector<gen::RandomLogicOptions> sweep_cases() {
 const liberty::Library& lib_for(tech::Style style) {
   static const liberty::Library flat = test::make_test_library(tech::Style::k2D);
   static const liberty::Library tmi = test::make_test_library(tech::Style::kTMI);
-  return style == tech::Style::k2D ? flat : tmi;
+  return tech::cell_style(style) == tech::Style::k2D ? flat : tmi;
 }
 
 flow::FlowResult run_fuzz_flow(const circuit::Netlist& nl, tech::Style style,
@@ -99,7 +100,7 @@ int live_logic_cells(const circuit::Netlist& nl) {
   return n;
 }
 
-// --- the sweep: every random circuit, both styles, zero violations --------
+// --- the sweep: every random circuit, every style, zero violations -------
 
 TEST(FuzzFlow, SweepBothStylesZeroViolationsAndStructuralDifferential) {
   int case_idx = 0;
@@ -130,6 +131,11 @@ TEST(FuzzFlow, SweepBothStylesZeroViolationsAndStructuralDifferential) {
     EXPECT_LE(tmi.total_wl_um, flat.total_wl_um * 1.15)
         << "T-MI wirelength " << tmi.total_wl_um << " vs 2D "
         << flat.total_wl_um;
+
+    const flow::FlowResult gmi = run_fuzz_flow(nl, tech::Style::kGMI, opt.seed);
+    EXPECT_TRUE(gmi.checks.ok()) << "G-MI:\n" << gmi.checks.summary();
+    EXPECT_EQ(live_logic_cells(flat.netlist), live_logic_cells(gmi.netlist));
+    EXPECT_EQ(flat.netlist.count_sequential(), gmi.netlist.count_sequential());
   }
 }
 
@@ -139,18 +145,20 @@ TEST(FuzzFlow, SerialVsFourThreadsCanonicalReportsByteIdentical) {
   const std::vector<gen::RandomLogicOptions> cases = sweep_cases();
   for (int i = 0; i < 4; ++i) {
     const gen::RandomLogicOptions& opt = cases[static_cast<size_t>(i * 5)];
-    SCOPED_TRACE(testing::Message() << "seed=" << opt.seed);
     const circuit::Netlist nl = gen::make_random_logic(opt);
+    for (tech::Style style : {tech::Style::kTMI, tech::Style::kGMI}) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed=" << opt.seed << " " << tech::to_string(style));
+      exec::set_default_threads(1);
+      const std::string serial = report::to_canonical_json_string(
+          run_fuzz_flow(nl, style, opt.seed));
+      exec::set_default_threads(4);
+      const std::string parallel = report::to_canonical_json_string(
+          run_fuzz_flow(nl, style, opt.seed));
+      exec::set_default_threads(0);  // restore the environment-resolved pool
 
-    exec::set_default_threads(1);
-    const std::string serial = report::to_canonical_json_string(
-        run_fuzz_flow(nl, tech::Style::kTMI, opt.seed));
-    exec::set_default_threads(4);
-    const std::string parallel = report::to_canonical_json_string(
-        run_fuzz_flow(nl, tech::Style::kTMI, opt.seed));
-    exec::set_default_threads(0);  // restore the environment-resolved pool
-
-    EXPECT_EQ(serial, parallel);
+      EXPECT_EQ(serial, parallel);
+    }
   }
 }
 
@@ -169,38 +177,41 @@ TEST(FuzzFlow, StoreWarmRunsByteIdenticalToCold) {
   std::filesystem::remove_all(dir);
   for (int i = 0; i < 3; ++i) {
     const gen::RandomLogicOptions& opt = cases[static_cast<size_t>(i * 7 + 1)];
-    SCOPED_TRACE(testing::Message() << "seed=" << opt.seed);
     const circuit::Netlist nl = gen::make_random_logic(opt);
+    for (tech::Style style : {tech::Style::kTMI, tech::Style::kGMI}) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed=" << opt.seed << " " << tech::to_string(style));
+      auto run = [&](util::MetricsRegistry* reg) {
+        flow::FlowOptions o;
+        o.style = style;
+        o.lib = &lib_for(style);
+        o.custom_netlist = &nl;
+        o.clock_ns = 5.0;
+        o.target_util = 0.6;
+        o.seed = opt.seed;
+        o.check_level = check::Level::kFull;
+        o.store_dir = dir;
+        const util::ScopedMetricsSink sink(*reg);
+        return flow::run_flow(o);
+      };
+      util::MetricsRegistry cold_reg;
+      util::MetricsRegistry warm_reg;
+      const flow::FlowResult cold = run(&cold_reg);
+      const flow::FlowResult warm = run(&warm_reg);
 
-    auto run = [&](util::MetricsRegistry* reg) {
-      flow::FlowOptions o;
-      o.style = tech::Style::kTMI;
-      o.lib = &lib_for(tech::Style::kTMI);
-      o.custom_netlist = &nl;
-      o.clock_ns = 5.0;
-      o.target_util = 0.6;
-      o.seed = opt.seed;
-      o.check_level = check::Level::kFull;
-      o.store_dir = dir;
-      const util::ScopedMetricsSink sink(*reg);
-      return flow::run_flow(o);
-    };
-    util::MetricsRegistry cold_reg;
-    util::MetricsRegistry warm_reg;
-    const flow::FlowResult cold = run(&cold_reg);
-    const flow::FlowResult warm = run(&warm_reg);
-
-    EXPECT_EQ(check::netlist_hash(warm.netlist),
-              check::netlist_hash(cold.netlist));
-    EXPECT_EQ(check::placement_hash(warm.netlist),
-              check::placement_hash(cold.netlist));
-    EXPECT_EQ(report::to_canonical_json_string(warm),
-              report::to_canonical_json_string(cold));
-    // The warm run really came from the store: the placement artifact hit
-    // (custom netlists key by structural hash) and gen/synth/place never ran.
-    EXPECT_EQ(cold_reg.counter("store.hits"), 0.0);
-    EXPECT_GE(warm_reg.counter("store.hits"), 1.0);
-    EXPECT_EQ(warm_reg.histogram("span.flow.place").count, 0);
+      EXPECT_EQ(check::netlist_hash(warm.netlist),
+                check::netlist_hash(cold.netlist));
+      EXPECT_EQ(check::placement_hash(warm.netlist),
+                check::placement_hash(cold.netlist));
+      EXPECT_EQ(report::to_canonical_json_string(warm),
+                report::to_canonical_json_string(cold));
+      // The warm run really came from the store: the placement artifact hit
+      // (custom netlists key by structural hash) and gen/synth/place never
+      // ran.
+      EXPECT_EQ(cold_reg.counter("store.hits"), 0.0);
+      EXPECT_GE(warm_reg.counter("store.hits"), 1.0);
+      EXPECT_EQ(warm_reg.histogram("span.flow.place").count, 0);
+    }
   }
   const store::Store st(dir);
   EXPECT_TRUE(st.verify().clean());

@@ -546,6 +546,11 @@ TEST(Artifacts, KeysSeparateEveryInputThatChangesTheArtifact) {
   b.style = tech::Style::kTMI;
   EXPECT_NE(flow::artifacts::place_key(a, fp),
             flow::artifacts::place_key(b, fp));
+  // G-MI shares T-MI's metal stack but places planar cells on its own die.
+  flow::FlowOptions gmi = a;
+  gmi.style = tech::Style::kGMI;
+  EXPECT_NE(flow::artifacts::place_key(gmi, fp),
+            flow::artifacts::place_key(b, fp));
   // A different library fingerprint keys a different placement.
   EXPECT_NE(flow::artifacts::place_key(a, fp),
             flow::artifacts::place_key(a, fp + 1));

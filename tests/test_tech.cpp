@@ -16,15 +16,18 @@ TEST(Tech, Stack2DHasEightLayers) {
   EXPECT_FALSE(t.is_3d());
 }
 
+// G-MI routes on the T-MI stack, a stand-in for each tier's own metal.
 TEST(Tech, StackTmiHasTwelveLayersWithMb1) {
-  Tech t(Node::k45nm, Style::kTMI);
-  EXPECT_EQ(t.stack().num_layers(), 12);
-  EXPECT_EQ(t.stack().find("MB1"), 0);
-  EXPECT_EQ(t.stack().count_of(LayerLevel::kLocal), 5);
-  EXPECT_TRUE(t.stack().layer(0).bottom_tier);
-  EXPECT_EQ(t.miv_cut_index(), 0);
-  EXPECT_TRUE(t.stack().cuts[0].is_miv);
-  EXPECT_TRUE(t.is_3d());
+  for (Style style : {Style::kTMI, Style::kGMI}) {
+    Tech t(Node::k45nm, style);
+    EXPECT_EQ(t.stack().num_layers(), 12);
+    EXPECT_EQ(t.stack().find("MB1"), 0);
+    EXPECT_EQ(t.stack().count_of(LayerLevel::kLocal), 5);
+    EXPECT_TRUE(t.stack().layer(0).bottom_tier);
+    EXPECT_EQ(t.miv_cut_index(), 0);
+    EXPECT_TRUE(t.stack().cuts[0].is_miv);
+    EXPECT_TRUE(t.is_3d());
+  }
 }
 
 TEST(Tech, StackTmiPlusMPerFig9) {
@@ -74,6 +77,9 @@ TEST(Tech, FoldedRowHeightIs40PercentSmaller) {
   Tech t2d(Node::k45nm, Style::k2D);
   Tech t3d(Node::k45nm, Style::kTMI);
   EXPECT_NEAR(t3d.row_height_um() / t2d.row_height_um(), 0.6, 1e-9);
+  // G-MI's two tiers of planar rows interleave as half-height lanes.
+  const Tech gmi(Node::k45nm, Style::kGMI);
+  EXPECT_DOUBLE_EQ(gmi.row_height_um(), t2d.row_height_um() / 2.0);
 }
 
 TEST(Tech, MivIsNearNegligible) {

@@ -14,13 +14,14 @@
 //     allocator traffic) plus the collector's own health stats, so a
 //     truncated capture is visible right in the terminal.
 //
-// The profiler uses the analytic library (liberty/analytic.hpp) — the same
-// one the tier-1 goldens run against — so it starts instantly and profiles
-// exactly the code paths CI locks down. Scale and utilization come from
-// flow::preset; the clock defaults to the auto clock.
+// The profiler uses the analytic library (liberty/analytic.hpp) of each
+// style's cells (tech::cell_style) — the same one the tier-1 goldens run
+// against — so it starts instantly and profiles exactly the code paths CI
+// locks down. Scale and utilization come from flow::preset; the clock
+// defaults to the auto clock.
 //
 // Usage:
-//   m3d_prof [--bench FPU] [--style 2D|T-MI|T-MI+M|both] [--clock ns]
+//   m3d_prof [--bench FPU] [--style 2D|T-MI|T-MI+M|G-MI|both] [--clock ns]
 //            [--seed n] [--scale n] [--check none|basic|full]
 //            [--out-dir .] [--top 15] [--baseline BENCH_flow.json]
 //
@@ -88,14 +89,15 @@ int parse_styles(const std::string& s, std::vector<m3d::tech::Style>* out) {
     return 0;
   }
   for (m3d::tech::Style st : {m3d::tech::Style::k2D, m3d::tech::Style::kTMI,
-                              m3d::tech::Style::kTMIPlusM}) {
+                              m3d::tech::Style::kTMIPlusM,
+                              m3d::tech::Style::kGMI}) {
     if (s == m3d::tech::to_string(st)) {
       *out = {st};
       return 0;
     }
   }
   std::fprintf(stderr, "m3d_prof: unknown style '%s' (2D, T-MI, T-MI+M, "
-               "both)\n", s.c_str());
+               "G-MI, both)\n", s.c_str());
   return 2;
 }
 
@@ -306,7 +308,9 @@ int run_gate(const std::string& baseline_path, const std::string& out_dir,
       o.scale_shift = e.flow->scale_shift;
       o.clock_ns = e.flow->clock_ns;
       o.style = e.style;
-      o.lib = e.style == m3d::tech::Style::k2D ? &lib2d : &lib3d;
+      o.lib = m3d::tech::cell_style(e.style) == m3d::tech::Style::k2D
+                  ? &lib2d
+                  : &lib3d;
       o.trace = true;
       m3d::obs::reset();  // one clean capture window per flow
       const m3d::flow::FlowResult r = m3d::flow::run_flow(o);
@@ -413,7 +417,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "m3d_prof: unknown arg %s\n"
                    "usage: m3d_prof [--bench FPU] [--style 2D|T-MI|T-MI+M|"
-                   "both] [--clock ns] [--seed n] [--scale n] "
+                   "G-MI|both] [--clock ns] [--seed n] [--scale n] "
                    "[--check none|basic|full] [--out-dir d] [--top n] "
                    "[--baseline f]\n",
                    arg.c_str());
@@ -452,7 +456,8 @@ int main(int argc, char** argv) {
 
     m3d::flow::FlowOptions o = base;
     o.style = style;
-    o.lib = style == m3d::tech::Style::k2D ? &lib2d : &lib3d;
+    o.lib = m3d::tech::cell_style(style) == m3d::tech::Style::k2D ? &lib2d
+                                                                  : &lib3d;
     o.trace = true;
     const m3d::flow::FlowResult r = m3d::flow::run_flow(o);
 
