@@ -37,7 +37,9 @@ int resolve_num_threads(const ExecOptions& opt) {
   return std::max(1, n);
 }
 
-ThreadPool::ThreadPool(const ExecOptions& opt) : opt_(opt) {
+ThreadPool::ThreadPool(const ExecOptions& opt)
+    : opt_(opt),
+      queue_depth_gauge_(util::strf("exec.%s.queue_depth", opt_.name.c_str())) {
   const int n = resolve_num_threads(opt_);
   if (n <= 1) return;  // serial fallback: no workers, submit runs inline
   local_.reserve(static_cast<size_t>(n));
@@ -104,7 +106,7 @@ void ThreadPool::submit(std::function<void()> fn) {
     std::lock_guard<std::mutex> lock(sleep_mu_);
     depth = ++queued_;
   }
-  util::MetricsRegistry::global().set_gauge("exec." + opt_.name + ".queue_depth",
+  util::MetricsRegistry::global().set_gauge(queue_depth_gauge_,
                                             static_cast<double>(depth));
   sleep_cv_.notify_one();
 }
@@ -174,7 +176,9 @@ void ThreadPool::worker_main(int index) {
     bool exiting;
     {
       std::unique_lock<std::mutex> lock(sleep_mu_);
+      ++idle_;
       sleep_cv_.wait(lock, [this] { return stop_ || queued_ > 0; });
+      --idle_;
       exiting = stop_ && queued_ == 0;
     }
     if (traced && obs::enabled()) obs::emit_complete("exec.idle", idle_start);
@@ -186,17 +190,30 @@ void ThreadPool::parallel_for(size_t n, size_t grain,
                               const std::function<void(size_t, size_t)>& body) {
   if (n == 0) return;
   const size_t g = chunk_grain(n, grain);
-  if (serial() || g >= n) {
-    // Same chunk boundaries as the parallel path (callers must not depend
-    // on them anyway), but no task machinery.
+  const size_t nchunks = (n + g - 1) / g;
+  // At most one helper per worker parked right now: on a saturated pool no
+  // worker could start a task sooner than the caller runs the chunk itself.
+  const size_t helpers =
+      serial() ? 0 : std::min(nchunks - 1, static_cast<size_t>(idle_workers()));
+  if (helpers == 0) {
+    // Same chunk boundaries as the shared path (callers must not depend on
+    // them anyway), but no task machinery.
     for (size_t b = 0; b < n; b += g) body(b, std::min(n, b + g));
     return;
   }
+  // The caller and the helpers claim chunk indices from one counter, so
+  // chunks balance across whoever is running.
+  std::atomic<size_t> next{0};
+  const auto drain = [&] {
+    for (size_t c = next++; c < nchunks; c = next++) {
+      body(c * g, std::min(n, (c + 1) * g));
+    }
+  };
+  // Declared after `next` and `drain`: if the caller's chunk throws, the
+  // group's destructor joins the helpers before what they reference unwinds.
   TaskGroup group(*this);
-  for (size_t b = 0; b < n; b += g) {
-    const size_t e = std::min(n, b + g);
-    group.run([&body, b, e] { body(b, e); });
-  }
+  for (size_t h = 0; h < helpers; ++h) group.run(drain);
+  drain();
   group.wait();
 }
 

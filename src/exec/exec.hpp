@@ -6,6 +6,9 @@
 //  * `parallel_for` uses static chunking whose boundaries depend only on
 //    (n, grain) — never on the thread count — so per-chunk work and
 //    chunk-ordered reductions (`parallel_reduce`) reproduce on any pool.
+//    Which thread runs a chunk is dynamic: the caller claims chunk indices
+//    from a shared counter, helped by at most one task per worker that is
+//    idle at the call (lazy splitting: none on a saturated pool).
 //  * Callers only parallelize bodies whose writes are disjoint per index
 //    (or reduce through `parallel_reduce`, which folds partials in chunk
 //    order), so execution interleaving cannot change results.
@@ -24,13 +27,15 @@
 // `exec.<name>.queue_depth` gauge. When trace collection is on
 // (src/obs/trace.hpp) the pool additionally emits timeline events:
 // an `exec.enqueue` instant at submit, one `exec.task` span per executed
-// task (parented to the submitter's span, so flow timelines follow work
-// across threads), an `exec.steal` instant on every cross-worker steal,
-// and an `exec.idle` complete-event per worker sleep window. Workers
+// task (for `parallel_for`, one per helper, not per chunk; parented to the
+// submitter's span, so flow timelines follow work across threads), an
+// `exec.steal` instant on every cross-worker steal, and an `exec.idle`
+// complete-event per worker sleep window. Workers
 // register named trace tracks ("<pool>/worker<i>").
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -67,6 +72,9 @@ class ThreadPool {
   int num_workers() const { return static_cast<int>(workers_.size()); }
   bool serial() const { return workers_.empty(); }
 
+  /// Workers parked waiting for work at this instant (a snapshot).
+  int idle_workers() const { return idle_.load(); }
+
   /// Submits one task. The task captures the submitter's obs::Context; on
   /// a serial pool it runs inline before submit returns.
   void submit(std::function<void()> fn);
@@ -78,9 +86,13 @@ class ThreadPool {
 
   /// Splits [0, n) into chunks of `grain` indices (0: see chunk_grain) and
   /// runs `body(begin, end)` per chunk, blocking until all complete. The
-  /// caller helps execute while waiting. Body results must not depend on
-  /// how [0, n) is partitioned: writes disjoint per index, reductions via
-  /// parallel_reduce. On a serial pool the body runs inline as body(0, n).
+  /// caller runs chunks itself, claiming them from a shared counter, and
+  /// submits min(chunks - 1, idle_workers()) helper tasks that claim from
+  /// the same counter; with no idle worker the loop runs inline and creates
+  /// no task. Body results must not depend on how [0, n) is partitioned or
+  /// which thread runs a chunk: writes disjoint per index, reductions via
+  /// parallel_reduce. An exception a chunk throws propagates out of
+  /// parallel_for once every helper has finished.
   void parallel_for(size_t n, size_t grain,
                     const std::function<void(size_t, size_t)>& body);
 
@@ -104,6 +116,10 @@ class ThreadPool {
   std::condition_variable sleep_cv_;
   bool stop_ = false;          // guarded by sleep_mu_
   size_t queued_ = 0;          // guarded by sleep_mu_
+  // Workers parked on sleep_cv_. Written under sleep_mu_; parallel_for
+  // reads it without the lock to size its helpers.
+  std::atomic<int> idle_{0};
+  std::string queue_depth_gauge_;  // exec.<name>.queue_depth
   std::vector<std::thread> workers_;
 };
 

@@ -7,7 +7,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
+#include <latch>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -160,6 +163,113 @@ TEST(Exec, PoolReportsTaskCounters) {
   group.wait();
   EXPECT_GE(util::MetricsRegistry::global().counter("exec.tasks"),
             before + 10.0);
+}
+
+// Spins (yielding, never sleeping) until every worker of `pool` is parked,
+// so the next parallel_for deterministically sees idle workers to recruit.
+void wait_until_all_idle(const ThreadPool& pool) {
+  while (pool.idle_workers() < pool.num_workers()) std::this_thread::yield();
+}
+
+double exec_tasks() {
+  return util::MetricsRegistry::global().counter("exec.tasks");
+}
+
+// parallel_for makes no task per chunk: it recruits at most one helper per
+// parked worker, and none at all while every worker is busy.
+TEST(Exec, ParallelForBoundsHelpersByIdleWorkers) {
+  ThreadPool pool(threads(4));
+  const size_t n = 1000;
+  std::vector<std::atomic<int>> hits(n);
+  auto count_hits = [&](size_t b, size_t e) {
+    for (size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+  };
+  auto expect_each_index_once = [&] {
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i].exchange(0), 1) << "index " << i;
+    }
+  };
+
+  // (a) Idle pool: 1,000 chunks, at most one helper task per worker.
+  wait_until_all_idle(pool);
+  double before = exec_tasks();
+  pool.parallel_for(n, 1, count_hits);
+  const double idle_tasks = exec_tasks() - before;
+  EXPECT_GT(idle_tasks, 0.0);
+  EXPECT_LE(idle_tasks, 4.0);
+  expect_each_index_once();
+
+  // (b) Saturated pool: every worker sits in a task blocked on `release`,
+  // so the loop runs inline on the caller and submits nothing.
+  std::latch entered(4);
+  std::latch release(1);
+  TaskGroup blockers(pool);
+  for (int w = 0; w < 4; ++w) {
+    blockers.run([&] {
+      entered.count_down();
+      release.wait();
+    });
+  }
+  entered.wait();
+  before = exec_tasks();
+  pool.parallel_for(n, 1, count_hits);
+  EXPECT_EQ(exec_tasks() - before, 0.0);
+  release.count_down();
+  blockers.wait();
+  expect_each_index_once();
+}
+
+// A throwing chunk propagates out of parallel_for whether it ran on the
+// caller or on a helper, and leaves the pool usable.
+TEST(Exec, ParallelForPropagatesChunkExceptionsAndPoolStaysUsable) {
+  const auto caller = std::this_thread::get_id();
+  auto on_caller = [caller] { return std::this_thread::get_id() == caller; };
+  for (int nthreads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(nthreads));
+    ThreadPool pool(threads(nthreads));
+
+    // Throw on the caller. Helpers hold their first chunk until the caller
+    // has run one, so the caller is sure to claim a chunk.
+    wait_until_all_idle(pool);
+    std::atomic<bool> caller_ran{false};
+    EXPECT_THROW(pool.parallel_for(1000, 1,
+                                   [&](size_t, size_t) {
+                                     if (on_caller()) {
+                                       caller_ran = true;
+                                       throw std::runtime_error("caller chunk");
+                                     }
+                                     while (!caller_ran) std::this_thread::yield();
+                                   }),
+                 std::runtime_error);
+
+    // Throw on a helper: the caller's first chunk waits until a helper has
+    // thrown. A serial pool has no helpers.
+    if (!pool.serial()) {
+      wait_until_all_idle(pool);
+      std::atomic<bool> helper_threw{false};
+      EXPECT_THROW(pool.parallel_for(1000, 1,
+                                     [&](size_t, size_t) {
+                                       if (!on_caller()) {
+                                         helper_threw = true;
+                                         throw std::runtime_error("helper chunk");
+                                       }
+                                       while (!helper_threw) std::this_thread::yield();
+                                     }),
+                   std::runtime_error);
+    }
+
+    // Still usable: an uneven split (the last chunk holds 4 of grain 7)
+    // covers every index exactly once.
+    wait_until_all_idle(pool);
+    const size_t n = 10007;
+    std::vector<std::atomic<int>> hits(n);
+    pool.parallel_for(n, 7, [&](size_t b, size_t e) {
+      for (size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+    });
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+    }
+  }
 }
 
 // The tentpole acceptance test: a full iso-comparison (two complete
