@@ -330,24 +330,24 @@ FlowResult run_flow(const FlowOptions& opt_in) {
   };
 
   // 6. Post-route optimization: sizing only, routes preserved (paper S5).
+  opt::OptReport postroute;
   run_stage(&res, "opt_postroute", tracing, opt.stage_observer, [&] {
     opt::OptOptions oopt2 = oopt;
     oopt2.allow_buffering = false;
-    opt::optimize(&nl, *opt.lib, routed_parasitics, oopt2);
+    postroute = opt::optimize(&nl, *opt.lib, routed_parasitics, oopt2);
   });
 
-  // 7. Sign-off timing and power.
+  // 7. Sign-off timing and power. The post-route optimizer's final analysis
+  // is the routed extraction and STA of exactly this netlist at this clock,
+  // so sign-off takes it rather than timing the same state again.
   run_stage(&res, "sta_power", tracing, opt.stage_observer, [&] {
-    const auto par = routed_parasitics(nl);
-    sta::StaOptions sta_opt;
-    sta_opt.clock_ns = opt.clock_ns;
-    timing = sta::run_sta(nl, par, sta_opt);
+    timing = std::move(postroute.timing);
     power::PowerOptions pw;
     pw.clock_ns = opt.clock_ns;
     pw.vdd_v = opt.lib->vdd_v;
     pw.pi_activity = opt.pi_activity;
     pw.seq_activity = opt.seq_activity;
-    power = power::run_power(nl, par, &timing, pw);
+    power = power::run_power(nl, postroute.parasitics, &timing, pw);
   });
 
   // 8. Invariant checks on every sign-off artifact (src/check). Violations

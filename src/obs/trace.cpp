@@ -88,6 +88,9 @@ std::string indent(int depth) {
   return std::string(static_cast<size_t>(depth) * 2, ' ');
 }
 
+/// Spans format their begin/end lines only when they would be printed.
+bool debug_logging() { return util::log_level() == util::LogLevel::kDebug; }
+
 void drop(ThreadBuffer& buf) {
   ++buf.dropped;
   if (buf.dropped == 1) {
@@ -190,8 +193,10 @@ ScopedContext::~ScopedContext() {
 }
 
 Span::Span(std::string name) : name_(std::move(name)), start_ns_(now_ns()) {
-  util::debug(util::strf("%s%s ...", indent(t_ctx.depth).c_str(),
-                         name_.c_str()));
+  if (debug_logging()) {
+    util::debug(util::strf("%s%s ...", indent(t_ctx.depth).c_str(),
+                           name_.c_str()));
+  }
   ++t_ctx.depth;
   if (enabled()) {
     parent_id_ = t_ctx.span_id;
@@ -214,8 +219,10 @@ double Span::stop() {
     t_ctx.span_id = parent_id_;
     span_id_ = 0;
   }
-  util::debug(util::strf("%s%s: %.2f ms", indent(t_ctx.depth).c_str(),
-                         name_.c_str(), ms));
+  if (debug_logging()) {
+    util::debug(util::strf("%s%s: %.2f ms", indent(t_ctx.depth).c_str(),
+                           name_.c_str(), ms));
+  }
   util::observe("span." + name_, ms);
   return ms;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "obs/trace.hpp"
 #include "sta/sta.hpp"
@@ -36,6 +37,32 @@ double input_slew_of(const circuit::Netlist& nl, const sta::TimingResult& t,
   return slew;
 }
 
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Bit-for-bit equality of two extractions, per-sink resistances included.
+bool same_parasitics(const extract::Parasitics& a,
+                     const extract::Parasitics& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t n = 0; n < a.size(); ++n) {
+    const auto& pa = a[n];
+    const auto& pb = b[n];
+    if (!same_bits(pa.wire_cap_ff, pb.wire_cap_ff) ||
+        !same_bits(pa.wire_res_kohm, pb.wire_res_kohm) ||
+        !same_bits(pa.wirelength_um, pb.wirelength_um) ||
+        pa.sink_res_kohm.size() != pb.sink_res_kohm.size()) {
+      return false;
+    }
+    if (!pa.sink_res_kohm.empty() &&
+        std::memcmp(pa.sink_res_kohm.data(), pb.sink_res_kohm.data(),
+                    pa.sink_res_kohm.size() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 OptReport optimize(circuit::Netlist* nl, const liberty::Library& lib,
@@ -49,10 +76,25 @@ OptReport optimize(circuit::Netlist* nl, const liberty::Library& lib,
   constexpr double kDownsizeMarginFrac = 0.03;
   const double margin_ps = kDownsizeMarginFrac * opt.clock_ns * 1000.0;
 
+  // The last analysis, kept in the report. `fresh` holds while no round has
+  // edited the netlist since; STA reads connectivity, cells, flags and
+  // parasitics but never positions, so a fresh netlist whose re-extraction
+  // is bit-identical times exactly as before and is not timed again.
+  bool fresh = false;
+  const auto analyse = [&] {
+    extract::Parasitics par = parasitics(*nl);
+    if (!fresh || !same_parasitics(par, rep.parasitics)) {
+      rep.timing = sta::run_sta(*nl, par, sta_opt);
+      rep.parasitics = std::move(par);
+      fresh = true;
+    }
+  };
+  const extract::Parasitics& par = rep.parasitics;
+  const sta::TimingResult& timing = rep.timing;
+
   for (int round = 0; round < opt.rounds; ++round) {
     util::count("opt.rounds");
-    const auto par = parasitics(*nl);
-    const auto timing = sta::run_sta(*nl, par, sta_opt);
+    analyse();
     rep.wns_ps = timing.wns_ps;
     rep.met = timing.met();
     int changed = 0;
@@ -275,13 +317,13 @@ OptReport optimize(circuit::Netlist* nl, const liberty::Library& lib,
       if (changed == 0) break;
     }
     if (changed == 0 && !timing.met()) break;  // stuck
+    if (changed > 0) fresh = false;
   }
 
   // Final fix-up: never leave recovery damage behind — pure upsizing until
   // timing is met again or no further gain.
   for (int round = 0; round < 6; ++round) {
-    const auto par = parasitics(*nl);
-    const auto timing = sta::run_sta(*nl, par, sta_opt);
+    analyse();
     if (timing.met()) break;
     util::count("opt.fixup_rounds");
     int changed = 0;
@@ -301,6 +343,7 @@ OptReport optimize(circuit::Netlist* nl, const liberty::Library& lib,
       }
     }
     if (changed == 0) break;
+    fresh = false;
   }
 
   // Resizing widens cells in place, which can overlap row neighbors or poke
@@ -308,9 +351,9 @@ OptReport optimize(circuit::Netlist* nl, const liberty::Library& lib,
   // (each cell moves by at most its row's accumulated width growth).
   if (opt.die != nullptr) place::relegalize_rows(nl, *opt.die);
 
-  // Final status.
-  const auto par = parasitics(*nl);
-  const auto timing = sta::run_sta(*nl, par, sta_opt);
+  // Final status. Post-route the routed extraction reads no positions, so
+  // the shove leaves it, and hence the last timing, unchanged.
+  analyse();
   rep.wns_ps = timing.wns_ps;
   rep.met = timing.met();
   util::count("opt.upsized", rep.upsized);

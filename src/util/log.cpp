@@ -26,8 +26,10 @@ LogLevel initial_level() {
   return LogLevel::kWarn;
 }
 
-LogLevel& level_ref() {
-  static LogLevel level = initial_level();
+// Read on every log call (and by every span), so it is an atomic rather
+// than state under g_mu, which only serializes emission.
+std::atomic<LogLevel>& level_ref() {
+  static std::atomic<LogLevel> level{initial_level()};
   return level;
 }
 
@@ -67,25 +69,18 @@ std::optional<LogLevel> parse_log_level(const std::string& name) {
   return std::nullopt;
 }
 
-void set_log_level(LogLevel level) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  level_ref() = level;
-}
+void set_log_level(LogLevel level) { level_ref().store(level); }
 
 void set_default_log_level(LogLevel level) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  level_ref();  // force env initialization first
-  if (!env_level_set) level_ref() = level;
+  auto& ref = level_ref();  // force env initialization first
+  if (!env_level_set) ref.store(level);
 }
 
-LogLevel log_level() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  return level_ref();
-}
+LogLevel log_level() { return level_ref().load(std::memory_order_relaxed); }
 
 void log(LogLevel level, const std::string& msg) {
+  if (static_cast<int>(level) < static_cast<int>(log_level())) return;
   std::lock_guard<std::mutex> lock(g_mu);
-  if (static_cast<int>(level) < static_cast<int>(level_ref())) return;
   // One fprintf per line: stderr is unbuffered but a single call keeps the
   // line atomic even when several threads log at once.
   std::fprintf(stderr, "%s %8.3fs %s\n", prefix(level), elapsed_s(),

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <iterator>
 #include <string>
 #include <vector>
 
+#include "extract/extract.hpp"
 #include "flow/flow.hpp"
+#include "sta/sta.hpp"
 #include "util/metrics.hpp"
 #include "util/strf.hpp"
 #include "test_fixtures.hpp"
@@ -67,9 +71,49 @@ TEST(Flow, RunFlowPopulatesStageReports) {
   const StageReport* route = r.stage("route");
   ASSERT_NE(route, nullptr);
   EXPECT_GT(route->counter("route.twopins"), 0.0);
+  // Sign-off takes the post-route optimizer's final analysis, so the STA
+  // runs are counted there and sta_power times nothing.
+  const StageReport* post = r.stage("opt_postroute");
+  ASSERT_NE(post, nullptr);
+  EXPECT_GT(post->counter("sta.runs"), 0.0);
   const StageReport* sta = r.stage("sta_power");
   ASSERT_NE(sta, nullptr);
-  EXPECT_GT(sta->counter("sta.runs"), 0.0);
+  EXPECT_EQ(sta->counter("sta.runs"), 0.0);
+}
+
+// Sign-off reuses opt_postroute's analysis; it must equal, bit for bit, a
+// fresh routed extraction, STA and power run on the final netlist.
+TEST(Flow, SignOffEqualsFreshAnalysis) {
+  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  for (const tech::Style style : {tech::Style::k2D, tech::Style::kTMI}) {
+    SCOPED_TRACE(tech::to_string(style));
+    FlowOptions o = small_opts(gen::Bench::kDes);
+    o.style = style;
+    o.lib = style == tech::Style::k2D ? &lib2d() : &lib3d();
+    o.clock_ns = 1.2;  // post-route sizes cells
+    const FlowResult r = run_flow(o);
+    const StageReport* post = r.stage("opt_postroute");
+    ASSERT_NE(post, nullptr);
+    ASSERT_GT(post->counter("opt.upsized") + post->counter("opt.downsized"),
+              0.0);
+
+    const tech::Tech tch(o.node, style);
+    const extract::Parasitics par =
+        extract::extract_from_routes(r.netlist, tch, r.routes);
+    sta::StaOptions so;
+    so.clock_ns = o.clock_ns;
+    const sta::TimingResult timing = sta::run_sta(r.netlist, par, so);
+    power::PowerOptions pw;
+    pw.clock_ns = o.clock_ns;
+    pw.vdd_v = o.lib->vdd_v;
+    pw.pi_activity = o.pi_activity;
+    pw.seq_activity = o.seq_activity;
+    const power::PowerResult power =
+        power::run_power(r.netlist, par, &timing, pw);
+    EXPECT_EQ(bits(r.wns_ps), bits(timing.wns_ps));
+    EXPECT_EQ(bits(r.longest_path_ns), bits(timing.critical_path_ps / 1000.0));
+    EXPECT_EQ(bits(r.total_uw), bits(power.total_uw));
+  }
 }
 
 // stage_observer sees each FlowResult::stages entry exactly once, in order,

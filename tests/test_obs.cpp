@@ -26,6 +26,7 @@
 #include "obs/trace.hpp"
 #include "test_fixtures.hpp"
 #include "util/json.hpp"
+#include "util/log.hpp"
 #include "util/metrics.hpp"
 
 namespace m3d {
@@ -197,6 +198,31 @@ TEST(ObsTrace, SpanEmitsBalancedPairExactlyOnce) {
       EXPECT_EQ(ev.parent_id, outer_id);
     }
   }
+}
+
+// A span's begin and end lines are formatted and printed only when the log
+// level admits debug; at warn it prints nothing.
+TEST(ObsTrace, SpanLogsItsDebugLinesOnlyAtDebugLevel) {
+  const util::LogLevel saved = util::log_level();
+  util::set_log_level(util::LogLevel::kDebug);
+  testing::internal::CaptureStderr();
+  { obs::Span span("t.logged"); }
+  const std::string debug_err = testing::internal::GetCapturedStderr();
+  util::set_log_level(util::LogLevel::kWarn);
+  testing::internal::CaptureStderr();
+  { obs::Span span("t.logged"); }
+  const std::string warn_err = testing::internal::GetCapturedStderr();
+  util::set_log_level(saved);
+
+  EXPECT_NE(debug_err.find("t.logged ..."), std::string::npos) << debug_err;
+  const size_t end = debug_err.find("t.logged: ");
+  ASSERT_NE(end, std::string::npos) << debug_err;
+  const size_t ms = debug_err.find(" ms\n", end);
+  ASSERT_NE(ms, std::string::npos) << debug_err;
+  const std::string value = debug_err.substr(end + 10, ms - end - 10);
+  EXPECT_EQ(value.find_first_not_of("0123456789."), std::string::npos)
+      << value;
+  EXPECT_EQ(warn_err, "");
 }
 
 TEST(ObsTrace, SpanBegunInsideWindowEndsAfterWindowCloses) {

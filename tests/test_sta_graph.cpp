@@ -23,6 +23,7 @@
 #include "power/power.hpp"
 #include "sta/sta.hpp"
 #include "test_fixtures.hpp"
+#include "util/metrics.hpp"
 
 namespace m3d {
 namespace {
@@ -632,6 +633,163 @@ TEST(StaGraph, PowerPinCapsMatchNameKeyedSum) {
     pin_cap_pf += pin_c / 1000.0;
   }
   EXPECT_EQ(bits(p.pin_cap_pf), bits(pin_cap_pf));
+}
+
+// --- The optimizer's final analysis ------------------------------------------
+
+void expect_same_parasitics(const extract::Parasitics& got,
+                            const extract::Parasitics& want) {
+  ASSERT_EQ(got.size(), want.size());
+  const auto same = [](double a, double b) { return bits(a) == bits(b); };
+  for (size_t n = 0; n < got.size(); ++n) {
+    const auto& g = got[n];
+    const auto& w = want[n];
+    if (!same(g.wire_cap_ff, w.wire_cap_ff) ||
+        !same(g.wire_res_kohm, w.wire_res_kohm) ||
+        !same(g.wirelength_um, w.wirelength_um) ||
+        !std::equal(g.sink_res_kohm.begin(), g.sink_res_kohm.end(),
+                    w.sink_res_kohm.begin(), w.sink_res_kohm.end(), same)) {
+      ADD_FAILURE() << "net " << n << ": parasitics differ from a fresh "
+                    << "extraction";
+      return;
+    }
+  }
+}
+
+const liberty::Library& des_lib() {
+  static const liberty::Library lib = test::make_test_library();
+  return lib;
+}
+
+/// DES at its preset scale through the whole flow at a 2 ns clock: an
+/// optimized, row-legal netlist with its die and routes.
+const flow::FlowResult& des_flow() {
+  static const flow::FlowResult r = [] {
+    flow::FlowOptions o = flow::preset(gen::Bench::kDes, tech::Node::k45nm);
+    o.clock_ns = 2.0;
+    o.lib = &des_lib();
+    o.check_level = check::Level::kNone;
+    return flow::run_flow(o);
+  }();
+  return r;
+}
+
+opt::ParasiticFn placed_fn() {
+  return [](const circuit::Netlist& n) {
+    return extract::extract_from_placement(n, tech2d());
+  };
+}
+
+opt::ParasiticFn routed_fn(const route::RouteResult& routes) {
+  return [&routes](const circuit::Netlist& n) {
+    return extract::extract_from_routes(n, tech2d(), routes);
+  };
+}
+
+/// The report's analysis against a fresh extraction and STA of `nl`.
+void expect_report_is_fresh_analysis(const circuit::Netlist& nl,
+                                     const opt::OptReport& rep,
+                                     const opt::ParasiticFn& parasitics,
+                                     double clock_ns) {
+  const extract::Parasitics par = parasitics(nl);
+  expect_same_parasitics(rep.parasitics, par);
+  expect_same_timing(rep.timing, sta::run_sta(nl, par, at_clock(clock_ns)));
+  EXPECT_EQ(bits(rep.wns_ps), bits(rep.timing.wns_ps));
+  EXPECT_EQ(rep.met, rep.timing.met());
+}
+
+TEST(Opt, ReportCarriesTheFinalAnalysis) {
+  const flow::FlowResult& r = des_flow();
+  constexpr double kTightNs = 0.6;  // forces upsizing and buffering
+  {
+    SCOPED_TRACE("pre-route");
+    circuit::Netlist nl = r.netlist;
+    opt::OptOptions o;
+    o.clock_ns = kTightNs;
+    o.die = &r.die;
+    o.allow_buffering = true;
+    o.buffer_net_wl_um = 120.0;
+    const opt::OptReport rep = opt::optimize(&nl, des_lib(), placed_fn(), o);
+    ASSERT_GT(rep.buffers_added, 0);
+    // relegalize_rows shoved cells that were there before the call, so the
+    // final placement extraction differs from the last loop analysis.
+    int moved = 0;
+    for (int i = 0; i < r.netlist.num_instances(); ++i) {
+      if (nl.inst(i).dead) continue;
+      moved += nl.inst(i).pos != r.netlist.inst(i).pos ? 1 : 0;
+    }
+    ASSERT_GT(moved, 0);
+    expect_report_is_fresh_analysis(nl, rep, placed_fn(), kTightNs);
+  }
+  {
+    SCOPED_TRACE("post-route");
+    circuit::Netlist nl = r.netlist;
+    opt::OptOptions o;
+    o.clock_ns = kTightNs;
+    o.die = &r.die;
+    o.allow_buffering = false;
+    const opt::OptReport rep =
+        opt::optimize(&nl, des_lib(), routed_fn(r.routes), o);
+    ASSERT_GT(rep.upsized, 0);
+    expect_report_is_fresh_analysis(nl, rep, routed_fn(r.routes), kTightNs);
+  }
+}
+
+TEST(Opt, UnchangedNetlistIsTimedOnce) {
+  const flow::FlowResult& r = des_flow();
+  // Every analysis calls the ParasiticFn once; an optimizer that re-timed
+  // each one would make exactly that many STA runs.
+  struct Counted {
+    int analyses = 0;
+    double sta_runs = 0.0;
+    double rounds = 0.0;
+    opt::OptReport rep;
+  };
+  const auto run = [&r](int rounds, double clock_ns) {
+    Counted c;
+    circuit::Netlist nl = r.netlist;
+    opt::OptOptions o;
+    o.clock_ns = clock_ns;
+    o.rounds = rounds;
+    o.die = &r.die;
+    o.allow_buffering = false;
+    const opt::ParasiticFn routed = routed_fn(r.routes);
+    util::MetricsRegistry reg;
+    {
+      const util::ScopedMetricsSink sink(reg);
+      c.rep = opt::optimize(&nl, des_lib(),
+                            [&](const circuit::Netlist& n) {
+                              ++c.analyses;
+                              return routed(n);
+                            },
+                            o);
+    }
+    c.sta_runs = reg.counter("sta.runs");
+    c.rounds = reg.counter("opt.rounds");
+    return c;
+  };
+  {
+    // No round: the fix-up's analysis finds timing met, and the final
+    // status re-extracts the same routed parasitics of the same netlist.
+    SCOPED_TRACE("rounds = 0, timing met");
+    const Counted c = run(0, r.clock_ns);
+    ASSERT_TRUE(c.rep.met);
+    EXPECT_EQ(c.analyses, 2);
+    EXPECT_EQ(c.sta_runs, 1.0);
+  }
+  {
+    // Post-route sizing and recovery at a 1.5 ns clock: the loop ends on a
+    // round with no edit, so the fix-up's first analysis and the final
+    // status (routed parasitics read no positions) both reuse the last
+    // timing. 11 analyses here, 9 of them timed.
+    SCOPED_TRACE("post-route sizing");
+    constexpr int kRounds = 12;
+    const Counted c = run(kRounds, 1.5);
+    ASSERT_GT(c.rep.upsized, 0);
+    ASSERT_LT(c.rounds, kRounds);
+    EXPECT_EQ(c.analyses, 11);
+    EXPECT_EQ(c.sta_runs, c.analyses - 2);
+  }
 }
 
 }  // namespace
