@@ -32,6 +32,7 @@
 #include "power/power.hpp"
 #include "sta/sta.hpp"
 #include "synth/synth.hpp"
+#include "tech/layers.hpp"
 #include "util/log.hpp"
 #include "util/strf.hpp"
 
@@ -51,9 +52,7 @@ struct Session {
   std::optional<route::RouteResult> routes;
 
   const liberty::Library& active_lib() const {
-    // Both T-MI styles use the folded-cell library.
-    const tech::Style lib_style =
-        style == tech::Style::k2D ? tech::Style::k2D : tech::Style::kTMI;
+    const tech::Style lib_style = tech::cell_style(style);
     flow::WarmContext& libs = flow::characterized_libraries();
     if (!libs.warmed(node, lib_style)) {
       std::printf("loading library (store %s)...\n",

@@ -83,8 +83,8 @@ struct FlowOptions {
   const circuit::Netlist* custom_netlist = nullptr;
   /// Content-addressed stage-artifact store directory (src/store): when
   /// set (or via the M3D_STORE environment variable), run_flow memoizes
-  /// and reuses its expensive prefixes — the generated netlist, the placed
-  /// (+CTS) design and the auto-clock probe — across runs and processes.
+  /// and reuses its expensive prefixes — the generated netlist and the
+  /// placed (+CTS) design — across runs and processes.
   /// Replayed stages keep their recorded StageReports, so a store-hit
   /// run's canonical report is byte-identical to a cold run's.
   /// Empty and no M3D_STORE: the serial fallback — every stage runs.

@@ -194,7 +194,7 @@ bool parse_stages(const std::string& json_text,
 Value metrics_to_json() {
   auto& reg = util::MetricsRegistry::global();
   Value doc = Value::object();
-  doc.set("schema", Value::str("m3d.metrics/v1"));
+  doc.set("schema", Value::str("m3d.metrics/v2"));
   Value counters = Value::object();
   for (const auto& [name, value] : reg.counters()) {
     counters.set(name, Value::number(value));
@@ -210,11 +210,9 @@ Value metrics_to_json() {
     Value stats = Value::object();
     stats.set("count", Value::number(static_cast<double>(h.count)));
     stats.set("min", Value::number(h.min));
-    stats.set("mean", Value::number(h.mean));
+    stats.set("mean", Value::number(h.total / static_cast<double>(h.count)));
     stats.set("max", Value::number(h.max));
-    stats.set("p95", Value::number(h.p95));
     stats.set("total", Value::number(h.total));
-    if (h.approximate) stats.set("approximate", Value::boolean(true));
     hists.set(name, std::move(stats));
   }
   doc.set("histograms", std::move(hists));

@@ -49,20 +49,15 @@ NetId Gb::clock() {
   return clock_;
 }
 
-namespace {
-}  // namespace
-
 NetId Gb::inv(NetId a) {
   const NetId z = nl_->new_net();
   nl_->add_gate(Func::kInv, {a}, {z});
-  ++gates_;
   return z;
 }
 
 NetId Gb::buf(NetId a) {
   const NetId z = nl_->new_net();
   nl_->add_gate(Func::kBuf, {a}, {z});
-  ++gates_;
   return z;
 }
 
@@ -70,13 +65,11 @@ NetId Gb::buf(NetId a) {
   NetId Gb::name(NetId a, NetId b) {                 \
     const NetId z = nl_->new_net();                  \
     nl_->add_gate(Func::func, {a, b}, {z});          \
-    ++gates_;                                        \
     return z;                                        \
   }
 M3D_GB_BIN(and2, kAnd2)
 M3D_GB_BIN(or2, kOr2)
 M3D_GB_BIN(nand2, kNand2)
-M3D_GB_BIN(nor2, kNor2)
 M3D_GB_BIN(xor2, kXor2)
 M3D_GB_BIN(xnor2, kXnor2)
 #undef M3D_GB_BIN
@@ -84,14 +77,6 @@ M3D_GB_BIN(xnor2, kXnor2)
 NetId Gb::mux2(NetId a, NetId b, NetId s) {
   const NetId z = nl_->new_net();
   nl_->add_gate(Func::kMux2, {a, b, s}, {z});
-  ++gates_;
-  return z;
-}
-
-NetId Gb::aoi21(NetId a1, NetId a2, NetId b) {
-  const NetId z = nl_->new_net();
-  nl_->add_gate(Func::kAoi21, {a1, a2, b}, {z});
-  ++gates_;
   return z;
 }
 
@@ -99,7 +84,6 @@ std::pair<NetId, NetId> Gb::full_add(NetId a, NetId b, NetId ci) {
   const NetId s = nl_->new_net();
   const NetId co = nl_->new_net();
   nl_->add_gate(Func::kFa, {a, b, ci}, {s, co});
-  ++gates_;
   return {s, co};
 }
 
@@ -107,19 +91,7 @@ std::pair<NetId, NetId> Gb::half_add(NetId a, NetId b) {
   const NetId s = nl_->new_net();
   const NetId co = nl_->new_net();
   nl_->add_gate(Func::kHa, {a, b}, {s, co});
-  ++gates_;
   return {s, co};
-}
-
-NetId Gb::and_n(std::vector<NetId> xs) {
-  assert(!xs.empty());
-  while (xs.size() > 1) {
-    std::vector<NetId> next;
-    for (size_t i = 0; i + 1 < xs.size(); i += 2) next.push_back(and2(xs[i], xs[i + 1]));
-    if (xs.size() % 2) next.push_back(xs.back());
-    xs = std::move(next);
-  }
-  return xs[0];
 }
 
 NetId Gb::or_n(std::vector<NetId> xs) {
@@ -163,7 +135,6 @@ NetId Gb::one() {
 NetId Gb::dff(NetId d) {
   const NetId q = nl_->new_net();
   nl_->add_gate(Func::kDff, {d, clock()}, {q});
-  ++gates_;
   return q;
 }
 

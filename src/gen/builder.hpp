@@ -38,18 +38,15 @@ class Gb {
   NetId and2(NetId a, NetId b);
   NetId or2(NetId a, NetId b);
   NetId nand2(NetId a, NetId b);
-  NetId nor2(NetId a, NetId b);
   NetId xor2(NetId a, NetId b);
   NetId xnor2(NetId a, NetId b);
   /// s ? b : a
   NetId mux2(NetId a, NetId b, NetId s);
-  NetId aoi21(NetId a1, NetId a2, NetId b);
   /// Full adder; returns {sum, carry}.
   std::pair<NetId, NetId> full_add(NetId a, NetId b, NetId ci);
   std::pair<NetId, NetId> half_add(NetId a, NetId b);
 
   /// Balanced gate trees over n inputs.
-  NetId and_n(std::vector<NetId> xs);
   NetId or_n(std::vector<NetId> xs);
   NetId xor_n(std::vector<NetId> xs);
 
@@ -90,8 +87,6 @@ class Gb {
   /// Single-output LUT for up to 6 inputs, truth as a minterm bitmask.
   NetId lut1(const std::vector<NetId>& inputs, uint64_t truth);
 
-  int gates_emitted() const { return gates_; }
-
  private:
   // --- BDD engine -----------------------------------------------------------
   struct BddNode {
@@ -110,7 +105,6 @@ class Gb {
   NetId zero_ = circuit::kInvalid;
   NetId one_ = circuit::kInvalid;
   NetId first_input_ = circuit::kInvalid;
-  int gates_ = 0;
   std::vector<BddNode> bdd_nodes_;
   std::map<std::tuple<int, int, int>, int> bdd_unique_;
   std::unordered_map<int, NetId> emit_cache_;

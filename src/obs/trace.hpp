@@ -130,8 +130,9 @@ class ScopedContext {
 /// RAII span: marks a named region of the flow. Construction logs a nested
 /// "begin" line at debug level; stop() (or the destructor) logs the elapsed
 /// wall time and records it into the thread's metrics sink as the histogram
-/// `span.<name>` (ms). Spans nest per thread, and the log indentation
-/// follows the nesting, so `M3D_LOG_LEVEL=debug` prints a live call-tree.
+/// `span.<name>` (ms; count, total, min and max). Spans nest per thread, and
+/// the log indentation follows the nesting, so `M3D_LOG_LEVEL=debug` prints
+/// a live call-tree.
 ///
 /// While collection is on, a span also emits a begin/end TraceEvent pair
 /// carrying a process-unique span id and its parent's id, and is the parent

@@ -5,46 +5,29 @@
 // whole registry for interactive sessions (m3d_shell).
 //
 // Counters are monotonically accumulated doubles ("route.twopins"),
-// gauges hold the last value set ("place.hpwl_um"), histograms collect
-// samples and expose min/mean/max/p95 ("span.route").
-//
-// Histogram memory is bounded: the first kExactSamples (4096) samples of a
-// histogram are kept verbatim and p95 is exact nearest-rank. The 4097th
-// sample triggers a one-way switchover to fixed logarithmic buckets (8 per
-// octave over 2^-20..2^34 — sub-microsecond to hours, in ms units), after
-// which p95 is a deterministic within-bucket linear interpolation, flagged
-// by HistStats::approximate. count/min/max/total/mean stay exact in both
-// modes, and a saturated histogram costs ~2 KiB flat, so paper-scale runs
-// with millions of observations never grow the registry without bound.
+// gauges hold the last value set ("place.hpwl_um"), histograms keep one
+// fixed-size record per name: count, total, min and max ("span.route";
+// the mean is total / count). No sample is stored, so a histogram costs the
+// same after a million observations as after one.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace m3d::util {
 
+/// One histogram: every field is exact. min and max are 0 while count is 0.
 struct HistStats {
   int64_t count = 0;
   double min = 0.0;
-  double mean = 0.0;
   double max = 0.0;
-  double p95 = 0.0;
   double total = 0.0;
-  /// False while the histogram holds all samples verbatim (exact
-  /// nearest-rank p95); true after the kExactSamples switchover to log
-  /// buckets (interpolated p95; count/min/max/total/mean still exact).
-  bool approximate = false;
 };
 
 class MetricsRegistry {
  public:
-  /// Samples a histogram keeps verbatim before switching to log buckets.
-  static constexpr size_t kExactSamples = 4096;
-
   /// The process-wide registry.
   static MetricsRegistry& global();
 
@@ -63,11 +46,10 @@ class MetricsRegistry {
   /// Current value (0 if the name was never touched).
   double counter(const std::string& name) const;
   double gauge(const std::string& name) const;
-  /// Summary stats of a histogram (count 0 if absent). See the header
-  /// comment for the exact-vs-bucketed p95 switchover.
+  /// The named histogram (count 0 if absent).
   HistStats histogram(const std::string& name) const;
 
-  /// Snapshots for reporting; histogram samples are reduced to HistStats.
+  /// Snapshots for reporting.
   std::map<std::string, double> counters() const;
   std::map<std::string, double> gauges() const;
   std::map<std::string, HistStats> histograms() const;
@@ -76,33 +58,15 @@ class MetricsRegistry {
   void reset();
 
   /// Folds `src` into this registry: counters add, gauges take src's value,
-  /// histograms merge (staying exact only while both sides are exact and
-  /// the combined sample count fits under kExactSamples). Used to publish a
+  /// histograms add count and total and widen min/max. Used to publish a
   /// flow-local registry into its parent when a concurrent flow finishes.
   void merge_from(const MetricsRegistry& src);
 
  private:
-  /// One histogram: exact sample list up to kExactSamples, then fixed log
-  /// buckets (`buckets` non-empty marks the switch; `samples` is then
-  /// empty). count/min/max/total are maintained exactly in both modes.
-  struct Hist {
-    int64_t count = 0;
-    double min = 0.0;
-    double max = 0.0;
-    double total = 0.0;
-    std::vector<double> samples;
-    std::vector<uint32_t> buckets;
-  };
-
-  static void bucketize(Hist* h);
-  static void bucket_add(Hist* h, double sample, uint32_t n);
-  static HistStats stats_of(const Hist& h);
-  static void merge_hist(Hist* dst, const Hist& src);
-
   mutable std::mutex mu_;
   std::map<std::string, double> counters_;
   std::map<std::string, double> gauges_;
-  std::map<std::string, Hist> hists_;
+  std::map<std::string, HistStats> hists_;
 };
 
 /// RAII redirection of this thread's metric reporting into `sink` (see

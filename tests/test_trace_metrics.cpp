@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <thread>
 
@@ -41,8 +42,6 @@ TEST(Metrics, HistogramStats) {
   EXPECT_EQ(h.count, 100);
   EXPECT_DOUBLE_EQ(h.min, 1.0);
   EXPECT_DOUBLE_EQ(h.max, 100.0);
-  EXPECT_DOUBLE_EQ(h.mean, 50.5);
-  EXPECT_DOUBLE_EQ(h.p95, 95.0);  // nearest-rank over 1..100
   EXPECT_DOUBLE_EQ(h.total, 5050.0);
 }
 
@@ -53,63 +52,66 @@ TEST(Metrics, HistogramSingleSample) {
   EXPECT_EQ(h.count, 1);
   EXPECT_DOUBLE_EQ(h.min, 7.0);
   EXPECT_DOUBLE_EQ(h.max, 7.0);
-  EXPECT_DOUBLE_EQ(h.p95, 7.0);
+  EXPECT_DOUBLE_EQ(h.total, 7.0);
   EXPECT_EQ(reg.histogram("t.hist_absent").count, 0);
 }
 
+// The three tests below keep the names they had when histograms switched
+// from an exact sample list to log buckets after 4096 samples. Histograms
+// are now one count/total/min/max record; the tests check that it stays
+// exact and deterministic across and far past that old switchover.
+
 TEST(Metrics, HistogramExactUpToSwitchoverThenBucketed) {
   auto& reg = MetricsRegistry::global();
-  const auto n = static_cast<int>(MetricsRegistry::kExactSamples);
-  // Exactly kExactSamples samples: still exact nearest-rank.
+  const int n = 4096;  // the old exact-sample cap
   for (int i = 1; i <= n; ++i) {
     reg.observe("t.hist_switch", static_cast<double>(i));
   }
   util::HistStats h = reg.histogram("t.hist_switch");
   EXPECT_EQ(h.count, n);
-  EXPECT_FALSE(h.approximate);
-  EXPECT_DOUBLE_EQ(h.p95, std::ceil(0.95 * n));  // exact nearest-rank
+  EXPECT_DOUBLE_EQ(h.min, 1.0);
+  EXPECT_DOUBLE_EQ(h.max, static_cast<double>(n));
+  EXPECT_DOUBLE_EQ(h.total, 0.5 * n * (n + 1));
 
-  // One more sample flips the histogram to log buckets for good.
+  // One more sample past the old cap: every field stays exact.
   reg.observe("t.hist_switch", static_cast<double>(n + 1));
   h = reg.histogram("t.hist_switch");
   EXPECT_EQ(h.count, n + 1);
-  EXPECT_TRUE(h.approximate);
-  // Scalar stats stay exact through the switchover...
   EXPECT_DOUBLE_EQ(h.min, 1.0);
   EXPECT_DOUBLE_EQ(h.max, static_cast<double>(n + 1));
   EXPECT_DOUBLE_EQ(h.total, 0.5 * (n + 1) * (n + 2));
-  // ...and the interpolated p95 lands within one log-bucket (8 per octave:
-  // boundaries are ~9% apart) of the exact value.
-  const double exact = std::ceil(0.95 * (n + 1));
-  EXPECT_NEAR(h.p95, exact, 0.1 * exact);
 }
 
 TEST(Metrics, BucketedHistogramBoundsMemoryDeterministically) {
-  // Two registries fed the same 50k samples must agree bitwise on every
-  // stat — the bucketed path is a pure function of the sample values.
+  // Two registries fed the same 50k samples agree bitwise on every field,
+  // and each field is exact: the record is a pure function of the samples.
   MetricsRegistry a;
   MetricsRegistry b;
+  double total = 0.0;
+  double lo = 1e300;
+  double hi = -1e300;
   for (int i = 0; i < 50000; ++i) {
     const double v = 0.001 * ((i * 7919) % 100000 + 1);
     a.observe("t.big", v);
     b.observe("t.big", v);
+    total += v;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
   }
   const util::HistStats ha = a.histogram("t.big");
   const util::HistStats hb = b.histogram("t.big");
   EXPECT_EQ(ha.count, 50000);
-  EXPECT_TRUE(ha.approximate);
-  EXPECT_EQ(ha.p95, hb.p95);
+  EXPECT_EQ(ha.count, hb.count);
   EXPECT_EQ(ha.total, hb.total);
   EXPECT_EQ(ha.min, hb.min);
   EXPECT_EQ(ha.max, hb.max);
-  // ~p95 of a uniform 0.001..100 distribution: within one bucket of 95.
-  EXPECT_NEAR(ha.p95, 95.0, 9.5);
-  EXPECT_GE(ha.p95, ha.min);
-  EXPECT_LE(ha.p95, ha.max);
+  EXPECT_EQ(ha.total, total);
+  EXPECT_EQ(ha.min, lo);
+  EXPECT_EQ(ha.max, hi);
 }
 
 TEST(Metrics, MergePreservesExactnessUnderCapOnly) {
-  // Exact + exact under the cap: still exact.
+  // Under the old cap: merging adds counts and totals and widens min/max.
   MetricsRegistry small1;
   MetricsRegistry small2;
   for (int i = 1; i <= 100; ++i) {
@@ -119,20 +121,28 @@ TEST(Metrics, MergePreservesExactnessUnderCapOnly) {
   small1.merge_from(small2);
   util::HistStats h = small1.histogram("t.merge");
   EXPECT_EQ(h.count, 200);
-  EXPECT_FALSE(h.approximate);
-  EXPECT_DOUBLE_EQ(h.p95, 190.0);  // exact nearest-rank over 1..200
+  EXPECT_DOUBLE_EQ(h.total, 0.5 * 200 * 201);
+  EXPECT_DOUBLE_EQ(h.min, 1.0);
+  EXPECT_DOUBLE_EQ(h.max, 200.0);
 
-  // Merging past the cap (or merging a bucketed source) bucketizes, and
-  // count/total stay exact.
+  // Merging past the old cap: count/total/min/max stay exact.
   MetricsRegistry big;
   for (int i = 0; i < 5000; ++i) big.observe("t.merge", 1.0);
   small1.merge_from(big);
   h = small1.histogram("t.merge");
   EXPECT_EQ(h.count, 5200);
-  EXPECT_TRUE(h.approximate);
   EXPECT_DOUBLE_EQ(h.total, 0.5 * 200 * 201 + 5000.0);
   EXPECT_DOUBLE_EQ(h.min, 1.0);
   EXPECT_DOUBLE_EQ(h.max, 200.0);
+
+  // Merging into an empty registry copies the record; an empty source
+  // changes nothing.
+  MetricsRegistry empty;
+  empty.merge_from(small2);
+  EXPECT_EQ(empty.histogram("t.merge").count, 100);
+  EXPECT_DOUBLE_EQ(empty.histogram("t.merge").min, 101.0);
+  small1.merge_from(MetricsRegistry{});
+  EXPECT_EQ(small1.histogram("t.merge").count, 5200);
 }
 
 TEST(Metrics, ThreadSafeCounting) {
@@ -261,7 +271,7 @@ TEST(Report, MetricsSnapshotSerializes) {
   reg.observe("t.report_hist", 2.0);
   reg.observe("t.report_hist", 4.0);
   const util::json::Value doc = report::metrics_to_json();
-  EXPECT_EQ(doc.string_or("schema", ""), "m3d.metrics/v1");
+  EXPECT_EQ(doc.string_or("schema", ""), "m3d.metrics/v2");
   ASSERT_NE(doc.find("counters"), nullptr);
   EXPECT_DOUBLE_EQ(doc.find("counters")->number_or("t.report_counter", 0.0),
                    5.0);
@@ -271,6 +281,11 @@ TEST(Report, MetricsSnapshotSerializes) {
   ASSERT_NE(h, nullptr);
   EXPECT_DOUBLE_EQ(h->number_or("count", 0.0), 2.0);
   EXPECT_DOUBLE_EQ(h->number_or("mean", 0.0), 3.0);
+  EXPECT_DOUBLE_EQ(h->number_or("min", 0.0), 2.0);
+  EXPECT_DOUBLE_EQ(h->number_or("max", 0.0), 4.0);
+  EXPECT_DOUBLE_EQ(h->number_or("total", 0.0), 6.0);
+  EXPECT_EQ(h->find("p95"), nullptr);
+  EXPECT_EQ(h->find("approximate"), nullptr);
   // Round-trip through the writer/parser too.
   util::json::Value back;
   std::string err;
