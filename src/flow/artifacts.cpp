@@ -18,22 +18,22 @@ namespace {
 
 constexpr uint8_t kLibraryVersion = 1;
 constexpr uint8_t kNetlistBlobVersion = 1;
-constexpr uint8_t kPlaceBlobVersion = 1;
+constexpr uint8_t kRoutedBlobVersion = 1;
 constexpr uint8_t kCompareBlobVersion = 1;
+
+// The stages a routed artifact lets run_flow skip: gen..opt_postroute.
+constexpr size_t kRoutedStages = 6;
 
 // --- shared sub-codecs -----------------------------------------------------
 
-void encode_table(const liberty::NldmTable& t, store::BlobWriter* w) {
-  w->u32(static_cast<uint32_t>(t.slew_ps.size()));
-  for (const double v : t.slew_ps) w->f64(v);
-  w->u32(static_cast<uint32_t>(t.load_ff.size()));
-  for (const double v : t.load_ff) w->f64(v);
-  w->u32(static_cast<uint32_t>(t.value.size()));
-  for (const double v : t.value) w->f64(v);
+constexpr uint32_t kMaxValues = 1u << 24;
+
+void encode_vec(const std::vector<double>& v, store::BlobWriter* w) {
+  w->u32(static_cast<uint32_t>(v.size()));
+  for (const double x : v) w->f64(x);
 }
 
 bool decode_vec(store::BlobReader* r, std::vector<double>* out) {
-  constexpr uint32_t kMaxValues = 1u << 24;
   uint32_t n = 0;
   if (!r->u32(&n) || n > kMaxValues) return false;
   out->resize(n);
@@ -41,6 +41,26 @@ bool decode_vec(store::BlobReader* r, std::vector<double>* out) {
     if (!r->f64(&v)) return false;
   }
   return true;
+}
+
+// A per-routing-level triple.
+void encode_levels(const std::array<double, route::kNumLevels>& a,
+                   store::BlobWriter* w) {
+  for (const double v : a) w->f64(v);
+}
+
+bool decode_levels(store::BlobReader* r,
+                   std::array<double, route::kNumLevels>* a) {
+  for (double& v : *a) {
+    if (!r->f64(&v)) return false;
+  }
+  return true;
+}
+
+void encode_table(const liberty::NldmTable& t, store::BlobWriter* w) {
+  encode_vec(t.slew_ps, w);
+  encode_vec(t.load_ff, w);
+  encode_vec(t.value, w);
 }
 
 bool decode_table(store::BlobReader* r, liberty::NldmTable* t) {
@@ -93,6 +113,108 @@ bool decode_stage_reports(store::BlobReader* r, size_t expect,
     out->push_back(std::move(sr));
   }
   return true;
+}
+
+void encode_routes(const route::RouteResult& rr, store::BlobWriter* w) {
+  w->u32(static_cast<uint32_t>(rr.nets.size()));
+  for (const route::NetRoute& n : rr.nets) {
+    encode_levels(n.wl_um, w);
+    w->i32(n.vias);
+    w->u32(static_cast<uint32_t>(n.sink_path_wl.size()));
+    for (const auto& path : n.sink_path_wl) encode_levels(path, w);
+  }
+  w->f64(rr.total_wl_um);
+  encode_levels(rr.wl_by_level, w);
+  w->i64(rr.total_vias);
+  w->i32(rr.overflow_edges);
+  w->f64(rr.max_congestion);
+  w->u8(rr.routed ? 1 : 0);
+  w->i32(rr.nx);
+  w->i32(rr.ny);
+  w->f64(rr.gcell_um);
+  for (int l = 0; l < route::kNumLevels; ++l) {
+    encode_vec(rr.usage_h[l], w);
+    encode_vec(rr.usage_v[l], w);
+  }
+  encode_levels(rr.cap_h, w);
+  encode_levels(rr.cap_v, w);
+}
+
+bool decode_routes(store::BlobReader* r, route::RouteResult* rr) {
+  // Per-net records grow as they decode, so a forged count fails at the
+  // end of the blob instead of allocating up front.
+  uint32_t n_nets = 0;
+  if (!r->u32(&n_nets) || n_nets > kMaxValues) return false;
+  for (uint32_t i = 0; i < n_nets; ++i) {
+    route::NetRoute& n = rr->nets.emplace_back();
+    uint32_t n_sinks = 0;
+    if (!decode_levels(r, &n.wl_um) || !r->i32(&n.vias) ||
+        !r->u32(&n_sinks) || n_sinks > kMaxValues) {
+      return false;
+    }
+    for (uint32_t k = 0; k < n_sinks; ++k) {
+      if (!decode_levels(r, &n.sink_path_wl.emplace_back())) return false;
+    }
+  }
+  int64_t vias = 0;
+  uint8_t routed = 0;
+  if (!r->f64(&rr->total_wl_um) || !decode_levels(r, &rr->wl_by_level) ||
+      !r->i64(&vias) || !r->i32(&rr->overflow_edges) ||
+      !r->f64(&rr->max_congestion) || !r->u8(&routed) || !r->i32(&rr->nx) ||
+      !r->i32(&rr->ny) || !r->f64(&rr->gcell_um)) {
+    return false;
+  }
+  rr->total_vias = static_cast<long>(vias);
+  rr->routed = routed != 0;
+  for (int l = 0; l < route::kNumLevels; ++l) {
+    if (!decode_vec(r, &rr->usage_h[l]) || !decode_vec(r, &rr->usage_v[l])) {
+      return false;
+    }
+  }
+  return decode_levels(r, &rr->cap_h) && decode_levels(r, &rr->cap_v);
+}
+
+void encode_parasitics(const extract::Parasitics& par, store::BlobWriter* w) {
+  w->u32(static_cast<uint32_t>(par.size()));
+  for (const extract::NetParasitics& p : par) {
+    w->f64(p.wire_cap_ff);
+    w->f64(p.wire_res_kohm);
+    encode_vec(p.sink_res_kohm, w);
+    w->f64(p.wirelength_um);
+  }
+}
+
+bool decode_parasitics(store::BlobReader* r, extract::Parasitics* par) {
+  uint32_t n = 0;
+  if (!r->u32(&n) || n > kMaxValues) return false;
+  for (uint32_t i = 0; i < n; ++i) {
+    extract::NetParasitics& p = par->emplace_back();
+    if (!r->f64(&p.wire_cap_ff) || !r->f64(&p.wire_res_kohm) ||
+        !decode_vec(r, &p.sink_res_kohm) || !r->f64(&p.wirelength_um)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void encode_timing(const sta::TimingResult& t, store::BlobWriter* w) {
+  for (const auto* v : {&t.arrival_ps, &t.slew_ps, &t.required_ps,
+                        &t.inst_slack_ps, &t.load_ff}) {
+    encode_vec(*v, w);
+  }
+  w->f64(t.wns_ps);
+  w->f64(t.tns_ps);
+  w->f64(t.critical_path_ps);
+  w->i32(t.critical_endpoint);
+}
+
+bool decode_timing(store::BlobReader* r, sta::TimingResult* t) {
+  for (auto* v : {&t->arrival_ps, &t->slew_ps, &t->required_ps,
+                  &t->inst_slack_ps, &t->load_ff}) {
+    if (!decode_vec(r, v)) return false;
+  }
+  return r->f64(&t->wns_ps) && r->f64(&t->tns_ps) &&
+         r->f64(&t->critical_path_ps) && r->i32(&t->critical_endpoint);
 }
 
 // The f64 scalars of a FlowResult, in codec order (const or mutable).
@@ -295,25 +417,29 @@ bool decode_netlist_blob(const std::string& blob, FlowResult* res) {
   return true;
 }
 
-// --- placement -------------------------------------------------------------
+// --- routed design ---------------------------------------------------------
 
-std::string place_key(const FlowOptions& opt, uint64_t lib_fp) {
-  // Everything stages gen/synth/place(+CTS) read from the options.
+std::string routed_key(const FlowOptions& opt, uint64_t lib_fp) {
+  // Everything stages gen..opt_postroute read from the options; sign-off's
+  // own inputs (pi/seq activity, check_level) stay out.
   return util::strf(
-      "{\"artifact\":\"place\",%s,\"node\":\"%s\",\"style\":\"%s\","
+      "{\"artifact\":\"routed\",%s,\"node\":\"%s\",\"style\":\"%s\","
       "\"scale_shift\":%d,\"seed\":\"%llu\",\"clock_ns\":%.17g,"
-      "\"target_util\":%.17g,\"tmi_wlm\":%d,\"resistivity_scale\":%.17g,"
+      "\"target_util\":%.17g,\"tmi_wlm\":%d,"
+      "\"local_blockage_frac\":%.17g,\"resistivity_scale\":%.17g,"
       "\"lib\":\"%s\"}",
       design_source(opt).c_str(), tech::to_string(opt.node),
       tech::to_string(opt.style), opt.scale_shift,
       static_cast<unsigned long long>(opt.seed), opt.clock_ns, opt.target_util,
-      opt.tmi_wlm ? 1 : 0, opt.resistivity_scale,
-      store::key_hex(lib_fp).c_str());
+      opt.tmi_wlm ? 1 : 0, effective_local_blockage_frac(opt),
+      opt.resistivity_scale, store::key_hex(lib_fp).c_str());
 }
 
-std::string encode_place_blob(const FlowResult& res) {
+std::string encode_routed_blob(const FlowResult& res,
+                               const extract::Parasitics& par,
+                               const sta::TimingResult& timing) {
   store::BlobWriter w;
-  w.u8(kPlaceBlobVersion);
+  w.u8(kRoutedBlobVersion);
   circuit::encode_netlist(res.netlist, &w);
   w.f64(res.die.core.xlo);
   w.f64(res.die.core.ylo);
@@ -321,16 +447,23 @@ std::string encode_place_blob(const FlowResult& res) {
   w.f64(res.die.core.yhi);
   w.f64(res.die.row_height_um);
   w.i32(res.die.num_rows);
-  encode_stage_reports(res, 3, &w);
+  encode_routes(res.routes, &w);
+  encode_parasitics(par, &w);
+  encode_timing(timing, &w);
+  encode_stage_reports(res, kRoutedStages, &w);
   return w.take();
 }
 
-bool decode_place_blob(const std::string& blob, FlowResult* res) {
+bool decode_routed_blob(const std::string& blob, FlowResult* res,
+                        extract::Parasitics* par, sta::TimingResult* timing) {
   store::BlobReader r(blob);
   uint8_t version = 0;
-  if (!r.u8(&version) || version != kPlaceBlobVersion) return false;
+  if (!r.u8(&version) || version != kRoutedBlobVersion) return false;
   circuit::Netlist nl;
   place::Die die;
+  route::RouteResult routes;
+  extract::Parasitics p;
+  sta::TimingResult t;
   std::vector<StageReport> reports;
   if (!circuit::decode_netlist(&r, &nl)) return false;
   if (!r.f64(&die.core.xlo) || !r.f64(&die.core.ylo) ||
@@ -338,9 +471,16 @@ bool decode_place_blob(const std::string& blob, FlowResult* res) {
       !r.f64(&die.row_height_um) || !r.i32(&die.num_rows)) {
     return false;
   }
-  if (!decode_stage_reports(&r, 3, &reports) || !r.at_end()) return false;
+  if (!decode_routes(&r, &routes) || !decode_parasitics(&r, &p) ||
+      !decode_timing(&r, &t) || !decode_stage_reports(&r, kRoutedStages, &reports) ||
+      !r.at_end()) {
+    return false;
+  }
   res->netlist = std::move(nl);
   res->die = die;
+  res->routes = std::move(routes);
+  *par = std::move(p);
+  *timing = std::move(t);
   for (StageReport& sr : reports) res->stages.push_back(std::move(sr));
   return true;
 }

@@ -7,34 +7,46 @@
 //
 //   library  <- (provider, node, style)
 //   netlist  <- (bench, scale_shift, seed)           [pure generator output]
-//   place    <- + (node, style, clock_ns, target_util, tmi_wlm,
-//                  resistivity_scale, library fp)
+//   routed   <- + (node, style, clock_ns, target_util, tmi_wlm,
+//                  effective local_blockage_frac, resistivity_scale,
+//                  library fp)
 //   compare  <- (bench, node, resolved 3D style, scale_shift, seed,
 //                clock_ns, target_util, tmi_wlm, local_blockage_frac,
 //                resistivity_scale, pi/seq activity, check_level,
 //                2D library fp, 3D library fp)
 //
+// The routed key leaves out exactly what only sign-off reads (pi_activity,
+// seq_activity, check_level): a switching-activity sweep over one design
+// routes it once and re-runs only sign-off per activity.
+//
 // The library fingerprint (FNV-1a-64 over the lossless binary encoding)
 // appears in every key whose artifact was computed *against* a library, so
 // two providers serving different cells for the same (node, style) can
-// never poison each other's placements. A custom netlist has no canonical
-// serialization in the key schema: the place and compare keys carry its
+// never poison each other's designs. A custom netlist has no canonical
+// serialization in the key schema: the routed and compare keys carry its
 // structural hash in place of the bench, and the netlist artifact is
 // skipped for it.
 //
-// Codecs are bit-exact (store/blob.hpp): library tables, netlist state and
-// placement coordinates round-trip as raw IEEE-754 bit patterns, never
-// text — the acceptance bar is that a store-hit flow emits the same
-// canonical report bytes as a cold flow. Each blob also carries the
-// StageReports of the stages it lets run_flow skip, so replayed reports
-// keep the per-stage counters byte-identical in the canonical report.
+// Keys name inputs, not code: an entry written by older code is served to
+// newer code unchanged (ROADMAP item 5). Clear the store after changing a
+// stage.
+//
+// Codecs are bit-exact (store/blob.hpp): library tables, netlist state,
+// placement coordinates, routes, parasitics and timing round-trip as raw
+// IEEE-754 bit patterns, never text — the acceptance bar is that a
+// store-hit flow emits the same canonical report bytes as a cold flow. Each
+// blob also carries the StageReports of the stages it lets run_flow skip,
+// so replayed reports keep the per-stage counters byte-identical in the
+// canonical report.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "extract/parasitics.hpp"
 #include "flow/flow.hpp"
 #include "liberty/library.hpp"
+#include "sta/sta.hpp"
 #include "tech/tech.hpp"
 
 namespace m3d::flow::artifacts {
@@ -73,19 +85,26 @@ std::string encode_netlist_blob(const FlowResult& res);
 /// res->stages. False on malformed input (caller falls back to running).
 bool decode_netlist_blob(const std::string& blob, FlowResult* res);
 
-// --- placement -------------------------------------------------------------
+// --- routed design ---------------------------------------------------------
 
-/// Key of the placed (and CTS'd) design: everything that determines stages
-/// gen/synth/place. `opt.clock_ns` must already be resolved (> 0). A
+/// Key of the routed, post-route-optimized design: everything that
+/// determines stages gen..opt_postroute. `opt.clock_ns` must already be
+/// resolved (> 0); local_blockage_frac enters at its effective value. A
 /// custom netlist contributes its structural hash in place of the bench.
-std::string place_key(const FlowOptions& opt, uint64_t lib_fp);
+std::string routed_key(const FlowOptions& opt, uint64_t lib_fp);
 
-/// Blob: exact post-place netlist snapshot + die + the "gen"/"synth"/
-/// "place" StageReports (res.stages[0..2]).
-std::string encode_place_blob(const FlowResult& res);
-/// Restores res->netlist (unbound — caller rebinds) and res->die, appends
-/// the three stored StageReports. False on malformed input.
-bool decode_place_blob(const std::string& blob, FlowResult* res);
+/// Blob: the state run_flow holds when opt_postroute ends — exact netlist
+/// snapshot, die, routes, the post-route optimizer's final parasitics and
+/// timing (what sign-off consumes), and the six StageReports
+/// gen..opt_postroute (res.stages[0..5]).
+std::string encode_routed_blob(const FlowResult& res,
+                               const extract::Parasitics& par,
+                               const sta::TimingResult& timing);
+/// Restores res->netlist (unbound — caller rebinds), res->die, res->routes,
+/// `*par` and `*timing`, and appends the six stored StageReports. False on
+/// malformed input, leaving every output untouched.
+bool decode_routed_blob(const std::string& blob, FlowResult* res,
+                        extract::Parasitics* par, sta::TimingResult* timing);
 
 // --- iso-comparison --------------------------------------------------------
 

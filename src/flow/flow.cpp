@@ -106,6 +106,119 @@ synth::Wlm default_wlm(const FlowOptions& opt, const circuit::Netlist& nl,
   return wlm;
 }
 
+/// Stages gen..opt_postroute: everything before sign-off. Leaves the
+/// routed, optimized design in `res` and the post-route optimizer's final
+/// extraction and STA of it in `*par` / `*timing`, which is all sign-off
+/// reads. A bench netlist comes from (and goes to) `store` when it is open.
+void run_design_stages(const FlowOptions& opt, const tech::Tech& tch,
+                       const store::Store& store, bool tracing,
+                       double tier_count, FlowResult* res,
+                       extract::Parasitics* par, sta::TimingResult* timing) {
+  circuit::Netlist& nl = res->netlist;
+
+  // 1. Benchmark netlist — itself store-backed: generation is a pure
+  // function of (bench, scale_shift, seed).
+  bool gen_restored = false;
+  std::string netlist_k;
+  const bool gen_storable = store.enabled() && opt.custom_netlist == nullptr;
+  if (gen_storable) {
+    netlist_k = artifacts::netlist_key(opt);
+    if (const auto blob = store.get("netlist", netlist_k)) {
+      if (artifacts::decode_netlist_blob(*blob, res)) {
+        res->bench_name = nl.name;
+        replay_stages(*res, res->stages.size() - 1, opt.stage_observer);
+        gen_restored = true;
+      }
+    }
+  }
+  if (!gen_restored) {
+    run_stage(res, "gen", tracing, opt.stage_observer, [&] {
+      if (opt.custom_netlist != nullptr) {
+        nl = *opt.custom_netlist;
+      } else {
+        gen::GenOptions gopt;
+        gopt.scale_shift = opt.scale_shift;
+        gopt.seed = opt.seed;
+        nl = gen::make_benchmark(opt.bench, gopt);
+      }
+      res->bench_name = nl.name;
+    });
+    if (gen_storable &&
+        !store.put("netlist", netlist_k, artifacts::encode_netlist_blob(*res))) {
+      util::warn("store: failed to cache netlist artifact " + netlist_k);
+    }
+  }
+
+  // 2. Synthesis with the style's WLM.
+  run_stage(res, "synth", tracing, opt.stage_observer, [&] {
+    synth::SynthOptions sopt;
+    sopt.clock_ns = opt.clock_ns;
+    synth::synthesize(&nl, *opt.lib, default_wlm(opt, nl, tch), sopt);
+  });
+
+  // 3. Placement, plus clock tree synthesis (the tree's buffers/nets are
+  // ordinary objects: routed, extracted and powered like everything else).
+  run_stage(res, "place", tracing, opt.stage_observer, [&] {
+    res->die = place::make_die(&nl, opt.target_util * tier_count,
+                               tch.row_height_um());
+    place::PlaceOptions popt;
+    popt.target_util = opt.target_util;
+    popt.seed = opt.seed;
+    place::place_design(&nl, res->die, popt);
+    cts::CtsOptions copt;
+    copt.die = &res->die;  // keep clock buffers row-legal
+    cts::build_clock_tree(&nl, *opt.lib, copt);
+  });
+
+  // 4. Pre-route optimization on placement estimates. G-MI first assigns
+  // tiers by min-cut on the placed design with its clock tree.
+  opt::OptOptions oopt;
+  gmi::PartitionResult tiers;
+  run_stage(res, "opt_preroute", tracing, opt.stage_observer, [&] {
+    if (opt.style == tech::Style::kGMI) {
+      tiers = gmi::partition_tiers(nl);
+      util::count("gmi.cut_nets", tiers.cut_nets);
+    }
+    oopt.clock_ns = opt.clock_ns;
+    oopt.die = &res->die;  // keep inserted buffers row-legal
+    oopt.allow_buffering = true;
+    oopt.buffer_net_wl_um =
+        120.0 * (opt.node == tech::Node::k7nm ? 7.0 / 45.0 : 1.0);
+    opt::optimize(&nl, *opt.lib,
+                  [&](const circuit::Netlist& n) {
+                    return extract::extract_from_placement(n, tch);
+                  },
+                  oopt);
+  });
+
+  // 5. Global routing.
+  run_stage(res, "route", tracing, opt.stage_observer, [&] {
+    route::RouteOptions ropt;
+    ropt.seed = opt.seed;
+    ropt.local_blockage_frac = effective_local_blockage_frac(opt);
+    res->routes = route::global_route(nl, res->die, tch, ropt);
+  });
+
+  // Routed parasitics; in G-MI every tier-crossing net adds one MIV.
+  const auto routed_parasitics = [&](const circuit::Netlist& n) {
+    extract::Parasitics p = extract::extract_from_routes(n, tch, res->routes);
+    if (opt.style == tech::Style::kGMI) {
+      gmi::add_cut_mivs(n, tiers.tier_of, tch, &p);
+    }
+    return p;
+  };
+
+  // 6. Post-route optimization: sizing only, routes preserved (paper S5).
+  run_stage(res, "opt_postroute", tracing, opt.stage_observer, [&] {
+    opt::OptOptions oopt2 = oopt;
+    oopt2.allow_buffering = false;
+    opt::OptReport postroute =
+        opt::optimize(&nl, *opt.lib, routed_parasitics, oopt2);
+    *par = std::move(postroute.parasitics);
+    *timing = std::move(postroute.timing);
+  });
+}
+
 }  // namespace
 
 FlowOptions preset(gen::Bench bench, tech::Node node) {
@@ -132,6 +245,13 @@ FlowOptions preset(gen::Bench bench, tech::Node node) {
       break;
   }
   return o;
+}
+
+double effective_local_blockage_frac(const FlowOptions& opt) {
+  // The default derate models the MB1/MIV blockage inside folded cells;
+  // planar cells (2D, G-MI) have none.
+  if (opt.local_blockage_frac >= 0.0) return opt.local_blockage_frac;
+  return tech::cell_style(opt.style) == tech::Style::kTMI ? 0.03 : 0.0;
 }
 
 FlowResult run_flow(const FlowOptions& opt_in) {
@@ -163,7 +283,7 @@ FlowResult run_flow(const FlowOptions& opt_in) {
   // Trace collection window: opened before the flow span so the root span
   // lands in the timeline, attributed to this run's own trace flow (its
   // Chrome-trace pid). The real benchmark name replaces the placeholder
-  // once gen has run.
+  // once the design is known.
   const bool tracing = opt.trace || obs::env_enabled();
   std::optional<obs::ScopedTraceEnable> trace_window;
   std::optional<obs::ScopedContext> flow_attribution;
@@ -195,61 +315,35 @@ FlowResult run_flow(const FlowOptions& opt_in) {
 
   // 0. Store lookup (outside any stage body, so the store.* counters never
   // leak into a StageReport and cold/warm canonical reports stay
-  // byte-identical). A placement hit restores the exact post-place state —
-  // netlist, die, and the recorded gen/synth/place StageReports — and the
-  // flow resumes at pre-route optimization.
+  // byte-identical). A routed hit restores the exact state opt_postroute
+  // leaves — netlist, die, routes, the optimizer's final parasitics and
+  // timing, and the six recorded StageReports — and the flow resumes at
+  // sign-off, the only stage that reads the switching activities.
   circuit::Netlist& nl = res.netlist;
-  uint64_t lib_fp = 0;
-  std::string place_k;
-  bool place_restored = false;
+  extract::Parasitics signoff_par;
+  std::string routed_k;
+  bool routed_restored = false;
   if (use_store) {
-    lib_fp = artifacts::library_fingerprint(*opt.lib);
-    place_k = artifacts::place_key(opt, lib_fp);
-    if (const auto blob = store.get("place", place_k)) {
-      if (artifacts::decode_place_blob(*blob, &res)) {
+    routed_k = artifacts::routed_key(
+        opt, artifacts::library_fingerprint(*opt.lib));
+    if (const auto blob = store.get("routed", routed_k)) {
+      if (artifacts::decode_routed_blob(*blob, &res, &signoff_par, &timing)) {
         // Binding pointers are not serialized; rebinding against the same
         // library (same fingerprint, by key) reproduces them exactly.
         nl.bind(*opt.lib);
         res.bench_name = nl.name;
         replay_stages(res, 0, opt.stage_observer);
-        place_restored = true;
+        routed_restored = true;
       }
     }
   }
-
-  if (!place_restored) {
-    // 1. Benchmark netlist — itself store-backed: generation is a pure
-    // function of (bench, scale_shift, seed).
-    bool gen_restored = false;
-    std::string netlist_k;
-    const bool gen_storable = use_store && opt.custom_netlist == nullptr;
-    if (gen_storable) {
-      netlist_k = artifacts::netlist_key(opt);
-      if (const auto blob = store.get("netlist", netlist_k)) {
-        if (artifacts::decode_netlist_blob(*blob, &res)) {
-          res.bench_name = nl.name;
-          replay_stages(res, res.stages.size() - 1, opt.stage_observer);
-          gen_restored = true;
-        }
-      }
-    }
-    if (!gen_restored) {
-      run_stage(&res, "gen", tracing, opt.stage_observer, [&] {
-        if (opt.custom_netlist != nullptr) {
-          res.netlist = *opt.custom_netlist;
-        } else {
-          gen::GenOptions gopt;
-          gopt.scale_shift = opt.scale_shift;
-          gopt.seed = opt.seed;
-          res.netlist = gen::make_benchmark(opt.bench, gopt);
-        }
-        res.bench_name = nl.name;
-      });
-      if (gen_storable &&
-          !store.put("netlist", netlist_k,
-                     artifacts::encode_netlist_blob(res))) {
-        util::warn("store: failed to cache netlist artifact " + netlist_k);
-      }
+  if (!routed_restored) {
+    run_design_stages(opt, tch, store, tracing, tier_count, &res,
+                      &signoff_par, &timing);
+    if (use_store &&
+        !store.put("routed", routed_k,
+                   artifacts::encode_routed_blob(res, signoff_par, timing))) {
+      util::warn("store: failed to cache routed artifact " + routed_k);
     }
   }
   if (tracing) {
@@ -258,96 +352,16 @@ FlowResult run_flow(const FlowOptions& opt_in) {
                                            tech::to_string(opt.style)));
   }
 
-  if (!place_restored) {
-    // 2. Synthesis with the style's WLM.
-    run_stage(&res, "synth", tracing, opt.stage_observer, [&] {
-      synth::SynthOptions sopt;
-      sopt.clock_ns = opt.clock_ns;
-      synth::synthesize(&nl, *opt.lib, default_wlm(opt, nl, tch), sopt);
-    });
-
-    // 3. Placement, plus clock tree synthesis (the tree's buffers/nets are
-    // ordinary objects: routed, extracted and powered like everything else).
-    run_stage(&res, "place", tracing, opt.stage_observer, [&] {
-      res.die = place::make_die(&nl, opt.target_util * tier_count,
-                                tch.row_height_um());
-      place::PlaceOptions popt;
-      popt.target_util = opt.target_util;
-      popt.seed = opt.seed;
-      place::place_design(&nl, res.die, popt);
-      cts::CtsOptions copt;
-      copt.die = &res.die;  // keep clock buffers row-legal
-      cts::build_clock_tree(&nl, *opt.lib, copt);
-    });
-    if (use_store &&
-        !store.put("place", place_k, artifacts::encode_place_blob(res))) {
-      util::warn("store: failed to cache placement artifact " + place_k);
-    }
-  }
-
-  // 4. Pre-route optimization on placement estimates. G-MI first assigns
-  // tiers by min-cut on the placed design with its clock tree; doing it
-  // here, after a place-stage store restore, keeps warm runs equal to cold.
-  opt::OptOptions oopt;
-  gmi::PartitionResult tiers;
-  run_stage(&res, "opt_preroute", tracing, opt.stage_observer, [&] {
-    if (opt.style == tech::Style::kGMI) {
-      tiers = gmi::partition_tiers(nl);
-      util::count("gmi.cut_nets", tiers.cut_nets);
-    }
-    oopt.clock_ns = opt.clock_ns;
-    oopt.die = &res.die;  // keep inserted buffers row-legal
-    oopt.allow_buffering = true;
-    oopt.buffer_net_wl_um =
-        120.0 * (opt.node == tech::Node::k7nm ? 7.0 / 45.0 : 1.0);
-    opt::optimize(&nl, *opt.lib,
-                  [&](const circuit::Netlist& n) {
-                    return extract::extract_from_placement(n, tch);
-                  },
-                  oopt);
-  });
-
-  // 5. Global routing.
-  run_stage(&res, "route", tracing, opt.stage_observer, [&] {
-    route::RouteOptions ropt;
-    ropt.seed = opt.seed;
-    // The default derate models the MB1/MIV blockage inside folded cells;
-    // planar cells (2D, G-MI) have none.
-    ropt.local_blockage_frac =
-        opt.local_blockage_frac >= 0.0
-            ? opt.local_blockage_frac
-            : (tech::cell_style(opt.style) == tech::Style::kTMI ? 0.03 : 0.0);
-    res.routes = route::global_route(nl, res.die, tch, ropt);
-  });
-
-  // Routed parasitics; in G-MI every tier-crossing net adds one MIV.
-  const auto routed_parasitics = [&](const circuit::Netlist& n) {
-    extract::Parasitics par = extract::extract_from_routes(n, tch, res.routes);
-    if (opt.style == tech::Style::kGMI) {
-      gmi::add_cut_mivs(n, tiers.tier_of, tch, &par);
-    }
-    return par;
-  };
-
-  // 6. Post-route optimization: sizing only, routes preserved (paper S5).
-  opt::OptReport postroute;
-  run_stage(&res, "opt_postroute", tracing, opt.stage_observer, [&] {
-    opt::OptOptions oopt2 = oopt;
-    oopt2.allow_buffering = false;
-    postroute = opt::optimize(&nl, *opt.lib, routed_parasitics, oopt2);
-  });
-
   // 7. Sign-off timing and power. The post-route optimizer's final analysis
   // is the routed extraction and STA of exactly this netlist at this clock,
   // so sign-off takes it rather than timing the same state again.
   run_stage(&res, "sta_power", tracing, opt.stage_observer, [&] {
-    timing = std::move(postroute.timing);
     power::PowerOptions pw;
     pw.clock_ns = opt.clock_ns;
     pw.vdd_v = opt.lib->vdd_v;
     pw.pi_activity = opt.pi_activity;
     pw.seq_activity = opt.seq_activity;
-    power = power::run_power(nl, postroute.parasitics, &timing, pw);
+    power = power::run_power(nl, signoff_par, &timing, pw);
   });
 
   // 8. Invariant checks on every sign-off artifact (src/check). Violations

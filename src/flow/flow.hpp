@@ -84,7 +84,9 @@ struct FlowOptions {
   /// Content-addressed stage-artifact store directory (src/store): when
   /// set (or via the M3D_STORE environment variable), run_flow memoizes
   /// and reuses its expensive prefixes — the generated netlist and the
-  /// placed (+CTS) design — across runs and processes.
+  /// routed, post-route-optimized design — across runs and processes. The
+  /// routed design's key leaves out pi_activity, seq_activity and
+  /// check_level, so runs that differ only in those re-run sign-off alone.
   /// Replayed stages keep their recorded StageReports, so a store-hit
   /// run's canonical report is byte-identical to a cold run's.
   /// Empty and no M3D_STORE: the serial fallback — every stage runs.
@@ -155,6 +157,11 @@ struct FlowResult {
     return nullptr;
   }
 };
+
+/// The local-capacity derate run_flow routes with: opt.local_blockage_frac,
+/// or when that is negative the style's default (0.03 under folded T-MI
+/// cells, 0 for 2D and G-MI).
+double effective_local_blockage_frac(const FlowOptions& opt);
 
 /// Runs the complete flow once. opt.lib must outlive the call.
 FlowResult run_flow(const FlowOptions& opt);

@@ -300,6 +300,8 @@ double measure_leakage_uw(const cells::CellSpec& spec,
   st.ctx.prepare(st.cc.ckt);
   // One minterm per chunk (grain 1), so the left-to-right partial fold is
   // the exact same `total += state` sequence the serial loop performed.
+  // Each minterm flags its own slot when its transient fails to converge.
+  std::vector<char> unconverged(states, 0);
   const double total = exec::parallel_reduce(
       states, 0.0,
       [&](size_t mb, size_t me) {
@@ -328,12 +330,22 @@ double measure_leakage_uw(const cells::CellSpec& spec,
           topt.dt_ps = seq ? 1.0 : 5.0;
           topt.tail_ps = seq ? 100.0 : 0.0;
           const spice::TranResult r = spice::simulate(ckt, topt, &st.ctx);
+          if (!r.converged) unconverged[ms] = 1;
           // mA * V = mW; convert to uW.
           part += r.source_avg_current_ma.at(st.cc.vdd_node) * vdd * 1000.0;
         }
         return part;
       },
       [](double a, double b) { return a + b; }, /*grain=*/1);
+  // An unconverged minterm still enters the average as simulated; it is
+  // counted and named so the figure is never trusted silently.
+  for (size_t m = 0; m < states; ++m) {
+    if (!unconverged[m]) continue;
+    util::count("liberty.leakage_unconverged");
+    util::warn(util::strf("char: %s: leakage transient at minterm %zu did not "
+                          "converge; its current is averaged as simulated",
+                          spec.name.c_str(), m));
+  }
   return states > 0 ? std::max(0.0, total / static_cast<double>(states)) : 0.0;
 }
 

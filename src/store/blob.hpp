@@ -57,6 +57,8 @@ class BlobReader {
   bool f64(double* v) { return raw(v, sizeof *v); }
   bool str(std::string* s);
 
+  /// Bytes consumed so far.
+  size_t pos() const { return pos_; }
   /// False once any read ran past the end (sticky).
   bool ok() const { return ok_; }
   /// True when every byte was consumed (trailing garbage is corruption).

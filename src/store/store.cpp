@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -53,13 +52,16 @@ class DirLock {
   int fd_ = -1;
 };
 
+/// Reads the whole file into `*out` with one allocation of its size.
 bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
+  const std::streamoff size = in.tellg();
+  if (size < 0) return false;
+  out->resize(static_cast<size_t>(size));
+  in.seekg(0);
+  return static_cast<bool>(
+      in.read(out->data(), static_cast<std::streamsize>(size)));
 }
 
 /// Splits "<stage>-<16hex>.m3ds" (basename). Returns false for lock/temp/
@@ -84,16 +86,17 @@ bool parse_entry_name(const std::string& base, std::string* stage,
   return true;
 }
 
-std::string entry_bytes(const std::string& stage, const std::string& key,
-                        const std::string& blob) {
+/// Everything an entry holds before its blob: magic, stage, key echo, blob
+/// checksum and the blob's length prefix. Followed by the blob itself, this
+/// is exactly the length-prefixed layout parse_entry reads.
+std::string entry_header(const std::string& stage, const std::string& key,
+                         const std::string& blob) {
   BlobWriter w;
   w.str(stage);
   w.str(key);
   w.u64(fnv1a64(blob));
-  w.str(blob);
-  std::string text;
-  text.reserve(kMagicLen + w.bytes().size());
-  text.append(kMagic, kMagicLen);
+  w.u32(static_cast<uint32_t>(blob.size()));
+  std::string text(kMagic, kMagicLen);
   text += w.bytes();
   return text;
 }
@@ -116,27 +119,30 @@ std::string Store::entry_path(const std::string& stage,
 Store::ReadStatus Store::parse_entry(const std::string& text,
                                      const std::string& expect_stage,
                                      const std::string& expect_key,
-                                     uint64_t expect_hash, std::string* blob) {
+                                     uint64_t expect_hash,
+                                     size_t* blob_offset) {
   if (text.size() < kMagicLen ||
       text.compare(0, kMagicLen, kMagic, kMagicLen) != 0) {
     return ReadStatus::kCorrupt;
   }
-  BlobReader r(std::string_view(text).substr(kMagicLen));
+  const std::string_view body = std::string_view(text).substr(kMagicLen);
+  BlobReader r(body);
   std::string stage;
   std::string key;
   uint64_t checksum = 0;
-  std::string payload;
+  uint32_t blob_len = 0;
   if (!r.str(&stage) || !r.str(&key) || !r.u64(&checksum) ||
-      !r.str(&payload) || !r.at_end()) {
+      !r.u32(&blob_len) || body.size() - r.pos() != blob_len) {
     return ReadStatus::kCorrupt;
   }
+  const std::string_view payload = body.substr(r.pos());
   if (stage != expect_stage) return ReadStatus::kCorrupt;
   if (fnv1a64(key) != expect_hash) return ReadStatus::kCorrupt;
   if (fnv1a64(payload) != checksum) return ReadStatus::kCorrupt;
   // A well-formed entry for a *different* canonical key under the same
   // hash: a genuine collision, not damage — leave the file alone.
   if (!expect_key.empty() && key != expect_key) return ReadStatus::kCollision;
-  *blob = std::move(payload);
+  *blob_offset = kMagicLen + r.pos();
   return ReadStatus::kOk;
 }
 
@@ -150,12 +156,15 @@ std::optional<std::string> Store::get(const std::string& stage,
     const std::string path = entry_path(stage, key_string);
     std::string text;
     if (read_file(path, &text)) {
-      std::string blob;
+      size_t blob_offset = 0;
       switch (parse_entry(text, stage, key_string, fnv1a64(key_string),
-                          &blob)) {
+                          &blob_offset)) {
         case ReadStatus::kOk:
           oc = GetOutcome::kHit;
-          result = std::move(blob);
+          // Strip the header in place: the file text becomes the blob, so
+          // a hit never holds two copies of it.
+          text.erase(0, blob_offset);
+          result = std::move(text);
           // LRU stamp: a hit refreshes the entry's mtime so the GC sweep
           // evicts cold entries first. Pure metadata — never a clock read.
           ::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
@@ -217,14 +226,16 @@ bool Store::put(const std::string& stage, const std::string& key_string,
   const std::string tmp =
       util::strf("%s.tmp.%d.%llu", path.c_str(), static_cast<int>(::getpid()),
                  static_cast<unsigned long long>(seq.fetch_add(1)));
-  const std::string text = entry_bytes(stage, key_string, blob);
+  const std::string header = entry_header(stage, key_string, blob);
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
       util::warn(util::strf("store: cannot write %s", tmp.c_str()));
       return false;
     }
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
+    // Header, then the caller's blob as is: no concatenated copy.
+    out.write(header.data(), static_cast<std::streamsize>(header.size()));
+    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
     if (!out.good()) {
       std::remove(tmp.c_str());
       return false;
@@ -322,7 +333,7 @@ VerifyResult Store::verify() const {
   const DirLock lock(dir_, /*exclusive=*/false);
   for (const EntryInfo& e : list()) {
     std::string text;
-    std::string blob;
+    size_t blob_offset = 0;
     uint64_t hash = 0;
     for (const char c : e.key_hex) {
       hash = hash * 16 + static_cast<uint64_t>(
@@ -330,7 +341,7 @@ VerifyResult Store::verify() const {
     }
     const bool ok =
         read_file(e.path, &text) &&
-        parse_entry(text, e.stage, /*expect_key=*/"", hash, &blob) ==
+        parse_entry(text, e.stage, /*expect_key=*/"", hash, &blob_offset) ==
             ReadStatus::kOk;
     if (ok) {
       ++res.entries;

@@ -1,7 +1,7 @@
 // Content-addressed stage-artifact store: a persistent, single-host cache
 // keyed (stage, FNV-1a-64 of a canonical key string) -> artifact blob. The
 // flow memoizes its expensive prefixes through it (characterized libraries,
-// generated netlists, placements — see flow/artifacts.hpp for the key
+// generated netlists, routed designs — see flow/artifacts.hpp for the key
 // schema), and the benches keep their comparison results in it, so results
 // survive process restarts and are shared between processes on one host.
 //
@@ -136,12 +136,13 @@ class Store {
 
  private:
   enum class ReadStatus { kOk, kCorrupt, kCollision };
-  /// Parses + verifies one entry file's bytes. `expect_key` empty: accept
-  /// any key whose hash matches `expect_hash` (verify()'s mode).
+  /// Parses + verifies one entry file's bytes; on kOk the blob is
+  /// text[*blob_offset..]. `expect_key` empty: accept any key whose hash
+  /// matches `expect_hash` (verify()'s mode).
   static ReadStatus parse_entry(const std::string& text,
                                 const std::string& expect_stage,
                                 const std::string& expect_key,
-                                uint64_t expect_hash, std::string* blob);
+                                uint64_t expect_hash, size_t* blob_offset);
 
   std::string dir_;
   mutable std::atomic<int64_t> hits_{0};

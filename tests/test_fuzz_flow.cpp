@@ -165,7 +165,7 @@ TEST(FuzzFlow, SerialVsFourThreadsCanonicalReportsByteIdentical) {
 // --- differential oracle: cold vs store-warm byte identity ----------------
 //
 // The stage-artifact store (src/store) must be invisible in the output: a
-// run that restores its placement from the store has to emit the same
+// run that restores its routed design from the store has to emit the same
 // canonical report bytes — and hold the same netlist and placement hashes —
 // as the cold run that populated it, on adversarial circuits, not just the
 // curated benchmarks.
@@ -205,16 +205,27 @@ TEST(FuzzFlow, StoreWarmRunsByteIdenticalToCold) {
                 check::placement_hash(cold.netlist));
       EXPECT_EQ(report::to_canonical_json_string(warm),
                 report::to_canonical_json_string(cold));
-      // The warm run really came from the store: the placement artifact hit
-      // (custom netlists key by structural hash) and gen/synth/place never
-      // ran.
+      // The warm run really came from the store: the routed artifact hit
+      // (custom netlists key by structural hash) and no stage before
+      // sign-off ran.
       EXPECT_EQ(cold_reg.counter("store.hits"), 0.0);
       EXPECT_GE(warm_reg.counter("store.hits"), 1.0);
       EXPECT_EQ(warm_reg.histogram("span.flow.place").count, 0);
+      EXPECT_EQ(warm_reg.histogram("span.flow.opt_preroute").count, 0);
+      EXPECT_EQ(warm_reg.histogram("span.flow.route").count, 0);
+      EXPECT_EQ(warm_reg.histogram("span.flow.opt_postroute").count, 0);
     }
   }
   const store::Store st(dir);
   EXPECT_TRUE(st.verify().clean());
+  // One routed design per (circuit, style); custom netlists store no
+  // netlist artifact, and no other kind is written.
+  size_t routed_entries = 0;
+  for (const store::EntryInfo& e : st.list()) {
+    EXPECT_EQ(e.stage, "routed");
+    if (e.stage == "routed") ++routed_entries;
+  }
+  EXPECT_EQ(routed_entries, 6u);
   std::filesystem::remove_all(dir);
 }
 

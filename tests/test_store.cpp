@@ -11,10 +11,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -28,11 +30,14 @@
 #include "check/check.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/snapshot.hpp"
+#include "extract/parasitics.hpp"
 #include "flow/artifacts.hpp"
 #include "flow/flow.hpp"
 #include "flow/report.hpp"
 #include "flow/warm.hpp"
 #include "liberty/characterize.hpp"
+#include "route/route.hpp"
+#include "sta/sta.hpp"
 #include "store/blob.hpp"
 #include "store/store.hpp"
 #include "util/metrics.hpp"
@@ -179,9 +184,9 @@ TEST(StoreBasics, PutGetRoundTripWithStats) {
   EXPECT_EQ(oc, store::GetOutcome::kHit);
 
   // Same key, different stage: a distinct entry.
-  EXPECT_FALSE(st.get("place", "key-a").has_value());
-  ASSERT_TRUE(st.put("place", "key-a", "blob-b"));
-  EXPECT_EQ(*st.get("place", "key-a"), "blob-b");
+  EXPECT_FALSE(st.get("routed", "key-a").has_value());
+  ASSERT_TRUE(st.put("routed", "key-a", "blob-b"));
+  EXPECT_EQ(*st.get("routed", "key-a"), "blob-b");
 
   // Overwrite wins.
   ASSERT_TRUE(st.put("netlist", "key-a", "blob-a2"));
@@ -197,7 +202,25 @@ TEST(StoreBasics, PutGetRoundTripWithStats) {
   const std::vector<store::EntryInfo> entries = st.list();
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].stage, "netlist");  // ordered by (stage, key)
-  EXPECT_EQ(entries[1].stage, "place");
+  EXPECT_EQ(entries[1].stage, "routed");
+}
+
+// An entry file is "m3ds1\n" then the length-prefixed stage, key echo,
+// blob checksum and blob. put writes that layout from a separate header and
+// the caller's blob; the bytes must stay what every stored entry holds.
+TEST(StoreBasics, EntryFileLayoutIsPinned) {
+  const TempDir dir("layout");
+  const store::Store st(dir.path);
+  const std::string blob("blob\0with a NUL", 15);
+  ASSERT_TRUE(st.put("routed", "key-a", blob));
+  store::BlobWriter w;
+  w.str("routed");
+  w.str("key-a");
+  w.u64(store::fnv1a64(blob));
+  w.str(blob);
+  EXPECT_EQ(read_file(st.entry_path("routed", "key-a")),
+            std::string("m3ds1\n") + w.bytes());
+  EXPECT_EQ(*st.get("routed", "key-a"), blob);
 }
 
 TEST(StoreBasics, EmptyDirDisablesEverything) {
@@ -219,21 +242,21 @@ TEST(StoreBasics, EmptyDirDisablesEverything) {
 TEST(StoreCrash, TruncatedBlobReadsAsMissAndSelfHeals) {
   const TempDir dir("truncated");
   const store::Store st(dir.path);
-  ASSERT_TRUE(st.put("place", "k", "a placed design blob"));
-  const std::string path = st.entry_path("place", "k");
+  ASSERT_TRUE(st.put("routed", "k", "a routed design blob"));
+  const std::string path = st.entry_path("routed", "k");
 
   const std::string full = read_file(path);
   ASSERT_GT(full.size(), 8u);
   write_file(path, full.substr(0, full.size() / 2));  // crash mid-write shape
 
   store::GetOutcome oc = store::GetOutcome::kHit;
-  EXPECT_FALSE(st.get("place", "k", &oc).has_value());
+  EXPECT_FALSE(st.get("routed", "k", &oc).has_value());
   EXPECT_EQ(oc, store::GetOutcome::kCorrupt);
   // Evicted on sight: the file is gone until the next write.
   EXPECT_FALSE(std::filesystem::exists(path));
 
-  ASSERT_TRUE(st.put("place", "k", "a placed design blob"));
-  EXPECT_EQ(*st.get("place", "k"), "a placed design blob");
+  ASSERT_TRUE(st.put("routed", "k", "a routed design blob"));
+  EXPECT_EQ(*st.get("routed", "k"), "a routed design blob");
   EXPECT_EQ(st.stats().corrupt, 1);
 }
 
@@ -265,14 +288,14 @@ TEST(StoreCrash, WrongStageBlobUnderTheRightHashReadsAsMiss) {
   const store::Store st(dir.path);
   ASSERT_TRUE(st.put("netlist", "k", "netlist bytes"));
 
-  // Plant the netlist entry at the place-stage path for the same key hash
+  // Plant the netlist entry at the routed-stage path for the same key hash
   // (same 16-hex stem, different stage prefix).
   std::filesystem::copy_file(st.entry_path("netlist", "k"),
-                             st.entry_path("place", "k"));
+                             st.entry_path("routed", "k"));
   store::GetOutcome oc = store::GetOutcome::kHit;
-  EXPECT_FALSE(st.get("place", "k", &oc).has_value());
+  EXPECT_FALSE(st.get("routed", "k", &oc).has_value());
   EXPECT_EQ(oc, store::GetOutcome::kCorrupt);  // stage echo mismatch
-  EXPECT_FALSE(std::filesystem::exists(st.entry_path("place", "k")));
+  EXPECT_FALSE(std::filesystem::exists(st.entry_path("routed", "k")));
   // The real netlist entry is untouched.
   EXPECT_EQ(*st.get("netlist", "k"), "netlist bytes");
 }
@@ -296,19 +319,19 @@ TEST(StoreCrash, PartiallyWrittenEntryReadsAsMissAndSelfHeals) {
 TEST(StoreCrash, TornTempFileIsInvisibleAndSweptByGc) {
   const TempDir dir("torntmp");
   const store::Store st(dir.path);
-  ASSERT_TRUE(st.put("place", "live", "live blob"));
+  ASSERT_TRUE(st.put("routed", "live", "live blob"));
 
   // A crashed writer's leftover: never visible to get (wrong suffix),
   // swept by gc even when the byte budget is not exceeded.
-  const std::string tmp = st.entry_path("place", "live") + ".tmp.99999.7";
+  const std::string tmp = st.entry_path("routed", "live") + ".tmp.99999.7";
   write_file(tmp, "half-written garbage");
-  EXPECT_TRUE(st.get("place", "live").has_value());
+  EXPECT_TRUE(st.get("routed", "live").has_value());
 
   const store::GcResult g = st.gc(1u << 20);
   EXPECT_EQ(g.tmp_removed, 1);
   EXPECT_EQ(g.evicted, 0);
   EXPECT_FALSE(std::filesystem::exists(tmp));
-  EXPECT_TRUE(st.get("place", "live").has_value());
+  EXPECT_TRUE(st.get("routed", "live").has_value());
 }
 
 TEST(StoreCrash, DriftedValidEntryReadsAsMissAndIsEvicted) {
@@ -341,12 +364,12 @@ TEST(StoreCrash, DriftedValidEntryReadsAsMissAndIsEvicted) {
 TEST(StoreGc, EvictsOldestMtimeFirstDownToBudget) {
   const TempDir dir("lru");
   const store::Store st(dir.path);
-  ASSERT_TRUE(st.put("place", "old", "0123456789"));
-  ASSERT_TRUE(st.put("place", "mid", "0123456789"));
-  ASSERT_TRUE(st.put("place", "hot", "0123456789"));
-  set_mtime(st.entry_path("place", "old"), 100);
-  set_mtime(st.entry_path("place", "mid"), 200);
-  set_mtime(st.entry_path("place", "hot"), 300);
+  ASSERT_TRUE(st.put("routed", "old", "0123456789"));
+  ASSERT_TRUE(st.put("routed", "mid", "0123456789"));
+  ASSERT_TRUE(st.put("routed", "hot", "0123456789"));
+  set_mtime(st.entry_path("routed", "old"), 100);
+  set_mtime(st.entry_path("routed", "mid"), 200);
+  set_mtime(st.entry_path("routed", "hot"), 300);
 
   uint64_t entry_bytes = 0;
   for (const store::EntryInfo& e : st.list()) entry_bytes = e.bytes;
@@ -357,20 +380,20 @@ TEST(StoreGc, EvictsOldestMtimeFirstDownToBudget) {
   EXPECT_EQ(g.scanned, 3);
   EXPECT_EQ(g.evicted, 1);
   EXPECT_EQ(g.bytes_after, 2 * entry_bytes);
-  EXPECT_FALSE(std::filesystem::exists(st.entry_path("place", "old")));
-  EXPECT_TRUE(st.get("place", "mid").has_value());
-  EXPECT_TRUE(st.get("place", "hot").has_value());
+  EXPECT_FALSE(std::filesystem::exists(st.entry_path("routed", "old")));
+  EXPECT_TRUE(st.get("routed", "mid").has_value());
+  EXPECT_TRUE(st.get("routed", "hot").has_value());
   EXPECT_EQ(st.stats().evictions, 1);
 
   // A hit refreshes the LRU stamp: stamp "hot" oldest, then touch nothing —
   // but the get("mid")/get("hot") above already re-stamped both with the
   // current clock, so re-pin explicitly for a deterministic order.
-  set_mtime(st.entry_path("place", "hot"), 100);
-  set_mtime(st.entry_path("place", "mid"), 200);
+  set_mtime(st.entry_path("routed", "hot"), 100);
+  set_mtime(st.entry_path("routed", "mid"), 200);
   const store::GcResult g2 = st.gc(entry_bytes);
   EXPECT_EQ(g2.evicted, 1);
-  EXPECT_TRUE(std::filesystem::exists(st.entry_path("place", "mid")));
-  EXPECT_FALSE(std::filesystem::exists(st.entry_path("place", "hot")));
+  EXPECT_TRUE(std::filesystem::exists(st.entry_path("routed", "mid")));
+  EXPECT_FALSE(std::filesystem::exists(st.entry_path("routed", "hot")));
 }
 
 TEST(StoreGc, ZeroBudgetEmptiesTheStore) {
@@ -534,26 +557,86 @@ TEST(Artifacts, KeysSeparateEveryInputThatChangesTheArtifact) {
   b.bench = gen::Bench::kAes;
   EXPECT_NE(flow::artifacts::netlist_key(a), flow::artifacts::netlist_key(b));
 
-  b = a;
-  b.clock_ns = 2.5;
-  EXPECT_NE(flow::artifacts::place_key(a, fp),
-            flow::artifacts::place_key(b, fp));
-  b = a;
-  b.resistivity_scale = 1.4;
-  EXPECT_NE(flow::artifacts::place_key(a, fp),
-            flow::artifacts::place_key(b, fp));
-  b = a;
-  b.style = tech::Style::kTMI;
-  EXPECT_NE(flow::artifacts::place_key(a, fp),
-            flow::artifacts::place_key(b, fp));
+  // The routed design changes with every option a stage before sign-off
+  // reads, and with the library it was computed against.
+  const std::string routed = flow::artifacts::routed_key(a, fp);
+  const circuit::Netlist custom_a = make_snapshot_netlist();
+  circuit::Netlist custom_b = make_snapshot_netlist();
+  custom_b.new_net("extra");
+  const std::vector<std::pair<const char*, void (*)(flow::FlowOptions*)>>
+      routed_changes = {
+          {"bench", [](flow::FlowOptions* o) { o->bench = gen::Bench::kAes; }},
+          {"node", [](flow::FlowOptions* o) { o->node = tech::Node::k7nm; }},
+          {"style", [](flow::FlowOptions* o) { o->style = tech::Style::kTMI; }},
+          {"scale_shift", [](flow::FlowOptions* o) { o->scale_shift = 3; }},
+          {"seed", [](flow::FlowOptions* o) { o->seed = 8; }},
+          {"clock_ns", [](flow::FlowOptions* o) { o->clock_ns = 2.5; }},
+          {"target_util", [](flow::FlowOptions* o) { o->target_util = 0.33; }},
+          {"tmi_wlm", [](flow::FlowOptions* o) { o->tmi_wlm = false; }},
+          {"local_blockage_frac",
+           [](flow::FlowOptions* o) { o->local_blockage_frac = 0.1; }},
+          {"resistivity_scale",
+           [](flow::FlowOptions* o) { o->resistivity_scale = 1.4; }},
+      };
+  for (const auto& [field, change] : routed_changes) {
+    b = a;
+    change(&b);
+    EXPECT_NE(routed, flow::artifacts::routed_key(b, fp)) << field;
+  }
   // G-MI shares T-MI's metal stack but places planar cells on its own die.
   flow::FlowOptions gmi = a;
   gmi.style = tech::Style::kGMI;
-  EXPECT_NE(flow::artifacts::place_key(gmi, fp),
-            flow::artifacts::place_key(b, fp));
-  // A different library fingerprint keys a different placement.
-  EXPECT_NE(flow::artifacts::place_key(a, fp),
-            flow::artifacts::place_key(a, fp + 1));
+  b = a;
+  b.style = tech::Style::kTMI;
+  EXPECT_NE(flow::artifacts::routed_key(gmi, fp),
+            flow::artifacts::routed_key(b, fp));
+  // A different library fingerprint keys a different design.
+  EXPECT_NE(routed, flow::artifacts::routed_key(a, fp + 1));
+  // A custom netlist keys by its structural hash, never by the bench.
+  b = a;
+  b.custom_netlist = &custom_a;
+  const std::string custom_key = flow::artifacts::routed_key(b, fp);
+  EXPECT_NE(routed, custom_key);
+  b.custom_netlist = &custom_b;
+  EXPECT_NE(custom_key, flow::artifacts::routed_key(b, fp));
+  // local_blockage_frac enters at its effective value: the -1 default is
+  // 0 for 2D and G-MI and 0.03 under folded T-MI cells.
+  b = a;
+  b.local_blockage_frac = 0.0;
+  EXPECT_EQ(routed, flow::artifacts::routed_key(b, fp));
+  flow::FlowOptions tmi = a;
+  tmi.style = tech::Style::kTMI;
+  b = tmi;
+  b.local_blockage_frac = 0.03;
+  EXPECT_EQ(flow::artifacts::routed_key(tmi, fp),
+            flow::artifacts::routed_key(b, fp));
+  b.local_blockage_frac = 0.0;
+  EXPECT_NE(flow::artifacts::routed_key(tmi, fp),
+            flow::artifacts::routed_key(b, fp));
+  // What only sign-off reads, and what never changes a result, stays out:
+  // an activity sweep over one design reuses its routed artifact.
+  const liberty::Library other_lib = test::make_test_library(tech::Style::kTMI);
+  const std::vector<std::pair<const char*, void (*)(flow::FlowOptions*)>>
+      signoff_only = {
+          {"pi_activity", [](flow::FlowOptions* o) { o->pi_activity = 0.4; }},
+          {"seq_activity", [](flow::FlowOptions* o) { o->seq_activity = 0.3; }},
+          {"check_level",
+           [](flow::FlowOptions* o) { o->check_level = check::Level::kFull; }},
+          {"store_dir", [](flow::FlowOptions* o) { o->store_dir = "elsewhere"; }},
+          {"trace", [](flow::FlowOptions* o) { o->trace = true; }},
+          {"stage_observer",
+           [](flow::FlowOptions* o) {
+             o->stage_observer = [](const flow::StageReport&) {};
+           }},
+      };
+  for (const auto& [field, change] : signoff_only) {
+    b = a;
+    change(&b);
+    EXPECT_EQ(routed, flow::artifacts::routed_key(b, fp)) << field;
+  }
+  b = a;
+  b.lib = &other_lib;  // the fingerprint argument stands for the library
+  EXPECT_EQ(routed, flow::artifacts::routed_key(b, fp));
 
   EXPECT_NE(flow::artifacts::library_key("fixture", tech::Node::k45nm,
                                          tech::Style::k2D),
@@ -689,6 +772,190 @@ TEST(Artifacts, CompareDecodeRejectsTruncationAndTrailingGarbage) {
   EXPECT_EQ(out.flat.bench_name, "untouched");
 }
 
+/// The state a routed artifact holds, with values a text codec would round
+/// or a careless one would drop: -0.0, a subnormal, an empty per-sink
+/// vector and an unset critical endpoint.
+struct RoutedSample {
+  flow::FlowResult res;
+  extract::Parasitics par;
+  sta::TimingResult timing;
+};
+
+RoutedSample sample_routed() {
+  RoutedSample s;
+  s.res.netlist = make_snapshot_netlist();
+  s.res.die.core = {0.0, -0.0, 123.456789, 1.0 / 3.0};
+  s.res.die.row_height_um = 0.7;
+  s.res.die.num_rows = 176;
+  route::RouteResult& rr = s.res.routes;
+  rr.nets.resize(3);
+  rr.nets[0].wl_um = {1.5, -0.0, 4.9e-324};  // 4.9e-324: subnormal
+  rr.nets[0].vias = 4;
+  rr.nets[0].sink_path_wl = {{0.25, 0.5, 0.0}, {std::sqrt(2.0), 0.0, 1e-310}};
+  rr.nets[2].wl_um = {2.0 / 7.0, 0.0, 0.0};  // nets[1] stays empty
+  rr.nets[2].sink_path_wl = {{2.0 / 7.0, 0.0, 0.0}};
+  rr.total_wl_um = std::nextafter(1e5, 2e5);
+  rr.wl_by_level = {0.1, 0.2, -0.0};
+  rr.total_vias = 1L << 40;
+  rr.overflow_edges = 3;
+  rr.max_congestion = 1.0625;
+  rr.routed = false;
+  rr.nx = 2;
+  rr.ny = 3;
+  rr.gcell_um = 3.2;
+  for (int l = 0; l < route::kNumLevels; ++l) {
+    rr.usage_h[l] = {0.5 * l, 1e-310, -0.0};
+    rr.usage_v[l] = {1.0 / (l + 3)};
+  }
+  rr.usage_v[2].clear();
+  rr.cap_h = {10.0, 8.0, 4.0};
+  rr.cap_v = {9.5, 7.25, 1e-310};
+  s.par.resize(3);
+  s.par[0] = {0.5, 0.25, {0.125, -0.0, 1e-310}, 7.75};
+  s.par[1] = {-0.0, 1e-310, {}, 0.0};  // empty sink_res_kohm
+  s.par[2] = {1.0 / 3.0, 2.0 / 3.0, {1.0}, 4.0};
+  s.timing.arrival_ps = {10.0, -0.0, 1e-310};
+  s.timing.slew_ps = {3.0};
+  s.timing.required_ps = {};
+  s.timing.inst_slack_ps = {-12.5, std::nextafter(0.0, 1.0)};
+  s.timing.load_ff = {0.0, 2.5, 1.0 / 7.0};
+  s.timing.wns_ps = -0.0;
+  s.timing.tns_ps = -12.5;
+  s.timing.critical_path_ps = 1999.875;
+  s.timing.critical_endpoint = circuit::kInvalid;
+  for (const char* name :
+       {"gen", "synth", "place", "opt_preroute", "route", "opt_postroute"}) {
+    flow::StageReport sr;
+    sr.name = name;
+    sr.wall_ms = 1.0 / 3.0;
+    sr.counters = {{std::string(name) + ".calls", 2.0}};
+    s.res.stages.push_back(std::move(sr));
+  }
+  return s;
+}
+
+/// Bit equality, so -0.0 against 0.0 and NaN payloads count as different.
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!same_bits(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+template <size_t N>
+bool same_bits(const std::array<double, N>& a, const std::array<double, N>& b) {
+  for (size_t i = 0; i < N; ++i) {
+    if (!same_bits(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+TEST(Artifacts, RoutedCodecRoundTripsBitExactly) {
+  const RoutedSample in = sample_routed();
+  const std::string blob =
+      flow::artifacts::encode_routed_blob(in.res, in.par, in.timing);
+  flow::FlowResult res;
+  extract::Parasitics par;
+  sta::TimingResult timing;
+  ASSERT_TRUE(flow::artifacts::decode_routed_blob(blob, &res, &par, &timing));
+  EXPECT_EQ(flow::artifacts::encode_routed_blob(res, par, timing), blob);
+
+  EXPECT_EQ(check::netlist_hash(res.netlist),
+            check::netlist_hash(in.res.netlist));
+  EXPECT_EQ(check::placement_hash(res.netlist),
+            check::placement_hash(in.res.netlist));
+  EXPECT_TRUE(same_bits(res.die.core.ylo, in.res.die.core.ylo));
+  EXPECT_TRUE(same_bits(res.die.core.yhi, in.res.die.core.yhi));
+  EXPECT_EQ(res.die.num_rows, in.res.die.num_rows);
+
+  const route::RouteResult& a = in.res.routes;
+  const route::RouteResult& b = res.routes;
+  ASSERT_EQ(b.nets.size(), a.nets.size());
+  for (size_t n = 0; n < a.nets.size(); ++n) {
+    EXPECT_TRUE(same_bits(b.nets[n].wl_um, a.nets[n].wl_um)) << n;
+    EXPECT_EQ(b.nets[n].vias, a.nets[n].vias) << n;
+    ASSERT_EQ(b.nets[n].sink_path_wl.size(), a.nets[n].sink_path_wl.size());
+    for (size_t k = 0; k < a.nets[n].sink_path_wl.size(); ++k) {
+      EXPECT_TRUE(
+          same_bits(b.nets[n].sink_path_wl[k], a.nets[n].sink_path_wl[k]));
+    }
+  }
+  EXPECT_TRUE(same_bits(b.total_wl_um, a.total_wl_um));
+  EXPECT_TRUE(same_bits(b.wl_by_level, a.wl_by_level));
+  EXPECT_EQ(b.total_vias, a.total_vias);
+  EXPECT_EQ(b.overflow_edges, a.overflow_edges);
+  EXPECT_TRUE(same_bits(b.max_congestion, a.max_congestion));
+  EXPECT_EQ(b.routed, a.routed);
+  EXPECT_EQ(b.nx, a.nx);
+  EXPECT_EQ(b.ny, a.ny);
+  EXPECT_TRUE(same_bits(b.gcell_um, a.gcell_um));
+  for (int l = 0; l < route::kNumLevels; ++l) {
+    EXPECT_TRUE(same_bits(b.usage_h[l], a.usage_h[l])) << l;
+    EXPECT_TRUE(same_bits(b.usage_v[l], a.usage_v[l])) << l;
+  }
+  EXPECT_TRUE(same_bits(b.cap_h, a.cap_h));
+  EXPECT_TRUE(same_bits(b.cap_v, a.cap_v));
+
+  ASSERT_EQ(par.size(), in.par.size());
+  for (size_t n = 0; n < par.size(); ++n) {
+    EXPECT_TRUE(same_bits(par[n].wire_cap_ff, in.par[n].wire_cap_ff)) << n;
+    EXPECT_TRUE(same_bits(par[n].wire_res_kohm, in.par[n].wire_res_kohm)) << n;
+    EXPECT_TRUE(same_bits(par[n].sink_res_kohm, in.par[n].sink_res_kohm)) << n;
+    EXPECT_TRUE(same_bits(par[n].wirelength_um, in.par[n].wirelength_um)) << n;
+  }
+  EXPECT_TRUE(par[1].sink_res_kohm.empty());
+
+  EXPECT_TRUE(same_bits(timing.arrival_ps, in.timing.arrival_ps));
+  EXPECT_TRUE(same_bits(timing.slew_ps, in.timing.slew_ps));
+  EXPECT_TRUE(same_bits(timing.required_ps, in.timing.required_ps));
+  EXPECT_TRUE(same_bits(timing.inst_slack_ps, in.timing.inst_slack_ps));
+  EXPECT_TRUE(same_bits(timing.load_ff, in.timing.load_ff));
+  EXPECT_TRUE(same_bits(timing.wns_ps, in.timing.wns_ps));
+  EXPECT_TRUE(same_bits(timing.tns_ps, in.timing.tns_ps));
+  EXPECT_TRUE(same_bits(timing.critical_path_ps, in.timing.critical_path_ps));
+  EXPECT_EQ(timing.critical_endpoint, circuit::kInvalid);
+
+  ASSERT_EQ(res.stages.size(), 6u);
+  for (size_t i = 0; i < res.stages.size(); ++i) {
+    EXPECT_EQ(res.stages[i].name, in.res.stages[i].name);
+    EXPECT_EQ(res.stages[i].counters, in.res.stages[i].counters);
+  }
+}
+
+TEST(Artifacts, RoutedDecodeRejectsTruncationVersionAndTrailingGarbage) {
+  const RoutedSample in = sample_routed();
+  const std::string blob =
+      flow::artifacts::encode_routed_blob(in.res, in.par, in.timing);
+  // A failed decode leaves every output untouched.
+  flow::FlowResult res;
+  res.bench_name = "untouched";
+  extract::Parasitics par(1);
+  sta::TimingResult timing;
+  timing.wns_ps = 42.0;
+  const auto untouched = [&] {
+    return res.bench_name == "untouched" && res.stages.empty() &&
+           res.netlist.num_nets() == 0 && res.routes.nets.empty() &&
+           par.size() == 1 && timing.wns_ps == 42.0;
+  };
+  for (size_t n = 0; n < blob.size(); ++n) {
+    EXPECT_FALSE(flow::artifacts::decode_routed_blob(blob.substr(0, n), &res,
+                                                     &par, &timing))
+        << "prefix " << n;
+  }
+  EXPECT_FALSE(
+      flow::artifacts::decode_routed_blob(blob + "x", &res, &par, &timing));
+  std::string other_version = blob;
+  other_version[0] = static_cast<char>(other_version[0] + 1);
+  EXPECT_FALSE(flow::artifacts::decode_routed_blob(other_version, &res, &par,
+                                                   &timing));
+  EXPECT_TRUE(untouched());
+}
+
 // ---------------------------------------------------------------------------
 // Flow integration: the acceptance bar.
 
@@ -724,19 +991,22 @@ TEST(FlowStore, WarmRunIsByteIdenticalAndSkipsMemoizedStages) {
     cold_place_hash = check::placement_hash(cold.netlist);
   }
   EXPECT_EQ(cold_reg.counter("store.hits"), 0.0);
-  EXPECT_GE(cold_reg.counter("store.puts"), 2.0);  // netlist + place
+  EXPECT_GE(cold_reg.counter("store.puts"), 2.0);  // netlist + routed
   EXPECT_EQ(cold_reg.histogram("span.flow.synth").count, 1);
 
   // The cold run left exactly the memoized artifacts behind.
   const store::Store st(dir.path);
   bool saw_netlist = false;
-  bool saw_place = false;
+  bool saw_routed = false;
+  bool saw_other = false;
   for (const store::EntryInfo& e : st.list()) {
     saw_netlist = saw_netlist || e.stage == "netlist";
-    saw_place = saw_place || e.stage == "place";
+    saw_routed = saw_routed || e.stage == "routed";
+    saw_other = saw_other || (e.stage != "netlist" && e.stage != "routed");
   }
   EXPECT_TRUE(saw_netlist);
-  EXPECT_TRUE(saw_place);
+  EXPECT_TRUE(saw_routed);
+  EXPECT_FALSE(saw_other);  // no other artifact kind, no "place" entry
   ASSERT_TRUE(st.verify().clean());
 
   util::MetricsRegistry warm_reg;
@@ -751,19 +1021,102 @@ TEST(FlowStore, WarmRunIsByteIdenticalAndSkipsMemoizedStages) {
   }
   // THE acceptance bar: byte-identical canonical reports.
   EXPECT_EQ(warm_json, cold_json);
-  // And the expensive prefix actually did not run: the placement artifact
-  // hit, and no gen/synth/place stage span was opened.
+  // And the expensive prefix actually did not run: the routed artifact
+  // hit, and no stage span before sign-off was opened.
   EXPECT_GE(warm_reg.counter("store.hits"), 1.0);
   EXPECT_EQ(warm_reg.histogram("span.flow.gen").count, 0);
   EXPECT_EQ(warm_reg.histogram("span.flow.synth").count, 0);
   EXPECT_EQ(warm_reg.histogram("span.flow.place").count, 0);
-  // Post-place stages still ran live.
-  EXPECT_EQ(warm_reg.histogram("span.flow.route").count, 1);
+  EXPECT_EQ(warm_reg.histogram("span.flow.opt_preroute").count, 0);
+  EXPECT_EQ(warm_reg.histogram("span.flow.route").count, 0);
+  EXPECT_EQ(warm_reg.histogram("span.flow.opt_postroute").count, 0);
+  // Sign-off still ran live.
+  EXPECT_EQ(warm_reg.histogram("span.flow.sta_power").count, 1);
+}
+
+// Switching activity enters only sign-off, so a sweep over it reuses the
+// routed design: the second activity re-runs sta_power and check alone, and
+// its report is the one a store-less run at that activity produces.
+TEST(FlowStore, ActivityChangeReusesRoutedDesign) {
+  static const liberty::Library lib2d =
+      test::make_test_library(tech::Style::k2D);
+  for (const tech::Style style :
+       {tech::Style::k2D, tech::Style::kTMI, tech::Style::kGMI}) {
+    SCOPED_TRACE(tech::to_string(style));
+    const TempDir dir("flow_activity");
+    const auto opts = [&](const std::string& store_dir, double activity) {
+      flow::FlowOptions o = store_flow_opts(store_dir);
+      o.style = style;
+      o.lib = tech::cell_style(style) == tech::Style::kTMI ? &flow_lib()
+                                                           : &lib2d;
+      o.pi_activity = activity;
+      return o;
+    };
+    const flow::FlowResult low = flow::run_flow(opts(dir.path, 0.1));
+
+    util::MetricsRegistry reg;
+    flow::FlowResult high;
+    {
+      const util::ScopedMetricsSink sink(reg);
+      high = flow::run_flow(opts(dir.path, 0.4));
+    }
+    // One lookup, and it hit the routed artifact: the netlist artifact is
+    // never consulted.
+    EXPECT_EQ(reg.counter("store.hits"), 1.0);
+    EXPECT_EQ(reg.counter("store.misses"), 0.0);
+    EXPECT_EQ(reg.histogram("span.flow.opt_preroute").count, 0);
+    EXPECT_EQ(reg.histogram("span.flow.route").count, 0);
+    EXPECT_EQ(reg.histogram("span.flow.opt_postroute").count, 0);
+    EXPECT_EQ(reg.histogram("span.flow.sta_power").count, 1);
+
+    const flow::FlowResult cold = flow::run_flow(opts("", 0.4));
+    EXPECT_EQ(report::to_canonical_json_string(high),
+              report::to_canonical_json_string(cold));
+    // The activity did reach sign-off.
+    EXPECT_NE(high.total_uw, low.total_uw);
+    EXPECT_EQ(high.total_wl_um, low.total_wl_um);
+  }
+}
+
+// A routed entry that verifies in the store but was written by another
+// blob version decodes to "no": the flow recomputes and overwrites it.
+TEST(FlowStore, RoutedBlobOfAnotherVersionIsAMiss) {
+  const TempDir dir("flow_routed_version");
+  const flow::FlowOptions o = store_flow_opts(dir.path);
+  const std::string cold_json =
+      report::to_canonical_json_string(flow::run_flow(o));
+
+  const store::Store st(dir.path);
+  const std::string key = flow::artifacts::routed_key(
+      o, flow::artifacts::library_fingerprint(*o.lib));
+  const std::optional<std::string> blob = st.get("routed", key);
+  ASSERT_TRUE(blob.has_value());
+  std::string other_version = *blob;
+  other_version[0] = static_cast<char>(other_version[0] + 1);
+  ASSERT_TRUE(st.put("routed", key, other_version));
+
+  util::MetricsRegistry reg;
+  std::string again_json;
+  {
+    const util::ScopedMetricsSink sink(reg);
+    again_json = report::to_canonical_json_string(flow::run_flow(o));
+  }
+  EXPECT_EQ(again_json, cold_json);
+  EXPECT_EQ(reg.histogram("span.flow.route").count, 1);
+  EXPECT_EQ(reg.histogram("span.flow.place").count, 1);
+  // The re-run rewrote the entry with a blob of the current version.
+  const std::optional<std::string> healed = st.get("routed", key);
+  ASSERT_TRUE(healed.has_value());
+  flow::FlowResult res;
+  extract::Parasitics par;
+  sta::TimingResult timing;
+  EXPECT_TRUE(
+      flow::artifacts::decode_routed_blob(*healed, &res, &par, &timing));
 }
 
 TEST(FlowStore, NetlistArtifactAloneServesADifferentCorner) {
   const TempDir dir("flow_netlist");
-  // Cold 2D run populates netlist + place for the 2D corner.
+  // Cold 2D run populates netlist + routed for the 2D corner.
   static const liberty::Library lib2d =
       test::make_test_library(tech::Style::k2D);
   flow::FlowOptions o2d = store_flow_opts(dir.path);
@@ -772,7 +1125,7 @@ TEST(FlowStore, NetlistArtifactAloneServesADifferentCorner) {
   const flow::FlowResult cold = flow::run_flow(o2d);
 
   // A T-MI run at the same (bench, scale, seed) shares the generated
-  // netlist (generation is style-independent) but not the placement.
+  // netlist (generation is style-independent) but not the routed design.
   util::MetricsRegistry reg;
   flow::FlowResult tmi;
   {
@@ -883,18 +1236,39 @@ TEST(FlowStore, ConcurrentFlowsShareOneStoreDirectory) {
   }
 
   // The directory came through the races intact: every entry verifies, no
-  // temp file is left, and each (seed, style) has exactly one placement.
+  // temp file is left, and each (seed, style) has exactly one routed
+  // design.
   const store::Store st(dir.path);
   EXPECT_TRUE(st.verify().clean());
   for (const auto& f : std::filesystem::directory_iterator(dir.path)) {
     EXPECT_EQ(f.path().filename().string().find(".tmp."), std::string::npos)
         << f.path();
   }
-  size_t place_entries = 0;
+  size_t routed_entries = 0;
   for (const store::EntryInfo& e : st.list()) {
-    if (e.stage == "place") ++place_entries;
+    if (e.stage == "routed") ++routed_entries;
+    EXPECT_NE(e.stage, "place");
   }
-  EXPECT_EQ(place_entries, kRuns);
+  EXPECT_EQ(routed_entries, kRuns);
+
+  // And the stored designs serve every (seed, style) afterwards: no stage
+  // before sign-off runs again, and the reports still match the reference.
+  util::MetricsRegistry warm_reg;
+  {
+    const util::ScopedMetricsSink sink(warm_reg);
+    size_t i = 0;
+    for (const uint64_t seed : kSeeds) {
+      for (const tech::Style style : kStyles) {
+        EXPECT_EQ(report::to_canonical_json(
+                      flow::run_flow(opts(dir.path, seed, style)))
+                      .dump(-1),
+                  reference[i++]);
+      }
+    }
+  }
+  EXPECT_EQ(warm_reg.histogram("span.flow.opt_preroute").count, 0);
+  EXPECT_EQ(warm_reg.histogram("span.flow.route").count, 0);
+  EXPECT_EQ(warm_reg.histogram("span.flow.opt_postroute").count, 0);
 }
 
 // ---------------------------------------------------------------------------
